@@ -150,7 +150,7 @@ def cmd_bound(args) -> int:
         value = hybrid_bound(ineq)
     elif args.kind == "separable":
         opex = assign_paulis(ineq.ast, json.loads(args.assignment) if args.assignment else None)
-        res = separable_bound(opex.linear_terms())
+        res = separable_bound(opex.linear_terms(), seed=args.rng_seed)
         value = res.value
         certificate = {
             "left_state": [[v.real, v.imag] for v in res.left_state],

@@ -3,29 +3,31 @@
 A LogicalEncoding is an ordered orthonormal pair (|0_L>, |1_L>) of
 N-qubit states.  Every N-qubit Pauli string either leaves the span
 invariant or does not; when it does, its 2x2 restriction in the logical
-basis is compared against +-I, +-X, +-Y, +-Z.  ``image_set`` enumerates
-all 4^N strings brute-force, which keeps the classification auditable
-against the dense-matrix oracle.
+basis is compared against +-I, +-X, +-Y, +-Z.
+
+All restrictions come from one kernel, the code's Pauli spectrum: for a
+fixed x-mask, <a|X^x Z^z|b> over every z-mask is the Walsh-Hadamard
+transform of conj(a[k^x]) * b[k], so one O(N 4^N) pass restricts all
+4^N strings.  An encoding computes its four image sets from that pass on
+first use and keeps them.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import PauliError, PauliString, SignedPauliTerm, multiply
-from .states import StateVector, apply_pauli, ghz_state, make_pair_superposition
+from .pauli import _SINGLE, PauliError, PauliString, SignedPauliTerm, multiply
+from .states import StateVector, make_pair_superposition
 
-_SIGMA = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
+# classifier targets in matching order: +I, -I, +X, -X, +Y, -Y, +Z, -Z
+_TARGETS = tuple((letter, sign) for letter in _SINGLE for sign in (1, -1))
+_TARGET_MATRICES = np.stack([sign * _SINGLE[letter] for letter, sign in _TARGETS])
 
 
 class CodespaceError(ValueError):
@@ -43,6 +45,11 @@ class LogicalEncoding:
             raise CodespaceError("encoding states must match declared width")
         if abs(np.vdot(self.zero_l.amplitudes, self.one_l.amplitudes)) > TOL.norm:
             raise CodespaceError("logical basis states must be orthogonal")
+
+    @cached_property
+    def _image_sets(self) -> dict[str, "ImageSet"]:
+        # the amplitudes are read-only, so the sets never go stale
+        return _compute_image_sets(self)
 
     @classmethod
     def from_basis_pair(cls, zero: str, one: str) -> "LogicalEncoding":
@@ -83,19 +90,41 @@ class LogicalEncoding:
 
 # ---------------------------------------------------------------------------
 
-def _restriction(term: SignedPauliTerm, enc: LogicalEncoding) -> Optional[np.ndarray]:
-    """2x2 restriction of the term to span{|0_L>,|1_L>}, or None if it leaves it."""
-    z, o = enc.zero_l.amplitudes, enc.one_l.amplitudes
-    pz = term.coefficient * apply_pauli(term.string, z)
-    po = term.coefficient * apply_pauli(term.string, o)
-    r = np.array([[np.vdot(z, pz), np.vdot(z, po)], [np.vdot(o, pz), np.vdot(o, po)]])
-    # unitary action: the restriction columns must carry the full norm
-    scale = abs(term.coefficient)
-    if abs(np.linalg.norm(r[:, 0]) - scale) > TOL.action:
-        return None
-    if abs(np.linalg.norm(r[:, 1]) - scale) > TOL.action:
-        return None
-    return r
+def _spectrum(enc: LogicalEncoding, x_masks: Sequence[int]) -> np.ndarray:
+    """Restrictions <e_i|X^x Z^z|e_j> for the given x-masks and every z-mask.
+
+    ``e_0, e_1`` are |0_L>, |1_L>; the result has shape (2, 2, len(x_masks), 2^N).
+    For fixed x the z-axis is the Walsh-Hadamard transform of
+    conj(e_i[k^x]) * e_j[k], computed by N in-place butterfly stages.
+    """
+    basis = np.stack([enc.zero_l.amplitudes, enc.one_l.amplitudes])  # (2, 2^N)
+    dim = basis.shape[1]
+    shifted = basis[:, np.asarray(x_masks)[:, None] ^ np.arange(dim)]  # e_i[k^x]
+    spec = shifted.conj()[:, None] * basis[None, :, None, :]
+    half = 1
+    while half < dim:
+        pairs = spec.reshape(*spec.shape[:-1], dim // (2 * half), 2, half)
+        lo = pairs[..., 0, :] + pairs[..., 1, :]
+        pairs[..., 1, :] = pairs[..., 0, :] - pairs[..., 1, :]
+        pairs[..., 0, :] = lo
+        half *= 2
+    return spec
+
+
+def _classify(r: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Index into ``_TARGETS`` of the sign*letter each restriction r[:, :, m] equals.
+
+    -1 where the string leaves the code space (a column of the restriction
+    misses the full norm ``scale``) or acts as no signed letter.
+    """
+    norms = np.sqrt((np.abs(r) ** 2).sum(axis=0))  # column norms, (2, M)
+    stays = np.flatnonzero((np.abs(norms - scale) <= TOL.action).all(axis=0))
+    out = np.full(r.shape[2], -1)
+    dist = np.abs(r[:, :, stays][None] - _TARGET_MATRICES[..., None]).max(axis=(1, 2))
+    match = dist < TOL.action  # (targets, stays)
+    hit = match.any(axis=0)
+    out[stays[hit]] = match.argmax(axis=0)[hit]
+    return out
 
 
 def classify_action(
@@ -104,14 +133,11 @@ def classify_action(
     """Return (letter, sign) when the term acts as sign*letter on the code space."""
     if term.width != enc.width:
         raise PauliError(f"width mismatch {term.width} != {enc.width}")
-    r = _restriction(term, enc)
-    if r is None:
-        return None
-    for letter, sigma in _SIGMA.items():
-        for sign in (1, -1):
-            if np.abs(r - sign * sigma).max() < TOL.action:
-                return letter, sign
-    return None
+    s = term.string
+    r = _spectrum(enc, [s.x_mask])[:, :, :, s.z_mask]
+    r = r * (term.coefficient * _I_POW[s.y_count % 4])
+    k = _classify(r, abs(term.coefficient))[0]
+    return None if k < 0 else _TARGETS[k]
 
 
 @dataclass(frozen=True)
@@ -130,26 +156,33 @@ class ImageSet:
         return [str(m) for m in self.members]
 
 
-def _all_strings(width: int) -> Iterable[PauliString]:
-    for letters in itertools.product("IXYZ", repeat=width):
-        yield PauliString.from_letters("".join(letters))
-
-
-def image_set(enc: LogicalEncoding, letter: str) -> ImageSet:
-    """All signed strings acting exactly as +letter on the code space."""
-    if letter not in _SIGMA:
-        raise CodespaceError(f"unknown logical letter {letter!r}")
+def _compute_image_sets(enc: LogicalEncoding) -> dict[str, ImageSet]:
+    """All four image sets, classified from one full Pauli spectrum."""
     if enc.width > LIMITS.max_image_width:
         raise CodespaceError(
             f"width {enc.width} exceeds image enumeration cap {LIMITS.max_image_width}"
         )
-    members = []
-    for string in _all_strings(enc.width):
-        got = classify_action(SignedPauliTerm(1.0, string), enc)
-        if got is not None and got[0] == letter:
-            members.append(SignedPauliTerm(float(got[1]), string))
-    members.sort(key=SignedPauliTerm.sort_key)
-    return ImageSet(letter, enc, tuple(members))
+    masks = np.arange(1 << enc.width)
+    ys = np.array([bin(m).count("1") for m in masks])[masks[:, None] & masks]
+    r = _spectrum(enc, masks)
+    r *= _I_POW[ys % 4]  # the letters' operator is i^#Y X^x Z^z
+    kinds = _classify(r.reshape(2, 2, -1))
+    members: dict[str, list] = {letter: [] for letter in _SINGLE}
+    for flat in np.flatnonzero(kinds >= 0):
+        letter, sign = _TARGETS[kinds[flat]]
+        x, z = divmod(int(flat), len(masks))
+        members[letter].append(SignedPauliTerm(float(sign), PauliString(enc.width, x, z, 0)))
+    return {
+        letter: ImageSet(letter, enc, tuple(sorted(terms, key=SignedPauliTerm.sort_key)))
+        for letter, terms in members.items()
+    }
+
+
+def image_set(enc: LogicalEncoding, letter: str) -> ImageSet:
+    """All signed strings acting exactly as +letter on the code space."""
+    if letter not in _SINGLE:
+        raise CodespaceError(f"unknown logical letter {letter!r}")
+    return enc._image_sets[letter]
 
 
 def all_image_sets(enc: LogicalEncoding) -> dict[str, ImageSet]:
@@ -177,22 +210,19 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
             f"width {enc.width} exceeds verification cap {LIMITS.max_homomorphism_width}"
         )
     sets = all_image_sets(enc)
+    spectrum = _spectrum(enc, range(1 << enc.width))
     violations = []
     for a in "IXYZ":
         for b in "IXYZ":
             expect_letter, expect_phase = _PAULI_TABLE[(a, b)]
+            want = expect_phase * _SINGLE[expect_letter]
             for p in sets[a]:
                 for q in sets[b]:
                     prod = multiply(p.string, q.string)
-                    coeff = p.coefficient * q.coefficient * prod.phase
-                    flat = PauliString(prod.width, prod.x_mask, prod.z_mask, 0)
-                    z, o = enc.zero_l.amplitudes, enc.one_l.amplitudes
-                    pz = coeff * apply_pauli(flat, z)
-                    po = coeff * apply_pauli(flat, o)
-                    r = np.array(
-                        [[np.vdot(z, pz), np.vdot(z, po)], [np.vdot(o, pz), np.vdot(o, po)]]
-                    )
-                    want = expect_phase * _SIGMA[expect_letter]
+                    # prod = i^(phase_exp + #Y) X^x Z^z
+                    coeff = p.coefficient * q.coefficient
+                    coeff *= _I_POW[(prod.phase_exp + prod.y_count) % 4]
+                    r = coeff * spectrum[:, :, prod.x_mask, prod.z_mask]
                     if np.abs(r - want).max() > TOL.action:
                         violations.append((p, q, a, b))
     return not violations, violations

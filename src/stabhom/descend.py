@@ -17,14 +17,14 @@ from scratch (``enumerate_descendants`` does this automatically).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .bounds import lhv_bound, lhv_bound_nonlinear
-from .codespace import ImageSet, LogicalEncoding, image_set, lift_state
+from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
 from .dsl import (
     Inequality,
@@ -39,8 +39,6 @@ from .dsl import (
 from .pauli import SignedPauliTerm
 from .states import StateVector
 from . import bounds as _bounds
-from .dsl import assign_paulis
-from .states import expectation
 
 
 class SubstitutionError(ValueError):
@@ -154,10 +152,9 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
             raise SubstitutionError(
                 f"{setting.text()} occurs {oc} times, plan covers {len(entry.selection) - 1}"
             )
-        for sel_mode in (entry.selection,):
-            for i in sel_mode[1:]:
-                if not 0 <= i < len(members):
-                    raise SubstitutionError("image index out of range")
+        for i in entry.selection[1:]:
+            if not 0 <= i < len(members):
+                raise SubstitutionError("image index out of range")
         images[setting] = members
     width = ast.width - 1 + plan.encoding.width
     if width > LIMITS.max_width:
@@ -384,39 +381,3 @@ def lift_coherence_witness(
         accepted=qv > bound + TOL.violation,
         derived_bound=derived,
     )
-
-
-def per_image_transport_check(
-    seed: Inequality | InequalityAST,
-    plan: SubstitutionPlan,
-    seed_state: StateVector,
-    seed_assignment: Optional[Mapping] = None,
-) -> float:
-    """Max deviation |<seed>_seed - <single-image descendant>_lifted|.
-
-    Every single-image slice of a broadcast plan must transport the seed
-    expectation exactly; this is the homomorphism's identical-action
-    property at the inequality level.
-    """
-    ast = seed.ast if isinstance(seed, Inequality) else seed
-    lifted = lift_state(seed_state, plan.target_site, plan.encoding)
-    seed_val = _bounds.quantum_value(ast, seed_assignment, seed_state)
-    worst = 0.0
-    counts = {
-        s: len(image_set(plan.encoding, e.letter).members)
-        for s, e in plan.entries.items()
-    }
-    index_lists = [range(counts[s]) for s in plan.entries]
-    for combo in itertools.product(*index_lists):
-        single = SubstitutionPlan(
-            plan.target_site,
-            plan.encoding,
-            {
-                s: PlanEntry(e.letter, e.sign, ("subset", i))
-                for (s, e), i in zip(plan.entries.items(), combo)
-            },
-        )
-        desc = substitute(ast, single)
-        val = _bounds.quantum_value(desc, seed_assignment, lifted)
-        worst = max(worst, abs(val - seed_val))
-    return worst

@@ -3,17 +3,25 @@
 The oracles here deliberately avoid the package's own fast paths: dense
 matrices are built with plain ``np.kron`` chains, deterministic bounds
 are enumerated with ``itertools.product`` term by term, and eigenvalues
-can be cross-checked against the characteristic polynomial.  Expected
-values asserted in the tests were computed with these oracles.
+can be cross-checked against the characteristic polynomial, and image
+sets are enumerated by restricting every Pauli string's dense matrix to
+the code space.  Expected values asserted in the tests were computed
+with these oracles.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
 
+from stabhom import bounds
+from stabhom.codespace import LogicalEncoding, image_set, lift_state
+from stabhom.descend import PlanEntry, SubstitutionPlan, substitute
 from stabhom.dsl import Inequality, InequalityAST
+from stabhom.pauli import PauliString, SignedPauliTerm
+from stabhom.states import StateVector
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,6 +35,67 @@ def kron_chain(letters: str) -> np.ndarray:
     for ch in letters:
         out = np.kron(out, SIGMA[ch])
     return out
+
+
+def brute_force_images(enc: LogicalEncoding, tol: float = 1e-9) -> dict[str, list[str]]:
+    """Image-set texts per letter from all 4^N dense strings, one at a time.
+
+    A string belongs to image(L) with sign s when both code-space columns
+    keep unit norm and its 2x2 restriction equals s*L entrywise within tol.
+    """
+    code = (enc.zero_l.amplitudes, enc.one_l.amplitudes)
+    found = {letter: [] for letter in "IXYZ"}
+    for letters in itertools.product("IXYZ", repeat=enc.width):
+        op = kron_chain("".join(letters))
+        r = np.array([[np.vdot(u, op @ v) for v in code] for u in code])
+        if any(abs(np.linalg.norm(r[:, j]) - 1.0) > tol for j in (0, 1)):
+            continue
+        for letter, sign in itertools.product("IXYZ", (1, -1)):
+            if np.abs(r - sign * SIGMA[letter]).max() < tol:
+                found[letter].append(
+                    SignedPauliTerm(float(sign), PauliString.from_letters("".join(letters)))
+                )
+                break
+    return {
+        letter: [str(t) for t in sorted(terms, key=SignedPauliTerm.sort_key)]
+        for letter, terms in found.items()
+    }
+
+
+def per_image_transport_check(
+    seed: Inequality | InequalityAST,
+    plan: SubstitutionPlan,
+    seed_state: StateVector,
+    seed_assignment: Optional[Mapping] = None,
+) -> float:
+    """Max deviation |<seed>_seed - <single-image descendant>_lifted|.
+
+    Every single-image slice of a broadcast plan must transport the seed
+    expectation exactly; this is the homomorphism's identical-action
+    property at the inequality level.
+    """
+    ast = seed.ast if isinstance(seed, Inequality) else seed
+    lifted = lift_state(seed_state, plan.target_site, plan.encoding)
+    seed_val = bounds.quantum_value(ast, seed_assignment, seed_state)
+    worst = 0.0
+    counts = {
+        s: len(image_set(plan.encoding, e.letter).members)
+        for s, e in plan.entries.items()
+    }
+    index_lists = [range(counts[s]) for s in plan.entries]
+    for combo in itertools.product(*index_lists):
+        single = SubstitutionPlan(
+            plan.target_site,
+            plan.encoding,
+            {
+                s: PlanEntry(e.letter, e.sign, ("subset", i))
+                for (s, e), i in zip(plan.entries.items(), combo)
+            },
+        )
+        desc = substitute(ast, single)
+        val = bounds.quantum_value(desc, seed_assignment, lifted)
+        worst = max(worst, abs(val - seed_val))
+    return worst
 
 
 def naive_lhv(expr: Inequality | InequalityAST) -> float:

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import kron_chain
+from conftest import brute_force_images, kron_chain
+from stabhom import cli, codespace
 from stabhom.codespace import (
     CodespaceError,
     LogicalEncoding,
@@ -21,6 +22,47 @@ R = 2**-0.5
 
 def term(letters, coeff=1.0):
     return SignedPauliTerm(coeff, PauliString.from_letters(letters))
+
+
+def complementary_pairs(widths):
+    """(zero, one) basis labels differing on every site, zero < one."""
+    for n in widths:
+        for bits in itertools.product("01", repeat=n):
+            zero = "".join(bits)
+            one = "".join("1" if b == "0" else "0" for b in bits)
+            if zero < one:
+                yield zero, one
+
+
+def signed_product(p, q):
+    """p*q as a signed term; raises if the product carries a phase of +-i."""
+    return SignedPauliTerm(p.coefficient * q.coefficient, multiply(p.string, q.string))
+
+
+def keys(terms):
+    return {(t.coefficient, t.string) for t in terms}
+
+
+# (|001> + i|110>)/sqrt2 and (|001> - i|110>)/sqrt2
+COMPLEX_SPEC = {
+    "n": 3,
+    "zero": [[0, 0], [R, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, R], [0, 0]],
+    "one": [[0, 0], [R, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, -R], [0, 0]],
+}
+
+ORACLE_CASES = (
+    [(f"ghz{n}", LogicalEncoding.ghz(n)) for n in range(1, 7)]
+    + [("cluster", LogicalEncoding.cluster_pair())]
+    + [(f"pair-{z}-{o}", LogicalEncoding.from_basis_pair(z, o))
+       for z, o in complementary_pairs((2, 3, 4))]
+    + [("complex-json", LogicalEncoding.from_json(COMPLEX_SPEC))]
+)
+
+STRUCTURE_CASES = [
+    (zero, one)
+    for n in range(2, 7)
+    for zero, one in (("0" * n, "1" * n), (("01" * n)[:n], ("10" * n)[:n]))
+]
 
 
 class TestClassify:
@@ -89,34 +131,32 @@ class TestImageSets:
                     LogicalEncoding.ghz(4), LogicalEncoding.cluster_pair()):
             assert len(image_set(enc, "X")) == len(image_set(enc, "Y"))
 
-    def test_multiplying_by_identity_image_permutes_x_images(self):
-        enc = LogicalEncoding.ghz(3)
-        x_imgs = image_set(enc, "X")
-        keys = {(m.coefficient, m.string) for m in x_imgs}
-        for stab in image_set(enc, "I"):
-            mapped = set()
-            for m in x_imgs:
-                prod = multiply(m.string, stab.string)
-                t = SignedPauliTerm(m.coefficient * stab.coefficient * prod.phase.real,
-                                    PauliString(prod.width, prod.x_mask, prod.z_mask, 0))
-                mapped.add((t.coefficient, t.string))
-            assert mapped == keys
+    @pytest.mark.parametrize("zero,one", STRUCTURE_CASES)
+    def test_multiplying_by_identity_image_permutes_x_images(self, zero, one):
+        # image sets are signed cosets of the code's stabiliser group image(I)
+        enc = LogicalEncoding.from_basis_pair(zero, one)
+        n = enc.width
+        sets = {letter: image_set(enc, letter) for letter in "IXYZ"}
+        for letter, members in sets.items():
+            assert len(members) == 2 ** (n - 1), letter
+        stabs = sets["I"]
+        assert all(keys([signed_product(p, q)]) <= keys(stabs) for p in stabs for q in stabs)
+        for letter, members in sets.items():
+            assert keys(signed_product(members.members[0], s) for s in stabs) == keys(members)
+        x_keys = keys(sets["X"])
+        for stab in stabs:
+            assert keys(signed_product(m, stab) for m in sets["X"]) == x_keys
 
     def test_basis_pair_support_structure(self):
         # X images act exactly on the differing sites of the basis pair
-        for n in (2, 3, 4):
-            for bits in itertools.product("01", repeat=n):
-                one = "".join("1" if b == "0" else "0" for b in bits)
-                zero = "".join(bits)
-                if zero >= one:
-                    continue
-                enc = LogicalEncoding.from_basis_pair(zero, one)
-                differ = {i + 1 for i, (x, y) in enumerate(zip(zero, one)) if x != y}
-                for m in image_set(enc, "X"):
-                    support = {
-                        i + 1 for i, ch in enumerate(m.string.letters) if ch in "XY"
-                    }
-                    assert support == differ
+        for zero, one in complementary_pairs((2, 3, 4)):
+            enc = LogicalEncoding.from_basis_pair(zero, one)
+            differ = {i + 1 for i, (x, y) in enumerate(zip(zero, one)) if x != y}
+            for m in image_set(enc, "X"):
+                support = {
+                    i + 1 for i, ch in enumerate(m.string.letters) if ch in "XY"
+                }
+                assert support == differ
 
     def test_global_commute_local_noncommute(self):
         for enc in (LogicalEncoding.ghz(2), LogicalEncoding.ghz(3)):
@@ -133,6 +173,48 @@ class TestImageSets:
                 for pa, qa in zip(p.string.letters, q.string.letters)
             )
             assert locally_noncommuting
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("name,enc", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_brute_force(self, name, enc):
+        oracle = brute_force_images(enc)
+        for letter in "IXYZ":
+            assert image_set(enc, letter).texts() == oracle[letter], letter
+
+    def test_complex_encoding_signs(self):
+        # X1Y2X3|001> = i|110>, so +X1Y2X3 fixes (|001> + i|110>)/sqrt2
+        enc = LogicalEncoding.from_json(COMPLEX_SPEC)
+        assert image_set(enc, "Z").texts() == ["-X1X2Y3", "+X1Y2X3", "+Y1X2X3", "+Y1Y2Y3"]
+        assert image_set(enc, "X").texts() == ["+Z1", "+Z2", "-Z3", "-Z1Z2Z3"]
+
+    def test_classify_action_matches_image_sets(self):
+        enc = LogicalEncoding.from_json(COMPLEX_SPEC)
+        for letter in "IXYZ":
+            for m in image_set(enc, letter):
+                assert classify_action(m, enc) == (letter, 1)
+                assert classify_action(SignedPauliTerm(-m.coefficient, m.string), enc) == (
+                    letter, -1)
+                assert classify_action(SignedPauliTerm(2 * m.coefficient, m.string), enc) is None
+
+    def test_image_sets_memoised_per_encoding(self):
+        enc = LogicalEncoding.ghz(3)
+        first = image_set(enc, "X")
+        assert image_set(enc, "X") is first
+        assert image_set(LogicalEncoding.ghz(3), "X") is not first
+
+    def test_images_command_computes_one_spectrum(self, monkeypatch, capsys):
+        calls = []
+        spectrum = codespace._spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return spectrum(*args)
+
+        monkeypatch.setattr(codespace, "_spectrum", counted)
+        assert cli.main(["images", "--ghz", "3"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "I:"
 
 
 class TestHomomorphism:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import per_image_transport_check
 from stabhom.bounds import lhv_bound, quantum_value
 from stabhom.codespace import LogicalEncoding, image_set, lift_state
 from stabhom.descend import (
@@ -11,7 +12,6 @@ from stabhom.descend import (
     SubstitutionPlan,
     enumerate_descendants,
     lift_coherence_witness,
-    per_image_transport_check,
     substitute,
     substitute_symbolic,
 )
