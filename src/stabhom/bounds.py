@@ -6,7 +6,16 @@ deterministic extreme points for linear functionals is standard and is
 assumed, not re-proven.  The nonlinear case does NOT assume it: with
 concave square terms the optimum may need a mixture of deterministic
 strategies, so it is computed over probability distributions via an
-upper concave envelope of the strategy point cloud.
+upper concave envelope of the strategy point cloud.  Both read one
+strategy evaluator, ``_chunked_values``.
+
+The hybrid bound is the deterministic bound of a pre-expanded grouping
+form.  The quantum maximum is exact (Hermitian eigensolver) for linear
+expressions and a seeded heuristic ascent with square terms.  The
+separable bound is an alternating product-state maximisation over the
+1 | rest split, seeded deterministically; the see-saw optimises qubit
+observables against the shared state.  Single-qubit matrices come from
+``pauli._SINGLE``.
 """
 from __future__ import annotations
 
@@ -16,14 +25,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .dsl import (
-    Inequality,
-    InequalityAST,
-    OperatorExpression,
-    Setting,
-    assign_paulis,
-)
-from .pauli import SignedPauliTerm
+from .dsl import Inequality, InequalityAST, Setting, assign_paulis
+from .pauli import _SINGLE, PauliString, SignedPauliTerm, to_matrix
 from .states import (
     DensityOperator,
     StateVector,
@@ -49,20 +52,30 @@ def _index_terms(terms, setting_index):
     return [(float(c), tuple(setting_index[s] for s in mono)) for c, mono in terms]
 
 
-def _chunked_values(indexed_terms, n_settings: int, chunk_bits: int = 20):
-    """Yield (strategy_offset, value_array) over all 2^S strategies."""
+_CHUNK_BITS = 20  # strategies evaluated per chunk: 2^20
+
+
+def _chunked_values(term_lists, n_settings: int):
+    """Yield (strategy_offset, [value array per term list]) over all 2^S strategies.
+
+    Strategy k sets setting j to (-1)^(bit j of k); the +-1 columns are
+    built once per chunk and shared by every term list.
+    """
     total = 1 << n_settings
-    step = min(total, 1 << chunk_bits)
+    step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
         idx = np.arange(start, start + step, dtype=np.int64)
         cols = [1 - 2 * ((idx >> k) & 1) for k in range(n_settings)]
-        out = np.zeros(step, dtype=float)
-        for c, sel in indexed_terms:
-            prod = np.full(step, c)
-            for k in sel:
-                prod = prod * cols[k]
-            out += prod
-        yield start, out
+        outs = []
+        for terms in term_lists:
+            out = np.zeros(step, dtype=float)
+            for c, sel in terms:
+                prod = np.full(step, c)
+                for k in sel:
+                    prod = prod * cols[k]
+                out += prod
+            outs.append(out)
+        yield start, outs
 
 
 def lhv_bound(expr: Inequality | InequalityAST) -> float:
@@ -76,7 +89,7 @@ def lhv_bound(expr: Inequality | InequalityAST) -> float:
     index = {s: k for k, s in enumerate(settings)}
     terms = _index_terms(ast.linear, index)
     best = -np.inf
-    for _, vals in _chunked_values(terms, len(settings)):
+    for _, (vals,) in _chunked_values([terms], len(settings)):
         best = max(best, float(vals.max()))
     return best
 
@@ -88,7 +101,7 @@ def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting,
     index = {s: k for k, s in enumerate(settings)}
     terms = _index_terms(ast.linear, index)
     best, arg = -np.inf, 0
-    for start, vals in _chunked_values(terms, len(settings)):
+    for start, (vals,) in _chunked_values([terms], len(settings)):
         k = int(vals.argmax())
         if vals[k] > best:
             best, arg = float(vals[k]), start + k
@@ -96,13 +109,12 @@ def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting,
     return best, strategy
 
 
-def hybrid_bound(expr: Inequality | InequalityAST, bipartition=None) -> float:
+def hybrid_bound(expr: Inequality | InequalityAST) -> float:
     """Deterministic bound of a pre-expanded grouping form.
 
     The expression is expected to be written in the variables of the
     grouped model (composite settings already expanded), so the bound is
-    the plain deterministic maximum over all of them.  ``bipartition`` is
-    accepted for report metadata only.
+    the plain deterministic maximum over all of them.
     """
     ast = _ast(expr)
     if not ast.is_linear:
@@ -113,34 +125,32 @@ def hybrid_bound(expr: Inequality | InequalityAST, bipartition=None) -> float:
 # ---------------------------------------------------------------------------
 # nonlinear LHV via concave envelope over strategy mixtures
 
+def _group_max(moments: np.ndarray, values: np.ndarray):
+    """Distinct moment rows in lexicographic order, each with its largest value."""
+    order = np.lexsort((values, *moments.T[::-1]))
+    moments, values = moments[order], values[order]
+    last = np.ones(len(values), dtype=bool)  # last row of each group holds its max
+    last[:-1] = (moments[1:] != moments[:-1]).any(axis=1)
+    return moments[last], values[last]
+
+
 def _strategy_points(ast: InequalityAST):
-    """Distinct (m_1[, m_2], L) strategy values, dominated points pruned."""
+    """Distinct (m_1[, m_2], L) strategy values, each moment key with its best L."""
     settings = ast.settings
     if len(settings) > LIMITS.max_nonlinear_settings:
         raise BoundError(
             f"{len(settings)} settings exceed nonlinear cap {LIMITS.max_nonlinear_settings}"
         )
     index = {s: k for k, s in enumerate(settings)}
-    lin = _index_terms(ast.linear, index)
-    subs = [_index_terms(sub, index) for _, sub in ast.squares]
-    best: dict[tuple, float] = {}
-    for start, lvals in _chunked_values(lin, len(settings)):
-        idx = np.arange(start, start + len(lvals), dtype=np.int64)
-        cols = [1 - 2 * ((idx >> k) & 1) for k in range(len(settings))]
-        mvals = []
-        for sub in subs:
-            out = np.zeros(len(lvals))
-            for c, sel in sub:
-                prod = np.full(len(lvals), c)
-                for k in sel:
-                    prod = prod * cols[k]
-                out += prod
-            mvals.append(np.round(out, 12))
-        for i in range(len(lvals)):
-            key = tuple(float(m[i]) for m in mvals)
-            if key not in best or best[key] < lvals[i]:
-                best[key] = float(lvals[i])
-    return [(k, v) for k, v in sorted(best.items())]
+    lists = [_index_terms(ast.linear, index)]
+    lists += [_index_terms(sub, index) for _, sub in ast.squares]
+    keys, best = [], []
+    for _, (lvals, *mvals) in _chunked_values(lists, len(settings)):
+        m, v = _group_max(np.round(np.stack(mvals, axis=1), 12), lvals)
+        keys.append(m)
+        best.append(v)
+    m, v = _group_max(np.concatenate(keys), np.concatenate(best))
+    return [(tuple(k), val) for k, val in zip(m.tolist(), v.tolist())]
 
 
 def _upper_concave_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -267,46 +277,6 @@ def _triple_interior(p, q, r, c1, c2):
     return l + c1 * u * u + c2 * v * v
 
 
-def nonlinear_sampling_lower_bound(
-    expr: Inequality | InequalityAST, samples: int = 10_000, seed: int = 0
-) -> float:
-    """Lower bound from directly maximising over sampled strategy mixtures.
-
-    Random Dirichlet mixtures plus every two-point mixture (refined by
-    ternary search; the objective is concave along a segment).  Any value
-    returned is attainable, so the concave envelope must dominate it.
-    """
-    ast = _ast(expr)
-    coeffs = [float(c) for c, _ in ast.squares]
-    points = _strategy_points(ast)
-    arr = np.array([[*k, v] for k, v in points])
-
-    def value(mom) -> float:
-        return mom[-1] + sum(c * mm * mm for c, mm in zip(coeffs, mom[:-1]))
-
-    best = max(value(row) for row in arr)
-    rng = np.random.default_rng(seed)
-    n_pairs = len(arr) * (len(arr) - 1) // 2
-    n_random = max(samples - 30 * n_pairs, samples // 2)
-    for _ in range(n_random):
-        w = rng.dirichlet(np.ones(len(arr)))
-        best = max(best, value(w @ arr))
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            lo, hi = 0.0, 1.0
-            for _ in range(60):  # ternary search on the concave section
-                t1 = lo + (hi - lo) / 3
-                t2 = hi - (hi - lo) / 3
-                v1 = value(arr[i] + t1 * (arr[j] - arr[i]))
-                v2 = value(arr[i] + t2 * (arr[j] - arr[i]))
-                if v1 < v2:
-                    lo = t1
-                else:
-                    hi = t2
-            best = max(best, value(arr[i] + 0.5 * (lo + hi) * (arr[j] - arr[i])))
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # quantum values
 
@@ -320,14 +290,6 @@ def quantum_value(
     Square terms contribute coefficient * (expectation of sub-expression)^2.
     """
     opex = assign_paulis(_ast(expr), assignment, width=state.width)
-    val = sum(expectation(state, t) for t in opex.linear_terms())
-    for c, sub in opex.square_parts():
-        s = sum(expectation(state, t) for t in sub)
-        val += c * s * s
-    return float(val)
-
-
-def operator_quantum_value(opex: OperatorExpression, state: StateVector) -> float:
     val = sum(expectation(state, t) for t in opex.linear_terms())
     for c, sub in opex.square_parts():
         s = sum(expectation(state, t) for t in sub)
@@ -394,16 +356,12 @@ def algebraic_bound(expr: Inequality | InequalityAST) -> float:
 # ---------------------------------------------------------------------------
 # separable bound (alternating product-state maximisation)
 
-def _split_term(term: SignedPauliTerm, split: int):
+def _split_term(term: SignedPauliTerm):
     letters = term.string.letters
-    left = letters[:split]
-    right = letters[split:]
-    from .pauli import PauliString, to_matrix
-
     return (
         term.coefficient,
-        to_matrix(PauliString.from_letters(left)),
-        to_matrix(PauliString.from_letters(right)),
+        to_matrix(PauliString.from_letters(letters[:1])),
+        to_matrix(PauliString.from_letters(letters[1:])),
     )
 
 
@@ -425,37 +383,31 @@ class SeparableResult:
 
 def separable_bound(
     terms: Sequence[SignedPauliTerm],
-    split: int = 1,
     restarts: int = LIMITS.separable_restarts,
-    seed: int = LIMITS.rng_seed,
 ) -> SeparableResult:
-    """Best product-state expectation found by alternating maximisation.
+    """Best product state across the 1 | rest split, by alternating maximisation.
 
-    This is a certified lower bound on the true separable maximum; with
-    the default restart budget it is exact in practice for the small
-    operators handled here (cross-checked against a dense grid oracle for
-    the 2x2 case in the test-suite).
+    Qubit 1 starts at each of ``restarts`` Fibonacci-sphere Bloch vectors,
+    so the result is deterministic and draws no random numbers.  The
+    value is attained by the returned product state, so it is a lower
+    bound on the true separable maximum; with the default restart budget
+    it is exact in practice for the small operators handled here
+    (cross-checked against a dense grid oracle for the 2x2 case in the
+    test-suite).
     """
     if not terms:
         raise BoundError("empty operator")
     width = terms[0].width
-    if not 1 <= split < width:
-        raise BoundError("split must leave qubits on both sides")
-    parts = [_split_term(t, split) for t in terms]
-    rng = np.random.default_rng(seed)
-    dim_l, dim_r = 2**split, 2 ** (width - split)
+    if width < 2:
+        raise BoundError("the 1 | rest split needs at least two qubits")
+    parts = [_split_term(t) for t in terms]
+    dim_r = 2 ** (width - 1)
 
     seeds = []
-    if split == 1:
-        for v in _fibonacci_bloch(restarts):
-            theta = np.arccos(np.clip(v[2], -1, 1))
-            phi = np.arctan2(v[1], v[0])
-            seeds.append(np.array([np.cos(theta / 2),
-                                   np.exp(1j * phi) * np.sin(theta / 2)]))
-    else:
-        for _ in range(restarts):
-            v = rng.normal(size=dim_l) + 1j * rng.normal(size=dim_l)
-            seeds.append(v / np.linalg.norm(v))
+    for v in _fibonacci_bloch(restarts):
+        theta = np.arccos(np.clip(v[2], -1, 1))
+        phi = np.arctan2(v[1], v[0])
+        seeds.append(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))
 
     best = SeparableResult(-np.inf, None, None)
     for alpha in seeds:
@@ -466,7 +418,7 @@ def separable_bound(
             for c, pl, pr in parts:
                 o_right += c * np.vdot(alpha, pl @ alpha).real * pr
             _, beta = max_eigenpair(o_right)
-            o_left = np.zeros((dim_l, dim_l), dtype=complex)
+            o_left = np.zeros((2, 2), dtype=complex)
             for c, pl, pr in parts:
                 o_left += c * np.vdot(beta, pr @ beta).real * pl
             new_value, alpha = max_eigenpair(o_left)
@@ -482,17 +434,11 @@ def separable_bound(
 # ---------------------------------------------------------------------------
 # see-saw over qubit observables
 
-_SIGMA_VEC = np.stack(
-    [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-)
+_XYZ = np.stack([_SINGLE[letter] for letter in "XYZ"])
 
 
 def _bloch_obs(v: np.ndarray) -> np.ndarray:
-    return np.tensordot(v, _SIGMA_VEC, axes=(0, 0))
+    return np.tensordot(v, _XYZ, axes=(0, 0))
 
 
 @dataclass
@@ -526,29 +472,16 @@ def seesaw_max(
     rng = np.random.default_rng(seed)
     dim = 2**width
 
-    def assemble(assign):
+    def operator(assign, target: Optional[Setting] = None, axis: int = 0):
+        """Kron-chain sum of the terms; with ``target``, only the terms that
+        hold it, each with ``target`` replaced by sigma_axis."""
         out = np.zeros((dim, dim), dtype=complex)
         for c, mono in terms:
-            ops = [np.eye(2, dtype=complex)] * width
-            for s in mono:
-                ops[s.site - 1] = _bloch_obs(assign[s])
-            m = np.array([[c]], dtype=complex)
-            for o in ops:
-                m = np.kron(m, o)
-            out += m
-        return out
-
-    def partial(assign, target: Setting, axis: int):
-        """Expectation pieces with ``target`` replaced by sigma_axis."""
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, mono in terms:
-            if target not in mono:
+            if target is not None and target not in mono:
                 continue
-            ops = [np.eye(2, dtype=complex)] * width
+            ops = [_SINGLE["I"]] * width
             for s in mono:
-                ops[s.site - 1] = (
-                    _SIGMA_VEC[axis] if s == target else _bloch_obs(assign[s])
-                )
+                ops[s.site - 1] = _XYZ[axis] if s == target else _bloch_obs(assign[s])
             m = np.array([[c]], dtype=complex)
             for o in ops:
                 m = np.kron(m, o)
@@ -564,11 +497,10 @@ def seesaw_max(
         value = -np.inf
         psi = None
         for _ in range(300):
-            op = assemble(assign)
-            value_new, psi = max_eigenpair(op)
+            value_new, psi = max_eigenpair(operator(assign))
             for s in settings:
                 rvec = np.array(
-                    [np.vdot(psi, partial(assign, s, a) @ psi).real for a in range(3)]
+                    [np.vdot(psi, operator(assign, s, a) @ psi).real for a in range(3)]
                 )
                 norm = np.linalg.norm(rvec)
                 if norm > 1e-12:
@@ -623,10 +555,8 @@ def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordChec
     ketbra = np.outer(e0, e1.conj())
     x_adapted = ketbra + ketbra.conj().T
     y_adapted = -1j * ketbra + 1j * ketbra.conj().T
-    x2 = _SIGMA_VEC[0]
-    y2 = _SIGMA_VEC[1]
-    x_corr = float(np.trace(rho.matrix @ np.kron(x_adapted, x2)).real)
-    y_corr = float(np.trace(rho.matrix @ np.kron(y_adapted, y2)).real)
+    x_corr = float(np.trace(rho.matrix @ np.kron(x_adapted, _SINGLE["X"])).real)
+    y_corr = float(np.trace(rho.matrix @ np.kron(y_adapted, _SINGLE["Y"])).real)
     return DiscordCheck(
         passed=abs(x_corr) <= epsilon and abs(y_corr) <= epsilon,
         x_correlator=x_corr,
@@ -651,7 +581,6 @@ class BoundReport:
     verdict: str = "no-violation"
     paper_claim: dict = field(default_factory=dict)
     claim_match: dict = field(default_factory=dict)
-    witness_state: Optional[StateVector] = None
     expected_mismatch: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 

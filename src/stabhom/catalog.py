@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -34,15 +34,12 @@ from .codespace import LogicalEncoding
 from .config import LIMITS, TOL, Tolerances
 from .descend import PlanEntry, Setting, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
 from .dsl import Inequality, assign_paulis, parse, pretty_print
-from .pauli import SignedPauliTerm
 from .states import (
     DensityOperator,
     StateVector,
-    assemble_operator,
     ghz_state,
     make_cq_state,
     make_pair_superposition,
-    max_eigenvalue,
 )
 
 ENV_FIXTURES = "STABHOM_FIXTURES"
@@ -289,17 +286,8 @@ def audit_fixture(
     # quantum value on the fixture state
     if state is not None:
         report.quantum_value = _bounds.quantum_value(ast, assignment, state)
-        report.witness_state = state
 
-    # quantum max: exact eigensolver for the assigned operator; heuristic
-    # ascent when square terms are present
-    opex = assign_paulis(ast, assignment)
-    if ast.is_linear:
-        report.quantum_max = max_eigenvalue(
-            assemble_operator(opex.linear_terms(), opex.width)
-        )
-    else:
-        report.quantum_max = quantum_max(ast, assignment)
+    report.quantum_max = quantum_max(ast, assignment)
 
     # derivation replay
     derivation = fx.raw.get("derivation")
@@ -330,8 +318,6 @@ def audit_fixture(
     classical = report.hybrid if fx.raw.get("hybrid") else report.lhv
     if report.quantum_value is not None and classical is not None:
         computed["violated"] = report.quantum_value > classical + tol.violation
-    if derivation and "lift" in str(derivation):
-        pass
     for key, claim in claims.items():
         if key == "threshold_bound":
             lift = fx.raw["derivation"]["chain"][0]["seed"]["lift"]

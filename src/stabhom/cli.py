@@ -11,10 +11,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import (
     BoundError,
@@ -150,14 +147,15 @@ def cmd_bound(args) -> int:
         value = hybrid_bound(ineq)
     elif args.kind == "separable":
         opex = assign_paulis(ineq.ast, json.loads(args.assignment) if args.assignment else None)
-        res = separable_bound(opex.linear_terms(), seed=args.rng_seed)
+        res = separable_bound(opex.linear_terms())
         value = res.value
         certificate = {
             "left_state": [[v.real, v.imag] for v in res.left_state],
             "right_state": [[v.real, v.imag] for v in res.right_state],
         }
     elif args.kind == "quantum":
-        value = quantum_max(ineq.ast, json.loads(args.assignment) if args.assignment else None)
+        value = quantum_max(ineq.ast, json.loads(args.assignment) if args.assignment else None,
+                            seed=args.rng_seed)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown kind {args.kind}")
     if args.json:
@@ -249,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="image sets, descendant inequalities, and bound audits",
     )
     ap.add_argument("--rng-seed", type=int, default=0,
-                    help="seed for all randomized optimizers (default 0)")
+                    help="seed for the random restarts of bound --kind quantum on "
+                         "expressions with square terms (default 0)")
     ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                     help="worker count for parallel sections (1 = serial)")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -185,18 +185,6 @@ def image_set(enc: LogicalEncoding, letter: str) -> ImageSet:
     return enc._image_sets[letter]
 
 
-def all_image_sets(enc: LogicalEncoding) -> dict[str, ImageSet]:
-    return {letter: image_set(enc, letter) for letter in "IXYZ"}
-
-
-_PAULI_TABLE = {  # single-qubit products sigma_a sigma_b = phase * sigma_c
-    ("I", "I"): ("I", 1), ("I", "X"): ("X", 1), ("I", "Y"): ("Y", 1), ("I", "Z"): ("Z", 1),
-    ("X", "I"): ("X", 1), ("X", "X"): ("I", 1), ("X", "Y"): ("Z", 1j), ("X", "Z"): ("Y", -1j),
-    ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
-    ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
-}
-
-
 def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
     """Check that image-set products classify as the product letters.
 
@@ -209,13 +197,12 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
         raise CodespaceError(
             f"width {enc.width} exceeds verification cap {LIMITS.max_homomorphism_width}"
         )
-    sets = all_image_sets(enc)
+    sets = enc._image_sets
     spectrum = _spectrum(enc, range(1 << enc.width))
     violations = []
     for a in "IXYZ":
         for b in "IXYZ":
-            expect_letter, expect_phase = _PAULI_TABLE[(a, b)]
-            want = expect_phase * _SINGLE[expect_letter]
+            want = _SINGLE[a] @ _SINGLE[b]
             for p in sets[a]:
                 for q in sets[b]:
                     prod = multiply(p.string, q.string)

@@ -1,7 +1,8 @@
 """Central numeric tolerances and search limits.
 
-Every module pulls its comparison thresholds from here so the whole
-package can be tightened or relaxed in one place.
+Every module pulls its comparison thresholds and caps from here.  Each
+field is read by the code; the audit's claim tolerance is the only value
+a caller changes (``audit --tolerance``, via ``Tolerances.with_claim``).
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ from dataclasses import dataclass, replace
 class Tolerances:
     norm: float = 1e-10          # state normalisation / orthogonality / hermiticity
     action: float = 1e-9         # code-space restriction matching
-    eigen: float = 1e-8          # eigenvalue accuracy
-    assertion: float = 1e-7      # generic numeric comparisons
     claim: float = 1e-6          # catalogued-value comparisons in the audit
     violation: float = 1e-9      # strictness margin for "quantum beats classical"
     converge: float = 1e-10      # alternating-optimisation fixed points

@@ -19,9 +19,9 @@ further factors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -524,32 +524,3 @@ def assign_paulis(
     )
     return OperatorExpression(width, linear, squares)
 
-
-# ---------------------------------------------------------------------------
-# helpers used by descendant generation
-
-def pauli_terms_to_ast(
-    terms: Sequence[tuple[float, PauliString]],
-    squares: Sequence[tuple[float, Sequence[tuple[float, PauliString]]]] = (),
-    relation: str = "<=",
-    bound: Number = Fraction(0),
-) -> InequalityAST:
-    """Build a fixed-Pauli AST from expanded Pauli terms."""
-
-    def to_linear(term_list) -> dict[Monomial, Fraction]:
-        d: dict[Monomial, Fraction] = {}
-        for c, ps in term_list:
-            mono = tuple(
-                Setting(site + 1, letter)
-                for site, letter in enumerate(ps.letters)
-                if letter != "I"
-            )
-            frac = Fraction(c).limit_denominator(10**9)
-            _merge(d, mono, frac)
-        return d
-
-    sq = tuple(
-        (Fraction(c).limit_denominator(10**9), _canon_linear(to_linear(sub)))
-        for c, sub in squares
-    )
-    return InequalityAST(_canon_linear(to_linear(terms)), sq, relation, bound)

@@ -20,8 +20,10 @@ class StateError(ValueError):
     """Raised on malformed states or operators."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
+    """Read-only amplitudes; equal when width and amplitude bytes are equal."""
+
     width: int
     amplitudes: np.ndarray
 
@@ -33,6 +35,17 @@ class StateVector:
             raise StateError("state vector is not normalised")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.width, self.amplitudes.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self) -> list:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
@@ -126,11 +139,10 @@ def make_cq_state(
 
 def _phase_vector(string: PauliString, n: int) -> np.ndarray:
     idx = np.arange(2**n)
-    masked = idx & string.z_mask
-    # parity of popcount via 12-bit folding (width cap keeps this exact)
-    par = masked
-    for shift in (8, 4, 2, 1):
-        par ^= par >> shift
+    par = idx & string.z_mask
+    # parity of the n-bit popcount: fold by 2^k for every 2^k < n, largest first
+    for k in reversed(range((n - 1).bit_length())):
+        par ^= par >> (1 << k)
     sign = 1 - 2 * (par & 1)
     return string.phase * (1j ** string.y_count) * sign
 
@@ -167,10 +179,6 @@ def expectation_density(rho: DensityOperator, term: SignedPauliTerm) -> float:
     if abs(val.imag) > TOL.norm:
         raise StateError(f"non-real expectation {val}")
     return float(val.real)
-
-
-def expectation_sum(state: StateVector, terms: Sequence[SignedPauliTerm]) -> float:
-    return sum(expectation(state, t) for t in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the package's own fast paths: dense
 matrices are built with plain ``np.kron`` chains, deterministic bounds
 are enumerated with ``itertools.product`` term by term, and eigenvalues
-can be cross-checked against the characteristic polynomial, and image
+can be cross-checked against the characteristic polynomial, image
 sets are enumerated by restricting every Pauli string's dense matrix to
-the code space.  Expected values asserted in the tests were computed
+the code space, and nonlinear envelopes are bounded from below by
+sampled strategy mixtures.  Expected values asserted in the tests were computed
 with these oracles.
 """
 from __future__ import annotations
@@ -121,6 +122,71 @@ def naive_lhv(expr: Inequality | InequalityAST) -> float:
             total += float(coeff) * m * m
         best = max(best, total)
     return best
+
+
+def naive_strategy_points(expr: Inequality | InequalityAST) -> list:
+    """(rounded square-term moments, best linear value) per distinct moment key.
+
+    One Python dict over every deterministic strategy, term by term.
+    """
+    ast = expr.ast if isinstance(expr, Inequality) else expr
+    settings = ast.settings
+
+    def total(terms, table) -> float:
+        out = 0.0
+        for coeff, mono in terms:
+            v = float(coeff)
+            for s in mono:
+                v *= table[s]
+            out += v
+        return out
+
+    best: dict[tuple, float] = {}
+    for values in itertools.product((1, -1), repeat=len(settings)):
+        table = dict(zip(settings, values))
+        key = tuple(float(np.round(total(sub, table), 12)) for _, sub in ast.squares)
+        best[key] = max(best.get(key, -np.inf), total(ast.linear, table))
+    return sorted(best.items())
+
+
+def nonlinear_sampling_lower_bound(
+    expr: Inequality | InequalityAST, samples: int = 10_000, seed: int = 0
+) -> float:
+    """Lower bound from directly maximising over sampled strategy mixtures.
+
+    Random Dirichlet mixtures plus every two-point mixture (refined by
+    ternary search; the objective is concave along a segment).  Any value
+    returned is attainable, so the concave envelope must dominate it.
+    """
+    ast = expr.ast if isinstance(expr, Inequality) else expr
+    coeffs = [float(c) for c, _ in ast.squares]
+    points = bounds._strategy_points(ast)
+    arr = np.array([[*k, v] for k, v in points])
+
+    def value(mom) -> float:
+        return mom[-1] + sum(c * mm * mm for c, mm in zip(coeffs, mom[:-1]))
+
+    best = max(value(row) for row in arr)
+    rng = np.random.default_rng(seed)
+    n_pairs = len(arr) * (len(arr) - 1) // 2
+    n_random = max(samples - 30 * n_pairs, samples // 2)
+    for _ in range(n_random):
+        w = rng.dirichlet(np.ones(len(arr)))
+        best = max(best, value(w @ arr))
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):  # ternary search on the concave section
+                t1 = lo + (hi - lo) / 3
+                t2 = hi - (hi - lo) / 3
+                v1 = value(arr[i] + t1 * (arr[j] - arr[i]))
+                v2 = value(arr[i] + t2 * (arr[j] - arr[i]))
+                if v1 < v2:
+                    lo = t1
+                else:
+                    hi = t2
+            best = max(best, value(arr[i] + 0.5 * (lo + hi) * (arr[j] - arr[i])))
+    return float(best)
 
 
 def char_poly_max_eig(op: np.ndarray) -> float:

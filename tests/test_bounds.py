@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from conftest import kron_chain, naive_lhv, separable_grid_max
+from conftest import (
+    naive_lhv,
+    naive_strategy_points,
+    nonlinear_sampling_lower_bound,
+    separable_grid_max,
+)
+from stabhom import bounds
 from stabhom.bounds import (
     BoundError,
     algebraic_bound,
@@ -11,7 +17,6 @@ from stabhom.bounds import (
     lhv_bound,
     lhv_bound_nonlinear,
     lhv_strategy,
-    nonlinear_sampling_lower_bound,
     quantum_max,
     quantum_value,
     seesaw_max,
@@ -33,6 +38,7 @@ R = 2**-0.5
 
 CHSH = "A1*A2 + A1*A2' + A1'*A2 - A1'*A2' <= 2"
 MERMIN = "A1*A2*A3 + A1'*A2'*A3 + A1*A2'*A3' - A1'*A2*A3' <= 2"
+TWO_SQUARES = "A1*A2 + B1*B2 - 1/2*sq(A1 + A2) - 1/2*sq(B1 - B2) <= 9"
 
 
 def term(letters, coeff=1.0):
@@ -91,8 +97,21 @@ class TestNonlinear:
         with pytest.raises(BoundError):
             lhv_bound_nonlinear(parse("A1 + sq(A1) <= 1"))
 
+    @pytest.mark.parametrize("chunk_bits", [20, 1])
+    def test_strategy_points_match_naive_oracle(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
+        for text in (TWO_SQUARES, "A1*A2 - 1/2*sq(A1) <= 2", "A1 - 1/2*sq(A1 + 1) <= 1"):
+            ast = parse(text).ast
+            assert bounds._strategy_points(ast) == naive_strategy_points(ast), text
+
+    def test_nonlinear6_points_independent_of_chunking(self, monkeypatch):
+        ast = {f.name: f for f in load_catalog()}["nonlinear6"].inequality.ast
+        whole = bounds._strategy_points(ast)
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", 10)
+        assert bounds._strategy_points(ast) == whole
+
     def test_two_squares_vs_sampling(self):
-        text = "A1*A2 + B1*B2 - 1/2*sq(A1 + A2) - 1/2*sq(B1 - B2) <= 9"
+        text = TWO_SQUARES
         env = lhv_bound_nonlinear(parse(text))
         low = nonlinear_sampling_lower_bound(parse(text), samples=2000)
         assert env >= low - 1e-9

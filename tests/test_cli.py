@@ -1,5 +1,6 @@
 """CLI contract: exit codes and ``--json`` schemas, run in process."""
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -44,19 +45,54 @@ def test_images_width_cap_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv,seed", [([], 0), (["--rng-seed", "7"], 7)],
                          ids=["default", "seed7"])
-def test_rng_seed_reaches_separable_optimiser(monkeypatch, capsys, argv, seed):
+def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys, argv, seed):
     seen = []
-    optimise = cli.separable_bound
+    optimise = cli.quantum_max
 
-    def recording(terms, **kwargs):
+    def recording(*args, **kwargs):
         seen.append(kwargs.get("seed"))
-        return optimise(terms, **kwargs)
+        return optimise(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "separable_bound", recording)
+    monkeypatch.setattr(cli, "quantum_max", recording)
     code, payload = run_json(
         capsys,
-        argv + ["bound", str(SEEDS / "entwit.ineq"), "--kind", "separable", "--json"],
+        argv + ["bound", str(SEEDS / "nonlinear6.ineq"), "--kind", "quantum", "--json"],
         "bound.schema.json",
     )
     assert code == 0 and seen == [seed]
-    assert payload["value"] == pytest.approx(1.0)
+    assert payload["value"] == pytest.approx(48.0)
+
+
+def test_audit_json_schema(capsys):
+    code, payload = run_json(capsys, ["audit", "--json"], "audit.schema.json")
+    assert code == 0
+    assert payload["summary"]["expected_mismatches"] == ["cluster4", "mermin-desc-5", "nonlinear6"]
+    assert payload["summary"]["unexpected_mismatches"] == []
+
+
+def test_audit_output_independent_of_workers(capsys):
+    outs = []
+    for workers in ("1", "2"):
+        assert cli.main(["--workers", workers, "audit", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_audit_unexpected_mismatch_exits_1(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(PACKAGE / "fixtures", fixtures)
+    path = fixtures / "chsh.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["claims"]["lhv"]["value"] += 1
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, payload = run_json(capsys, ["audit", "--fixtures", str(fixtures), "--json"],
+                             "audit.schema.json")
+    assert code == cli.MISMATCH_ERROR == 1
+    assert payload["summary"]["exit_code"] == 1
+    assert payload["summary"]["unexpected_mismatches"] == ["chsh"]
+
+
+def test_qvalue_json(capsys):
+    code, payload = run_json(capsys, ["qvalue", "--fixture", "mermin3", "--json"],
+                             "qvalue.schema.json")
+    assert code == 0 and payload == {"value": 4.0}

@@ -229,6 +229,19 @@ class TestHomomorphism:
         ok, violations = verify_homomorphism(enc)
         assert ok, violations
 
+    def test_equal_encodings_built_apart_compare_and_hash_equal(self):
+        pairs = [
+            (LogicalEncoding.ghz(2), LogicalEncoding.from_json({"n": 2, "zero": "00", "one": "11"})),
+            (LogicalEncoding.cluster_pair(), LogicalEncoding.cluster_pair()),
+        ]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a.zero_l == b.zero_l and hash(a.zero_l) == hash(b.zero_l)
+        assert ghz_state(2) == ghz_state(2) and hash(ghz_state(2)) == hash(ghz_state(2))
+        assert LogicalEncoding.ghz(2) != LogicalEncoding.cluster_pair()
+        assert LogicalEncoding.ghz(2) != LogicalEncoding.ghz(3)
+        assert ghz_state(2) != ghz_state(2, -1.0)
+
     def test_rejects_non_orthogonal_pair(self):
         with pytest.raises(CodespaceError):
             LogicalEncoding(

@@ -1,4 +1,6 @@
 """Statevector / density-operator engine."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from stabhom.states import (
     DensityOperator,
     StateError,
     StateVector,
+    _phase_vector,
     assemble_operator,
     basis_state,
     expectation,
@@ -197,6 +200,15 @@ class TestCqState:
                 [np.array([1, 0]), np.array([0, 1])],
                 [DensityOperator(1, np.eye(2) / 2)] * 2,
             )
+
+
+@pytest.mark.parametrize("n", [12, 17])
+def test_phase_vector_parity_covers_every_bit(n):
+    # width 17 lies past the 12-qubit cap, so a bare namespace stands in for the string
+    z = (1 << n) - 1
+    string = SimpleNamespace(z_mask=z, phase=1, y_count=0)
+    want = [1 - 2 * (bin(k & z).count("1") & 1) for k in range(1 << n)]
+    assert _phase_vector(string, n).tolist() == want
 
 
 def test_state_json_round_trip():
