@@ -7,13 +7,19 @@ assumed, not re-proven.  The nonlinear case does NOT assume it: with
 concave square terms the optimum may need a mixture of deterministic
 strategies, so it is computed over probability distributions via an
 upper concave envelope of the strategy point cloud.  Both read one
-strategy evaluator, ``_chunked_values``.
+strategy evaluator, ``_chunked_values``: a term's value under strategy k
+is its coefficient times (-1)^popcount(k & mask), so a term list's values
+over all 2^S strategies are one Walsh-Hadamard transform
+(``pauli.walsh_hadamard``) of its coefficients scattered by setting mask,
+taken in chunks of 2^20 strategies.  Linear bounds refuse square terms
+and more than ``LIMITS.max_settings`` settings before enumerating.
 
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
 separable bound is an alternating product-state maximisation over the
-1 | rest split, seeded deterministically; the see-saw optimises qubit
+1 | rest split of a linear operator (``separable_terms`` refuses square
+terms), seeded deterministically; the see-saw optimises qubit
 observables against the shared state.  Single-qubit matrices come from
 ``pauli._SINGLE``.
 """
@@ -26,7 +32,7 @@ import numpy as np
 
 from .config import LIMITS, TOL
 from .dsl import Inequality, InequalityAST, Setting, assign_paulis
-from .pauli import _SINGLE, PauliString, SignedPauliTerm, to_matrix
+from .pauli import _SINGLE, PauliString, SignedPauliTerm, to_matrix, walsh_hadamard
 from .states import (
     DensityOperator,
     StateVector,
@@ -58,50 +64,56 @@ _CHUNK_BITS = 20  # strategies evaluated per chunk: 2^20
 def _chunked_values(term_lists, n_settings: int):
     """Yield (strategy_offset, [value array per term list]) over all 2^S strategies.
 
-    Strategy k sets setting j to (-1)^(bit j of k); the +-1 columns are
-    built once per chunk and shared by every term list.
+    Strategy k sets setting j to (-1)^(bit j of k), so a term c * prod_{j in m}
+    is worth c * (-1)^popcount(k & m): over all k, a term list's values are
+    the Walsh-Hadamard transform of its coefficients scattered by mask.  A
+    chunk fixes the high bits of k; each coefficient is scattered by its low
+    mask bits with the sign its high mask bits take under them.
     """
-    total = 1 << n_settings
-    step = min(total, 1 << _CHUNK_BITS)
-    for start in range(0, total, step):
-        idx = np.arange(start, start + step, dtype=np.int64)
-        cols = [1 - 2 * ((idx >> k) & 1) for k in range(n_settings)]
-        outs = []
-        for terms in term_lists:
-            out = np.zeros(step, dtype=float)
-            for c, sel in terms:
-                prod = np.full(step, c)
-                for k in sel:
-                    prod = prod * cols[k]
-                out += prod
-            outs.append(out)
-        yield start, outs
+    bits = min(n_settings, _CHUNK_BITS)
+    step = 1 << bits
+    lists = []
+    for terms in term_lists:
+        masks = [sum(1 << k for k in sel) for _, sel in terms]
+        lows = np.array(masks, dtype=np.int64) & (step - 1)
+        lists.append((np.array([c for c, _ in terms], dtype=float), lows,
+                      [m >> bits for m in masks]))
+    for high in range(1 << (n_settings - bits)):
+        outs = np.empty((len(lists), step))
+        for out, (coeffs, lows, highs) in zip(outs, lists):
+            signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
+            out[:] = np.bincount(lows, weights=coeffs * signs, minlength=step)
+        yield high << bits, list(walsh_hadamard(outs))
 
 
-def lhv_bound(expr: Inequality | InequalityAST) -> float:
-    """Exact maximum over all deterministic strategies (linear expressions)."""
+def _linear_indexed(expr) -> tuple[dict[Setting, int], list]:
+    """Setting index and indexed terms of a linear expression within the cap."""
     ast = _ast(expr)
     if not ast.is_linear:
-        raise BoundError("expression has square terms; use lhv_bound_nonlinear")
+        raise BoundError(
+            "expression has square terms; use lhv_bound_nonlinear (bound --kind nonlinear)"
+        )
     settings = ast.settings
     if len(settings) > LIMITS.max_settings:
         raise BoundError(f"{len(settings)} settings exceed cap {LIMITS.max_settings}")
     index = {s: k for k, s in enumerate(settings)}
-    terms = _index_terms(ast.linear, index)
+    return index, _index_terms(ast.linear, index)
+
+
+def lhv_bound(expr: Inequality | InequalityAST) -> float:
+    """Exact maximum over all deterministic strategies (linear expressions)."""
+    index, terms = _linear_indexed(expr)
     best = -np.inf
-    for _, (vals,) in _chunked_values([terms], len(settings)):
+    for _, (vals,) in _chunked_values([terms], len(index)):
         best = max(best, float(vals.max()))
     return best
 
 
 def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting, int]]:
     """As lhv_bound, but also return one maximising assignment."""
-    ast = _ast(expr)
-    settings = ast.settings
-    index = {s: k for k, s in enumerate(settings)}
-    terms = _index_terms(ast.linear, index)
+    index, terms = _linear_indexed(expr)
     best, arg = -np.inf, 0
-    for start, (vals,) in _chunked_values([terms], len(settings)):
+    for start, (vals,) in _chunked_values([terms], len(index)):
         k = int(vals.argmax())
         if vals[k] > best:
             best, arg = float(vals[k]), start + k
@@ -372,6 +384,20 @@ def _fibonacci_bloch(n: int) -> np.ndarray:
     theta = np.arccos(z)
     phi = np.pi * (1 + np.sqrt(5)) * k
     return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), z], 1)
+
+
+def separable_terms(
+    expr: Inequality | InequalityAST, assignment: Mapping | None = None
+) -> list[SignedPauliTerm]:
+    """Assigned operator terms of a linear expression, for ``separable_bound``.
+
+    The optimiser maximises one operator, so square terms are refused
+    rather than dropped.
+    """
+    ast = _ast(expr)
+    if not ast.is_linear:
+        raise BoundError("separable bound supports linear expressions only")
+    return assign_paulis(ast, assignment).linear_terms()
 
 
 @dataclass(frozen=True)

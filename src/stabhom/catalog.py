@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -28,12 +29,13 @@ from .bounds import (
     lhv_bound_nonlinear,
     quantum_max,
     separable_bound,
+    separable_terms,
 )
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
 from .config import LIMITS, TOL, Tolerances
 from .descend import PlanEntry, Setting, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
-from .dsl import Inequality, assign_paulis, parse, pretty_print
+from .dsl import Inequality, parse, pretty_print
 from .states import (
     DensityOperator,
     StateVector,
@@ -131,7 +133,7 @@ class Fixture:
     raw: dict
     path: Optional[Path] = None
 
-    @property
+    @cached_property
     def inequality(self) -> Optional[Inequality]:
         text = self.raw.get("inequality")
         if text is None:
@@ -182,8 +184,7 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
             if raw.get("schema") != 1:
                 raise CatalogError("unsupported schema version")
             fx = Fixture(raw["name"], raw["kind"], raw, path)
-            if fx.inequality is not None:
-                pass  # force a parse so corrupt expressions fail at load time
+            fx.inequality  # parse now, so a corrupt expression fails at load time
         except CatalogError:
             raise
         except Exception as exc:
@@ -280,8 +281,7 @@ def audit_fixture(
 
     # separable bound over 1 | rest product states when claimed
     if "separable" in claims:
-        opex = assign_paulis(ast, assignment)
-        report.separable = separable_bound(opex.linear_terms()).value
+        report.separable = separable_bound(separable_terms(ast, assignment)).value
 
     # quantum value on the fixture state
     if state is not None:

@@ -21,6 +21,7 @@ from .bounds import (
     lhv_strategy,
     quantum_max,
     separable_bound,
+    separable_terms,
 )
 from . import bounds as _bounds
 from .catalog import (
@@ -33,7 +34,7 @@ from .catalog import (
 from .codespace import CodespaceError, LogicalEncoding, image_set
 from .config import TOL
 from .descend import SubstitutionError, enumerate_descendants
-from .dsl import AssignmentError, ParseError, assign_paulis, load_ineq, parse, pretty_print
+from .dsl import AssignmentError, ParseError, load_ineq, pretty_print
 from .pauli import PauliError
 from .states import StateError, StateVector, ghz_state, make_pair_superposition
 
@@ -146,8 +147,8 @@ def cmd_bound(args) -> int:
     elif args.kind == "hybrid":
         value = hybrid_bound(ineq)
     elif args.kind == "separable":
-        opex = assign_paulis(ineq.ast, json.loads(args.assignment) if args.assignment else None)
-        res = separable_bound(opex.linear_terms())
+        assignment = json.loads(args.assignment) if args.assignment else None
+        res = separable_bound(separable_terms(ineq, assignment))
         value = res.value
         certificate = {
             "left_state": [[v.real, v.imag] for v in res.left_state],

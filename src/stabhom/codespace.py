@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import _SINGLE, PauliError, PauliString, SignedPauliTerm, multiply
+from .pauli import (
+    _SINGLE,
+    PauliError,
+    PauliString,
+    SignedPauliTerm,
+    multiply,
+    walsh_hadamard,
+)
 from .states import StateVector, make_pair_superposition
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
@@ -95,20 +102,12 @@ def _spectrum(enc: LogicalEncoding, x_masks: Sequence[int]) -> np.ndarray:
 
     ``e_0, e_1`` are |0_L>, |1_L>; the result has shape (2, 2, len(x_masks), 2^N).
     For fixed x the z-axis is the Walsh-Hadamard transform of
-    conj(e_i[k^x]) * e_j[k], computed by N in-place butterfly stages.
+    conj(e_i[k^x]) * e_j[k] (``pauli.walsh_hadamard``).
     """
     basis = np.stack([enc.zero_l.amplitudes, enc.one_l.amplitudes])  # (2, 2^N)
     dim = basis.shape[1]
     shifted = basis[:, np.asarray(x_masks)[:, None] ^ np.arange(dim)]  # e_i[k^x]
-    spec = shifted.conj()[:, None] * basis[None, :, None, :]
-    half = 1
-    while half < dim:
-        pairs = spec.reshape(*spec.shape[:-1], dim // (2 * half), 2, half)
-        lo = pairs[..., 0, :] + pairs[..., 1, :]
-        pairs[..., 1, :] = pairs[..., 0, :] - pairs[..., 1, :]
-        pairs[..., 0, :] = lo
-        half *= 2
-    return spec
+    return walsh_hadamard(shifted.conj()[:, None] * basis[None, :, None, :])
 
 
 def _classify(r: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -170,6 +170,29 @@ def tensor(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(width, x, z, (e - y) % 4)
 
 
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of the last axis, in place.
+
+    a[..., k] becomes sum_j (-1)^popcount(k & j) a[..., j], computed by
+    log2(n) butterfly stages on views that split the last axis, which
+    must have a power-of-two length.  Returns ``a``.
+    """
+    n = a.shape[-1]
+    if n & (n - 1):
+        raise ValueError(f"walsh_hadamard needs a power-of-two last axis, not {n}")
+    tmp = np.empty((*a.shape[:-1], n // 2), dtype=a.dtype)
+    half = 1
+    while half < n:
+        pairs = a.reshape(*a.shape[:-1], n // (2 * half), 2, half)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        total = tmp.reshape(lo.shape)
+        np.add(lo, hi, out=total)
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
+        half *= 2
+    return a
+
+
 def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^N x 2^N realisation."""
     m = np.array([[1]], dtype=complex)

@@ -2,12 +2,12 @@
 
 The oracles here deliberately avoid the package's own fast paths: dense
 matrices are built with plain ``np.kron`` chains, deterministic bounds
-are enumerated with ``itertools.product`` term by term, and eigenvalues
-can be cross-checked against the characteristic polynomial, image
-sets are enumerated by restricting every Pauli string's dense matrix to
-the code space, and nonlinear envelopes are bounded from below by
-sampled strategy mixtures.  Expected values asserted in the tests were computed
-with these oracles.
+are enumerated with ``itertools.product`` term by term or from explicit
++-1 setting columns, eigenvalues can be cross-checked against the
+characteristic polynomial, image sets are enumerated by restricting
+every Pauli string's dense matrix to the code space, and nonlinear
+envelopes are bounded from below by sampled strategy mixtures.
+Expected values asserted in the tests were computed with these oracles.
 """
 from __future__ import annotations
 
@@ -122,6 +122,31 @@ def naive_lhv(expr: Inequality | InequalityAST) -> float:
             total += float(coeff) * m * m
         best = max(best, total)
     return best
+
+
+def column_chunked_values(term_lists, n_settings: int):
+    """Strategy values chunk by chunk from explicit +-1 setting columns.
+
+    Column j holds (-1)^(bit j of k) for every strategy k of the chunk, and
+    each term is its coefficient times the product of its columns, summed
+    term by term.  Chunks follow ``bounds._CHUNK_BITS``, so the yields line
+    up with ``bounds._chunked_values``.
+    """
+    total = 1 << n_settings
+    step = min(total, 1 << bounds._CHUNK_BITS)
+    for start in range(0, total, step):
+        idx = np.arange(start, start + step, dtype=np.int64)
+        cols = [1 - 2 * ((idx >> k) & 1) for k in range(n_settings)]
+        outs = []
+        for terms in term_lists:
+            out = np.zeros(step, dtype=float)
+            for c, sel in terms:
+                prod = np.full(step, c)
+                for k in sel:
+                    prod = prod * cols[k]
+                out += prod
+            outs.append(out)
+        yield start, outs
 
 
 def naive_strategy_points(expr: Inequality | InequalityAST) -> list:

@@ -1,8 +1,11 @@
 """Classical, separable, hybrid, and quantum bound re-derivation."""
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import (
+    column_chunked_values,
     naive_lhv,
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
@@ -21,6 +24,7 @@ from stabhom.bounds import (
     quantum_value,
     seesaw_max,
     separable_bound,
+    separable_terms,
 )
 from stabhom.catalog import load_catalog
 from stabhom.dsl import assign_paulis, parse
@@ -84,6 +88,98 @@ class TestLhv:
         text = " + ".join(f"A{i}" for i in range(1, 26)) + " <= 1"
         with pytest.raises(BoundError):
             lhv_bound(parse(text))
+
+    def test_strategy_rejects_square_terms(self):
+        with pytest.raises(BoundError, match="--kind nonlinear"):
+            lhv_strategy(parse("A1 - 1/2*sq(A1) <= 1"))
+
+    def test_strategy_capacity_checked_before_enumeration(self, monkeypatch):
+        def enumerate_all(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(bounds, "_chunked_values", enumerate_all)
+        text = " + ".join(f"A{i}" for i in range(1, 26)) + " <= 1"
+        with pytest.raises(BoundError, match="exceed cap"):
+            lhv_strategy(parse(text))
+
+    def test_mermin_10_party(self):
+        terms = [
+            ("-" if letters.count("Y") % 4 else "+")
+            + "*".join(f"A{i + 1}" + ("'" if ch == "Y" else "") for i, ch in enumerate(letters))
+            for letters in itertools.product("XY", repeat=10)
+            if letters.count("Y") % 2 == 0
+        ]
+        ineq = parse(" ".join(terms) + " <= 32")
+        assert len(ineq.ast.settings) == 20 and len(ineq.ast.linear) == 512
+        assert lhv_bound(ineq) == 2.0**5
+
+
+def indexed_lists(ast):
+    index = {s: k for k, s in enumerate(ast.settings)}
+    lists = [bounds._index_terms(ast.linear, index)]
+    return lists + [bounds._index_terms(sub, index) for _, sub in ast.squares]
+
+
+def random_lists(rng, n_settings, coefficients, count=2):
+    """Term lists of random setting subsets (the empty one included)."""
+    lists = []
+    for _ in range(count):
+        terms = []
+        for _ in range(int(rng.integers(1, 2 * n_settings + 2))):
+            sel = tuple(int(k) for k in np.flatnonzero(rng.integers(0, 2, n_settings)))
+            terms.append((float(rng.choice(coefficients)), sel))
+        lists.append(terms)
+    return lists
+
+
+def chunk_pairs(lists, n_settings):
+    got = list(bounds._chunked_values(lists, n_settings))
+    want = list(column_chunked_values(lists, n_settings))
+    assert [start for start, _ in got] == [start for start, _ in want]
+    return [(g, w) for (_, gs), (_, ws) in zip(got, want) for g, w in zip(gs, ws)]
+
+
+class TestStrategyKernel:
+    """``_chunked_values`` (Walsh-Hadamard) against the +-1 column oracle."""
+
+    def test_fixture_term_lists_byte_equal(self):
+        for fx in load_catalog():
+            if fx.inequality is None:
+                continue
+            ast = fx.inequality.ast
+            for g, w in chunk_pairs(indexed_lists(ast), len(ast.settings)):
+                assert g.tobytes() == w.tobytes(), fx.name
+
+    def test_random_dyadic_byte_equal_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", 3)
+        rng = np.random.default_rng(404)
+        for n in range(1, 15):
+            lists = random_lists(rng, n, (1.0, -1.0, 0.5, -0.5))
+            for g, w in chunk_pairs(lists, n):
+                assert g.tobytes() == w.tobytes(), n
+
+    @pytest.mark.parametrize("chunk_bits", [20, 3])
+    def test_random_non_dyadic_close(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(405)
+        for n in range(1, 11):
+            lists = random_lists(rng, n, (1 / 3, -1 / 3, R, -R))
+            for g, w in chunk_pairs(lists, n):
+                assert np.abs(g - w).max() <= 1e-12, n
+
+    @pytest.mark.parametrize("chunk_bits", [20, 3])
+    def test_strategy_is_oracle_first_argmax(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
+        for fx in load_catalog():
+            if fx.inequality is None or not fx.inequality.ast.is_linear:
+                continue
+            ast = fx.inequality.ast
+            values = np.concatenate(
+                [vals for _, (vals,) in column_chunked_values(indexed_lists(ast), len(ast.settings))]
+            )
+            k = int(values.argmax())
+            want = {s: 1 - 2 * ((k >> j) & 1) for j, s in enumerate(ast.settings)}
+            assert lhv_strategy(ast) == (values[k], want), fx.name
 
 
 class TestNonlinear:
@@ -178,6 +274,11 @@ class TestSeparable:
         res = separable_bound([term("XX"), term("YY", -1.0)])
         assert abs(np.linalg.norm(res.left_state) - 1) < 1e-9
         assert abs(np.linalg.norm(res.right_state) - 1) < 1e-9
+
+    def test_terms_refuse_square_terms(self):
+        with pytest.raises(BoundError, match="linear"):
+            separable_terms(parse("X1*X2 - 1/2*sq(X1*X2) <= 1"))
+        assert separable_terms(parse("X1*X2 - Y1*Y2 <= 1")) == [term("XX"), term("YY", -1.0)]
 
     def test_witness_gap_on_pair_state(self):
         bell = make_pair_superposition("00", "11", R, R)

@@ -63,6 +63,18 @@ def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys, argv, seed):
     assert payload["value"] == pytest.approx(48.0)
 
 
+@pytest.mark.parametrize("kind,text,hint", [
+    ("lhv", "A1 - 1/2*sq(A1) <= 1", "--kind nonlinear"),
+    ("separable", "X1*X2 - 1/2*sq(X1*X2) <= 1", "linear"),
+])
+def test_bound_refuses_square_terms(tmp_path, capsys, kind, text, hint):
+    path = tmp_path / "square.ineq"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["bound", str(path), "--kind", kind]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and hint in captured.err
+
+
 def test_audit_json_schema(capsys):
     code, payload = run_json(capsys, ["audit", "--json"], "audit.schema.json")
     assert code == 0

@@ -16,6 +16,7 @@ from stabhom.pauli import (
     parse_pauli,
     tensor,
     to_matrix,
+    walsh_hadamard,
 )
 
 LETTERS = "IXYZ"
@@ -152,6 +153,33 @@ class TestMatrix:
             p = PauliString.from_letters("XZ", e)
             m = to_matrix(p)
             assert np.allclose(m, m.conj().T) == (e in (0, 2))
+
+
+def sylvester(n: int) -> np.ndarray:
+    out = np.ones((1, 1))
+    for _ in range(n):
+        out = np.kron(out, [[1, 1], [1, -1]])
+    return out
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_dense_sylvester_matrix(self, rng, n):
+        a = rng.integers(-4, 5, size=(3, 1 << n)).astype(float)
+        want = a @ sylvester(n)
+        got = walsh_hadamard(a)
+        assert got is a and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complex_strided_input_in_place(self, rng, n):
+        base = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
+        want = base[::2] @ sylvester(n)
+        walsh_hadamard(base[::2])  # rows 0 and 2, transformed where they lie
+        assert np.abs(base[::2] - want).max() < 1e-12
+
+    def test_rejects_length_not_power_of_two(self):
+        with pytest.raises(ValueError):
+            walsh_hadamard(np.zeros(6))
 
 
 class TestText:
