@@ -20,8 +20,10 @@ expressions and a seeded heuristic ascent with square terms.  The
 separable bound is an alternating product-state maximisation over the
 1 | rest split of a linear operator (``separable_terms`` refuses square
 terms), seeded deterministically; the see-saw optimises qubit
-observables against the shared state.  Single-qubit matrices come from
-``pauli._SINGLE``.
+observables against the shared state.  The discord condition check
+takes one two-qubit density matrix or a stack of them and computes the
+adapted-basis correlators of every state together.  Single-qubit
+matrices come from ``pauli._SINGLE``.
 """
 from __future__ import annotations
 
@@ -545,11 +547,16 @@ def seesaw_max(
 
 @dataclass(frozen=True)
 class DiscordCheck:
+    """Result for one state (floats, bools) or a stack ((n,) arrays).
+
+    For a stack, ``passed`` holds only if every state passes.
+    """
+
     passed: bool
-    x_correlator: float
-    y_correlator: float
+    x_correlator: float | np.ndarray
+    y_correlator: float | np.ndarray
     epsilon: float
-    degenerate_basis: bool
+    degenerate_basis: bool | np.ndarray
 
 
 def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordCheck:
@@ -559,37 +566,32 @@ def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordChec
     unbiased to that eigenbasis are built and both cross correlators are
     compared against epsilon.  States of the classical-quantum form pass
     for every epsilon; a degenerate reduced state falls back to the
-    computational basis (flagged).
+    computational basis (flagged).  ``rho`` may hold one 4x4 matrix or a
+    (..., 4, 4) stack; the partial trace, eigenbases and correlators of a
+    stack are computed together.
     """
     if rho.width != 2:
         raise BoundError("discord condition defined for two-qubit states")
     if not 0 < epsilon <= 0.5:
         raise BoundError("epsilon must lie in (0, 1/2]")
-    m = rho.matrix.reshape(2, 2, 2, 2)
-    rho1 = np.trace(m, axis1=1, axis2=3)
-    vals, vecs = np.linalg.eigh(rho1)
-    degenerate = abs(vals[1] - vals[0]) < 1e-10
-    if degenerate:
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-    else:
-        e0, e1 = vecs[:, 1], vecs[:, 0]  # descending eigenvalue order
-        for v in (e0, e1):
-            k = np.argmax(np.abs(v))
-            phase = v[k] / abs(v[k])
-            v *= phase.conjugate()
-    ketbra = np.outer(e0, e1.conj())
-    x_adapted = ketbra + ketbra.conj().T
-    y_adapted = -1j * ketbra + 1j * ketbra.conj().T
-    x_corr = float(np.trace(rho.matrix @ np.kron(x_adapted, _SINGLE["X"])).real)
-    y_corr = float(np.trace(rho.matrix @ np.kron(y_adapted, _SINGLE["Y"])).real)
-    return DiscordCheck(
-        passed=abs(x_corr) <= epsilon and abs(y_corr) <= epsilon,
-        x_correlator=x_corr,
-        y_correlator=y_corr,
-        epsilon=epsilon,
-        degenerate_basis=degenerate,
-    )
+    m = rho.matrix.reshape(rho.matrix.shape[:-2] + (2, 2, 2, 2))
+    vals, vecs = np.linalg.eigh(np.trace(m, axis1=-3, axis2=-1))
+    degenerate = np.abs(vals[..., 1] - vals[..., 0]) < TOL.norm
+    basis = vecs[..., ::-1]  # columns e0, e1 in descending eigenvalue order
+    # make each column's largest-modulus entry real and positive
+    k = np.argmax(np.abs(basis), axis=-2)
+    pivot = np.take_along_axis(basis, k[..., None, :], axis=-2)
+    basis = np.where(degenerate[..., None, None], np.eye(2), basis * (pivot / np.abs(pivot)).conj())
+    ketbra = np.einsum("...a,...b->...ab", basis[..., 0], basis[..., 1].conj())
+    x_adapted = ketbra + ketbra.conj().swapaxes(-1, -2)
+    y_adapted = -1j * ketbra + 1j * ketbra.conj().swapaxes(-1, -2)
+    # tr(rho (A (x) B)) with rho indexed [(b, d), (a, c)]
+    x_corr = np.einsum("...bdac,...ab,cd->...", m, x_adapted, _SINGLE["X"]).real
+    y_corr = np.einsum("...bdac,...ab,cd->...", m, y_adapted, _SINGLE["Y"]).real
+    passed = bool(((np.abs(x_corr) <= epsilon) & (np.abs(y_corr) <= epsilon)).all())
+    if m.ndim == 4:
+        return DiscordCheck(passed, float(x_corr), float(y_corr), epsilon, bool(degenerate))
+    return DiscordCheck(passed, x_corr, y_corr, epsilon, degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -348,11 +348,8 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
     rng = np.random.default_rng(fx.raw.get("rng_seed", LIMITS.rng_seed))
     samples = int(fx.raw.get("samples", 200))
     epsilon = float(fx.raw.get("epsilon", 0.5))
-    worst = 0.0
-    for _ in range(samples):
-        rho = _random_cq_state(rng)
-        check = discord_condition_check(rho, epsilon)
-        worst = max(worst, abs(check.x_correlator), abs(check.y_correlator))
+    cq = discord_condition_check(_random_cq_states(rng, samples), epsilon)
+    worst = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
     cq_ok = worst < 1e-9
     bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
     bell_rho = DensityOperator(2, np.outer(bell.amplitudes, bell.amplitudes.conj()))
@@ -378,19 +375,26 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
     return report
 
 
-def _random_cq_state(rng) -> DensityOperator:
-    """Random classical-quantum two-qubit state for the adapted-basis check."""
-    # random orthonormal first-qubit basis
-    v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(v)
-    kets = [q[:, 0], q[:, 1]]
-    p = rng.dirichlet((2.0, 2.0))
-    rhos = []
-    for _ in range(2):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = a @ a.conj().T
-        rhos.append(DensityOperator(1, m / np.trace(m).real))
-    return make_cq_state(p, kets, rhos)
+def _random_cq_states(rng, samples: int) -> DensityOperator:
+    """Stack of random classical-quantum two-qubit states for the adapted-basis check.
+
+    Draws one state at a time (first-qubit basis, probabilities, two
+    second-qubit states), so the first n states of a seed do not depend on
+    ``samples``; everything after the draws runs on the whole stack.
+    """
+    v = np.empty((samples, 2, 2, 2))  # real, imaginary part of each basis draw
+    p = np.empty((samples, 2))
+    a = np.empty((samples, 2, 2, 2, 2))  # two second-qubit draws, each real, imaginary
+    for i in range(samples):
+        v[i] = rng.normal(size=(2, 2, 2))
+        p[i] = rng.dirichlet((2.0, 2.0))
+        a[i] = rng.normal(size=(2, 2, 2, 2))
+    # random orthonormal first-qubit bases, kets as columns
+    q, _ = np.linalg.qr(v[:, 0] + 1j * v[:, 1])
+    a = a[:, :, 0] + 1j * a[:, :, 1]
+    m = a @ a.conj().swapaxes(-1, -2)
+    rhos = DensityOperator(1, m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+    return make_cq_state(p, q.swapaxes(-1, -2), rhos)
 
 
 @dataclass

@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-10          # state normalisation / orthogonality / hermiticity
+    norm: float = 1e-10          # state normalisation / orthogonality / hermiticity / degeneracy
+    psd: float = 1e-9            # a density operator's eigenvalues may dip this far below 0
     action: float = 1e-9         # code-space restriction matching
     claim: float = 1e-6          # catalogued-value comparisons in the audit
     violation: float = 1e-9      # strictness margin for "quantum beats classical"

@@ -51,22 +51,34 @@ class StateVector:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
 
 
+def _check_density(m, dim: int) -> np.ndarray:
+    """Complex (..., dim, dim) array of density matrices, or StateError.
+
+    Every matrix of a stack must be Hermitian with unit trace and no
+    eigenvalue below ``-TOL.psd``; one batched ``eigvalsh`` covers them all.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (dim, dim):
+        raise StateError(f"expected {dim}x{dim} matrix")
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) > TOL.norm:
+        raise StateError("density operator is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if (np.abs(tr.real - 1.0) > TOL.norm).any() or (np.abs(tr.imag) > TOL.norm).any():
+        raise StateError("density operator trace is not 1")
+    if np.linalg.eigvalsh(m).min(initial=0.0) < -TOL.psd:
+        raise StateError("density operator is not positive semidefinite")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
+    """A width-qubit density matrix, or a stack of them: shape (..., 2^w, 2^w)."""
+
     width: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.width
-        if m.shape != (dim, dim):
-            raise StateError(f"expected {dim}x{dim} matrix")
-        if np.abs(m - m.conj().T).max() > TOL.norm:
-            raise StateError("density operator is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TOL.norm or abs(np.trace(m).imag) > TOL.norm:
-            raise StateError("density operator trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -1e-9:
-            raise StateError("density operator is not positive semidefinite")
+        m = _check_density(self.matrix, 2**self.width)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -106,32 +118,35 @@ def basis_state(bits: str) -> StateVector:
 def make_cq_state(
     probs: Sequence[float],
     kets: Sequence[np.ndarray],
-    rhos: Sequence[DensityOperator],
+    rhos: Sequence[DensityOperator] | DensityOperator,
 ) -> DensityOperator:
-    """Classical-quantum two-qubit state sum_k p_k |phi_k><phi_k| (x) rho_k.
+    """Classical-quantum state sum_k p_k |phi_k><phi_k| (x) rho_k.
 
     The first-qubit kets must be mutually orthonormal; the reduced state
-    of qubit 1 is then diagonal in that basis.
+    of qubit 1 is then diagonal in that basis.  ``rhos`` is a sequence of
+    K density operators or one holding a (..., K, d, d) stack; with
+    ``probs`` of shape (..., K) and ``kets`` of shape (..., K, 2) the
+    leading axes give a stack of states, built by one ``einsum``.
     """
-    if not (len(probs) == len(kets) == len(rhos)):
-        raise StateError("probs, kets, rhos must have equal length")
+    if isinstance(rhos, DensityOperator):
+        rho_m, width = rhos.matrix, rhos.width
+    else:
+        rho_m = np.array([r.matrix for r in rhos])
+        width = rhos[0].width if rhos else 0  # empty input fails the length check below
     p = np.asarray(probs, dtype=float)
-    if (p < -TOL.norm).any() or abs(p.sum() - 1.0) > TOL.norm:
+    kets = np.asarray(kets, dtype=complex)
+    if not (p.shape == kets.shape[:-1] == rho_m.shape[:-2]):
+        raise StateError("probs, kets, rhos must have equal length")
+    if (p < -TOL.norm).any() or (np.abs(p.sum(axis=-1) - 1.0) > TOL.norm).any():
         raise StateError("probabilities must be nonnegative and sum to 1")
-    kets = [np.asarray(k, dtype=complex) for k in kets]
-    for k in kets:
-        if k.shape != (2,) or abs(np.linalg.norm(k) - 1.0) > TOL.norm:
-            raise StateError("kets must be normalised single-qubit states")
-    for i in range(len(kets)):
-        for j in range(i + 1, len(kets)):
-            if abs(np.vdot(kets[i], kets[j])) > TOL.norm:
-                raise StateError("kets must be mutually orthogonal")
-    dim2 = rhos[0].matrix.shape[0]
-    out = np.zeros((2 * dim2, 2 * dim2), dtype=complex)
-    for pk, ket, rho in zip(p, kets, rhos):
-        out += pk * np.kron(np.outer(ket, ket.conj()), rho.matrix)
-    width = 1 + rhos[0].width
-    return DensityOperator(width, out)
+    if kets.shape[-1] != 2 or (np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > TOL.norm).any():
+        raise StateError("kets must be normalised single-qubit states")
+    gram = np.einsum("...ia,...ja->...ij", kets.conj(), kets)
+    if (np.abs(gram[..., ~np.eye(gram.shape[-1], dtype=bool)]) > TOL.norm).any():
+        raise StateError("kets must be mutually orthogonal")
+    d = rho_m.shape[-1]
+    out = np.einsum("...k,...ka,...kb,...kcd->...acbd", p, kets, kets.conj(), rho_m)
+    return DensityOperator(1 + width, out.reshape(p.shape[:-1] + (2 * d, 2 * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +185,8 @@ def expectation(state: StateVector, term: SignedPauliTerm) -> float:
 
 def expectation_density(rho: DensityOperator, term: SignedPauliTerm) -> float:
     """coefficient * tr(rho * string)."""
+    if rho.matrix.ndim != 2:
+        raise StateError("expectation_density takes one state, not a stack")
     if rho.width != term.width:
         raise PauliError(f"width mismatch {rho.width} != {term.width}")
     n = rho.width

@@ -5,8 +5,10 @@ matrices are built with plain ``np.kron`` chains, deterministic bounds
 are enumerated with ``itertools.product`` term by term or from explicit
 +-1 setting columns, eigenvalues can be cross-checked against the
 characteristic polynomial, image sets are enumerated by restricting
-every Pauli string's dense matrix to the code space, and nonlinear
-envelopes are bounded from below by sampled strategy mixtures.
+every Pauli string's dense matrix to the code space, nonlinear
+envelopes are bounded from below by sampled strategy mixtures, and
+random classical-quantum states and their discord correlators are built
+one state at a time with ``np.kron``.
 Expected values asserted in the tests were computed with these oracles.
 """
 from __future__ import annotations
@@ -22,7 +24,7 @@ from stabhom.codespace import LogicalEncoding, image_set, lift_state
 from stabhom.descend import PlanEntry, SubstitutionPlan, substitute
 from stabhom.dsl import Inequality, InequalityAST
 from stabhom.pauli import PauliString, SignedPauliTerm
-from stabhom.states import StateVector
+from stabhom.states import DensityOperator, StateVector
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -241,6 +243,55 @@ def separable_grid_max(terms, steps: int = 60) -> float:
     coeffs = np.array([c for c, _, _ in mats])
     vals = (lefts * coeffs) @ rights.T
     return float(vals.max())
+
+
+def loop_cq_states(rng, n: int) -> np.ndarray:
+    """(n, 4, 4) random classical-quantum states, drawn and built one at a time.
+
+    Each state is sum_k p_k |q_k><q_k| (x) rho_k from a QR basis, a
+    Dirichlet(2, 2) split and two normalised a a^dagger factors, summed
+    as explicit ``np.kron`` products; the factors are validated one by
+    one as ``DensityOperator``.
+    """
+    out = []
+    for _ in range(n):
+        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, _ = np.linalg.qr(v)
+        p = rng.dirichlet((2.0, 2.0))
+        rhos = []
+        for _ in range(2):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = a @ a.conj().T
+            rhos.append(DensityOperator(1, m / np.trace(m).real))
+        rho = np.zeros((4, 4), dtype=complex)
+        for pk, ket, r in zip(p, (q[:, 0], q[:, 1]), rhos):
+            rho += pk * np.kron(np.outer(ket, ket.conj()), r.matrix)
+        out.append(rho)
+    return np.array(out).reshape(n, 4, 4)
+
+
+def loop_discord_correlators(rho: np.ndarray) -> tuple[float, float, bool]:
+    """(x, y, degenerate) of the adapted-basis test on one 4x4 matrix.
+
+    Eigenbasis of the first qubit's reduced state (computational basis
+    when degenerate), each vector's largest entry made real positive,
+    then tr(rho (A (x) X)) and tr(rho (B (x) Y)) with dense matrices.
+    """
+    vals, vecs = np.linalg.eigh(np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3))
+    degenerate = bool(abs(vals[1] - vals[0]) < 1e-10)
+    if degenerate:
+        e0, e1 = I2[:, 0], I2[:, 1]
+    else:
+        e0, e1 = vecs[:, 1].copy(), vecs[:, 0].copy()
+        for v in (e0, e1):
+            k = np.argmax(np.abs(v))
+            v *= (v[k] / abs(v[k])).conjugate()
+    ketbra = np.outer(e0, e1.conj())
+    x_adapted = ketbra + ketbra.conj().T
+    y_adapted = -1j * ketbra + 1j * ketbra.conj().T
+    x = float(np.trace(rho @ np.kron(x_adapted, SX)).real)
+    y = float(np.trace(rho @ np.kron(y_adapted, SY)).real)
+    return x, y, degenerate
 
 
 @pytest.fixture(scope="session")

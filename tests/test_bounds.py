@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (
     column_chunked_values,
+    loop_cq_states,
+    loop_discord_correlators,
     naive_lhv,
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
@@ -423,3 +425,36 @@ class TestDiscord:
         rho = DensityOperator(2, np.eye(4) / 4)
         with pytest.raises(BoundError):
             discord_condition_check(rho, 0.6)
+
+    def test_stack_keeps_width_and_epsilon_checks(self):
+        with pytest.raises(BoundError):
+            discord_condition_check(DensityOperator(1, np.stack([np.eye(2) / 2] * 3)), 0.5)
+        with pytest.raises(BoundError):
+            discord_condition_check(DensityOperator(2, np.stack([np.eye(4) / 4] * 3)), 0.6)
+
+    def test_stack_rows_match_single_state_calls(self):
+        plus = np.array([R, R])
+        bell = make_pair_superposition("00", "11", R, R).amplitudes
+        fixed = [
+            np.eye(4) / 4,  # degenerate reduced state
+            np.outer(bell, bell.conj()),  # degenerate, fails
+            np.kron(np.outer(plus, plus), np.outer(plus, plus)),
+        ]
+        stack = np.concatenate([fixed, loop_cq_states(np.random.default_rng(3), 20)])
+        check = discord_condition_check(DensityOperator(2, stack), 0.5)
+        assert check.x_correlator.shape == check.degenerate_basis.shape == (23,)
+        assert not check.passed
+        assert list(check.degenerate_basis[:3]) == [True, True, False]
+        for i, m in enumerate(stack):
+            one = discord_condition_check(DensityOperator(2, m), 0.5)
+            assert type(one.passed) is bool and type(one.degenerate_basis) is bool
+            assert type(one.x_correlator) is float and type(one.y_correlator) is float
+            assert one.passed == (i != 1)
+            assert abs(check.x_correlator[i] - one.x_correlator) < 1e-12
+            assert abs(check.y_correlator[i] - one.y_correlator) < 1e-12
+            assert check.degenerate_basis[i] == one.degenerate_basis
+            x, y, degenerate = loop_discord_correlators(m)
+            assert abs(check.x_correlator[i] - x) < 1e-12
+            assert abs(check.y_correlator[i] - y) < 1e-12
+            assert check.degenerate_basis[i] == degenerate
+        assert discord_condition_check(DensityOperator(2, stack[2:]), 0.5).passed

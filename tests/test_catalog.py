@@ -1,5 +1,10 @@
 """Fixture catalogue loading and the audit built on it."""
+import numpy as np
+
+from conftest import loop_cq_states
 from stabhom import catalog
+from stabhom.bounds import discord_condition_check
+from stabhom.states import DensityOperator
 
 
 def test_audit_reuses_each_fixture_parse(monkeypatch):
@@ -16,3 +21,22 @@ def test_audit_reuses_each_fixture_parse(monkeypatch):
     loaded = {fx.raw["inequality"] for fx in fixtures if "inequality" in fx.raw}
     assert texts, "derivation, alternative and expression-seed strings still parse"
     assert not loaded & set(texts)
+
+
+def test_random_cq_states_match_per_state_sampler():
+    rhos = catalog._random_cq_states(np.random.default_rng(0), 200)
+    want = loop_cq_states(np.random.default_rng(0), 200)
+    assert rhos.width == 2 and rhos.matrix.shape == (200, 4, 4)
+    assert np.abs(rhos.matrix - want).max() < 1e-15
+    head = catalog._random_cq_states(np.random.default_rng(0), 7)
+    assert np.array_equal(head.matrix, rhos.matrix[:7])
+
+
+def test_audit_sample_stack_matches_per_state_checks():
+    rhos = catalog._random_cq_states(np.random.default_rng(0), 200)
+    check = discord_condition_check(rhos, 0.5)
+    single = [discord_condition_check(DensityOperator(2, m), 0.5) for m in rhos.matrix]
+    assert check.passed and all(s.passed for s in single)
+    for got, attr in ((check.x_correlator, "x_correlator"), (check.y_correlator, "y_correlator")):
+        assert np.abs(got - [getattr(s, attr) for s in single]).max() < 1e-12
+    assert list(check.degenerate_basis) == [s.degenerate_basis for s in single]

@@ -144,6 +144,27 @@ class TestDensity:
         with pytest.raises(StateError):
             DensityOperator(1, np.diag([1.5, -0.5]))  # not PSD
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[1.0, 0.5], [0.4, 0.0]]), "not Hermitian"),
+            (np.diag([0.7, 0.7]), "trace is not 1"),
+            (np.diag([1.5, -0.5]), "not positive semidefinite"),
+        ],
+        ids=["non-hermitian", "trace", "not-psd"],
+    )
+    def test_stack_with_one_bad_member(self, bad, message):
+        stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0]), np.eye(2) / 2])
+        assert DensityOperator(1, stack).matrix.shape == (3, 2, 2)
+        stack[1] = bad
+        with pytest.raises(StateError, match=message):
+            DensityOperator(1, stack)
+
+    def test_expectation_density_refuses_stack(self):
+        rho = DensityOperator(2, np.stack([np.eye(4) / 4] * 2))
+        with pytest.raises(StateError):
+            expectation_density(rho, term("XX"))
+
 
 class TestCqState:
     def test_pure_case(self):
@@ -184,6 +205,23 @@ class TestCqState:
         )
         for letters in ("XX", "XY", "XZ"):
             assert expectation_density(rho, term(letters)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_stacked_inputs_build_each_state(self, rng):
+        v = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        kets = np.linalg.qr(v)[0].swapaxes(-1, -2)
+        p = rng.dirichlet((1.5, 1.5), size=3)
+        a = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        m = a @ a.conj().swapaxes(-1, -2)
+        rhos = DensityOperator(1, m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        stack = make_cq_state(p, kets, rhos)
+        assert stack.width == 2 and stack.matrix.shape == (3, 4, 4)
+        for i in range(3):
+            one = make_cq_state(p[i], kets[i], [DensityOperator(1, r) for r in rhos.matrix[i]])
+            assert np.abs(stack.matrix[i] - one.matrix).max() < 1e-15
+        bad = kets.copy()
+        bad[1, 1] = kets[1, 0]
+        with pytest.raises(StateError, match="orthogonal"):
+            make_cq_state(p, bad, rhos)
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(StateError):
