@@ -11,8 +11,10 @@ strategy evaluator, ``_chunked_values``: a term's value under strategy k
 is its coefficient times (-1)^popcount(k & mask), so a term list's values
 over all 2^S strategies are one Walsh-Hadamard transform
 (``pauli.walsh_hadamard``) of its coefficients scattered by setting mask,
-taken in chunks of 2^20 strategies.  Linear bounds refuse square terms
-and more than ``LIMITS.max_settings`` settings before enumerating.
+taken in chunks of 2^20 values; the descendant search passes a stack of
+coefficient rows over one setting index, and its chunks count rows times
+strategies.  Linear bounds refuse square terms and more than
+``LIMITS.max_settings`` settings before enumerating.
 
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
@@ -28,7 +30,7 @@ matrices come from ``pauli._SINGLE``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +62,14 @@ def _index_terms(terms, setting_index):
     return [(float(c), tuple(setting_index[s] for s in mono)) for c, mono in terms]
 
 
-_CHUNK_BITS = 20  # strategies evaluated per chunk: 2^20
+_CHUNK_BITS = 20  # values evaluated per chunk, rows x strategies: 2^20
+
+
+class _Stack(NamedTuple):
+    """Coefficient rows over one shared list of monomials (setting bitmasks)."""
+
+    coeffs: np.ndarray  # (rows, terms) floats
+    masks: Sequence[int]
 
 
 def _chunked_values(term_lists, n_settings: int):
@@ -71,21 +80,48 @@ def _chunked_values(term_lists, n_settings: int):
     the Walsh-Hadamard transform of its coefficients scattered by mask.  A
     chunk fixes the high bits of k; each coefficient is scattered by its low
     mask bits with the sign its high mask bits take under them.
+
+    A term list is a sequence of (coefficient, setting indices) pairs, and
+    its values come as one (step,) array per chunk; a ``_Stack`` of R rows
+    gives an (R, step) array, the values of each row as if it were its own
+    term list.  The caller keeps rows x step within 2^_CHUNK_BITS.
     """
     bits = min(n_settings, _CHUNK_BITS)
     step = 1 << bits
     lists = []
     for terms in term_lists:
-        masks = [sum(1 << k for k in sel) for _, sel in terms]
+        if isinstance(terms, _Stack):
+            coeffs, masks = terms.coeffs, list(terms.masks)
+        else:
+            coeffs = np.array([c for c, _ in terms], dtype=float).reshape(1, len(terms))
+            masks = [sum(1 << k for k in sel) for _, sel in terms]
         lows = np.array(masks, dtype=np.int64) & (step - 1)
-        lists.append((np.array([c for c, _ in terms], dtype=float), lows,
-                      [m >> bits for m in masks]))
+        lows = (np.arange(len(coeffs))[:, None] * step + lows).ravel()
+        lists.append((coeffs, lows, [m >> bits for m in masks], isinstance(terms, _Stack)))
+    n_rows = sum(len(coeffs) for coeffs, *_ in lists)
     for high in range(1 << (n_settings - bits)):
-        outs = np.empty((len(lists), step))
-        for out, (coeffs, lows, highs) in zip(outs, lists):
+        outs = np.empty((n_rows, step))
+        views, row = [], 0
+        for coeffs, lows, highs, stacked in lists:
             signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
-            out[:] = np.bincount(lows, weights=coeffs * signs, minlength=step)
-        yield high << bits, list(walsh_hadamard(outs))
+            out = outs[row:row + len(coeffs)]
+            out[:] = np.bincount(lows, weights=(coeffs * signs).ravel(),
+                                 minlength=out.size).reshape(out.shape)
+            views.append(out if stacked else out[0])
+            row += len(coeffs)
+        walsh_hadamard(outs)
+        yield high << bits, views
+
+
+def _lhv_rows(stack: _Stack, n_settings: int) -> np.ndarray:
+    """Deterministic maximum of every row of a stack, 2^_CHUNK_BITS values at a time."""
+    per_chunk = max(1, (1 << _CHUNK_BITS) >> n_settings)
+    best = np.full(len(stack.coeffs), -np.inf)
+    for r in range(0, len(best), per_chunk):
+        rows = _Stack(stack.coeffs[r:r + per_chunk], stack.masks)
+        for _, (vals,) in _chunked_values([rows], n_settings):
+            np.maximum(best[r:r + per_chunk], vals.max(axis=1), out=best[r:r + per_chunk])
+    return best
 
 
 def _linear_indexed(expr) -> tuple[dict[Setting, int], list]:

@@ -132,7 +132,7 @@ def cmd_descend(args) -> int:
         for r in results:
             qv = fmt9(r.quantum_value) if r.quantum_value is not None else "-"
             mark = "*" if r.accepted else " "
-            print(f"{mark} lhv={fmt9(r.lhv_bound)} qv={qv}  {pretty_print(r.descendant.ast)}")
+            print(f"{mark} lhv={fmt9(r.lhv_bound)} qv={qv}  {r.expression}")
     return 0
 
 

@@ -11,19 +11,41 @@ logical letter it plays and which image terms replace it:
 * an explicit per-occurrence list — the k-th occurrence of the setting
   (in canonical term order) gets its own single image, injectively.
 
+One kernel substitutes, the contribution table (``_Table``).  For one
+seed, target site, encoding and letter map it pairs every seed term, in
+the linear part and in each square part, with every member of its target
+setting's image set.  Each pair gives a column, the shifted image
+monomial's place in a universe sorted by canonical monomial order, and an
+exact coefficient, an integer over one common denominator.  A plan picks
+table entries for every seed term, so a descendant is one integer row
+over the universe; ``substitute`` applies the table to one plan.
+
+``enumerate_descendants`` indexes plans instead of building them: plan p
+of the selection product (``itertools.product`` order) takes selection
+(p // inner) % count of each setting, so only the first
+``max_assignments`` plans and the selections they reach are ever made.
+Their rows come in chunks of integer arrays and are deduplicated on row
+bytes, the first plan winning.  Bounds and values are then computed for
+all kept rows at once: deterministic bounds of linear rows as stacks
+through the strategy evaluator, quantum values from one expectation per
+distinct Pauli string.  Only the emitted rows become Python objects, each
+with its AST, plan and one printed text.
+
 Bounds of descendants are never inherited: the caller re-derives them
 from scratch (``enumerate_descendants`` does this automatically).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bounds import lhv_bound, lhv_bound_nonlinear
+from .bounds import BoundError, _lhv_rows, _Stack, lhv_bound, lhv_bound_nonlinear
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
 from .dsl import (
@@ -33,11 +55,14 @@ from .dsl import (
     Monomial,
     Setting,
     _canon_linear,
+    _expand_monomial,
     _merge,
+    _mono_key,
+    _resolve_assignment,
     pretty_print,
 )
-from .pauli import SignedPauliTerm
-from .states import StateVector
+from .pauli import PauliString, SignedPauliTerm
+from .states import StateVector, expectation
 from . import bounds as _bounds
 
 
@@ -87,49 +112,144 @@ def _image_monomial(term: SignedPauliTerm, target: int) -> tuple[float, Monomial
     return term.coefficient, mono
 
 
-def _substitute_terms(
-    terms: LinearTerms,
-    plan: SubstitutionPlan,
-    images: Mapping[Setting, tuple[SignedPauliTerm, ...]],
-    occurrence_counter: Optional[dict] = None,
-) -> dict[Monomial, Fraction]:
-    t, m = plan.target_site, plan.encoding.width
-    out: dict[Monomial, Fraction] = {}
-    for coeff, mono in terms:
-        on_target = [s for s in mono if s.site == t]
-        rest = tuple(_shift_setting(s, t, m) for s in mono if s.site != t)
-        if not on_target:
-            _merge(out, tuple(sorted(rest)), coeff)
-            continue
-        setting = on_target[0]
-        entry = plan.entries.get(setting)
-        if entry is None:
-            raise SubstitutionError(f"no plan entry for target setting {setting.text()}")
-        members = images[setting]
-        if entry.selection[0] == "occ":
-            if occurrence_counter is None:
-                raise SubstitutionError(
-                    "per-occurrence selection is only supported in the linear part"
-                )
-            k = occurrence_counter.get(setting, 0)
-            occurrence_counter[setting] = k + 1
-            idxs = entry.selection[1:]
-            if k >= len(idxs):
-                raise SubstitutionError(
-                    f"setting {setting.text()} occurs more often than planned"
-                )
-            chosen = [members[idxs[k]]]
-        elif entry.selection[0] == "subset":
-            chosen = [members[i] for i in entry.selection[1:]]
-        else:
-            chosen = list(members)
-        if not chosen:
-            raise SubstitutionError(f"empty image selection for {setting.text()}")
-        for img in chosen:
-            c, img_mono = _image_monomial(img, t)
-            merged = tuple(sorted(rest + img_mono))
-            _merge(out, merged, coeff * Fraction(entry.sign) * Fraction(c).limit_denominator(10**9))
-    return out
+_ROW_CHUNK = 1 << 20  # integer entries built per chunk of plans
+
+
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """Ascending index of the first occurrence of each distinct row (by its bytes)."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.sort(np.unique(keys.ravel(), return_index=True)[1])
+
+
+class _Table:
+    """Contribution table of one seed under one target site, encoding and letter map.
+
+    Every seed term is paired with every member of its target setting's
+    image set (a term without a target setting stands alone); each pair
+    is a column of the universe, the distinct result monomials sorted by
+    ``_mono_key``, and an exact coefficient, stored as an integer over one
+    common denominator.  A row is one integer vector per part (the linear
+    part, then each square part), laid end to end.
+
+    For a target setting s, ``cols[s]`` and ``nums[s]`` have shape
+    (occurrences, images): its linear-part terms in canonical order, then
+    its square-part terms.  Every (occurrence, image) pair of one setting
+    lands in its own column, because a monomial splits uniquely into its
+    block part and the rest, so a selection writes its entries without
+    collisions; entries of different settings may share a column.
+    """
+
+    def __init__(self, ast: InequalityAST, target: int, encoding: LogicalEncoding,
+                 images: Mapping[Setting, tuple[SignedPauliTerm, ...]],
+                 signs: Mapping[Setting, int]):
+        m = encoding.width
+        self.parts = 1 + len(ast.squares)
+        raw = []  # (part, setting or None, occurrence, image, monomial, value)
+        occurrences: dict[Setting, int] = {}
+        self.n_linear: dict[Setting, int] = {}
+        for part, terms in enumerate([ast.linear] + [sub for _, sub in ast.squares]):
+            for coeff, mono in terms:
+                rest = tuple(_shift_setting(s, target, m) for s in mono if s.site != target)
+                on_target = [s for s in mono if s.site == target]
+                if not on_target:
+                    raw.append((part, None, 0, 0, tuple(sorted(rest)), coeff))
+                    continue
+                s = on_target[0]
+                if s not in images:
+                    raise SubstitutionError(f"no plan entry for target setting {s.text()}")
+                o = occurrences[s] = occurrences.get(s, 0) + 1
+                if part == 0:
+                    self.n_linear[s] = o
+                for j, img in enumerate(images[s]):
+                    c, img_mono = _image_monomial(img, target)
+                    value = coeff * signs[s] * Fraction(c).limit_denominator(10**9)
+                    raw.append((part, s, o - 1, j, tuple(sorted(rest + img_mono)), value))
+        self.universe = sorted({r[4] for r in raw}, key=_mono_key)
+        column = {mono: u for u, mono in enumerate(self.universe)}
+        self.denominator = math.lcm(*(r[5].denominator for r in raw))
+        nums = [r[5].numerator * (self.denominator // r[5].denominator) for r in raw]
+        if sum(abs(n) for n in nums) >= 2**63:
+            raise SubstitutionError("descendant coefficients overflow 64-bit integers")
+        self.width = self.parts * len(self.universe)
+        self.const = np.zeros(self.width, dtype=np.int64)
+        self.settings = sorted(occurrences)
+        self.cols = {s: np.zeros((o, len(images[s])), dtype=np.int64)
+                     for s, o in occurrences.items()}
+        self.nums = {s: np.zeros_like(c) for s, c in self.cols.items()}
+        for (part, s, o, j, mono, _), n in zip(raw, nums):
+            w = part * len(self.universe) + column[mono]
+            if s is None:
+                self.const[w] = n
+            else:
+                self.cols[s][o, j], self.nums[s][o, j] = w, n
+        self._terms: list[dict[int, tuple[Fraction, Monomial]]] = [{} for _ in range(self.width)]
+
+    def picks(self, s: Setting, selections: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """0/1 (occurrence, image) picks of each selection of s, and whether it is usable.
+
+        A per-occurrence selection is unusable when s also sits in a square part.
+        """
+        n_occ, n_img = self.cols[s].shape
+        n_lin = self.n_linear.get(s, 0)
+        out = np.zeros((len(selections), n_occ, n_img), dtype=bool)
+        usable = np.ones(len(selections), dtype=bool)
+        for q, sel in enumerate(selections):
+            if sel[0] == "occ":
+                usable[q] = n_occ == n_lin
+                out[q, np.arange(n_lin), list(sel[1:1 + n_lin])] = True
+            elif sel[0] == "subset":
+                out[q][:, list(sel[1:])] = True
+            else:
+                out[q] = True
+        return out.reshape(len(selections), -1), usable
+
+    def rows(self, picks: Sequence[np.ndarray], chosen: Sequence[np.ndarray]) -> np.ndarray:
+        """Integer rows of the plans that take selection chosen[i][r] of setting i."""
+        out = np.tile(self.const, (len(chosen[0]) if chosen else 1, 1))
+        for s, p, q in zip(self.settings, picks, chosen):
+            out[:, self.cols[s].ravel()] += p[q] * self.nums[s].ravel()
+        return out
+
+    def distinct_rows(self, picks, usable, counts, inner, n_plans):
+        """Rows of the first n_plans usable, pairwise distinct plans, and their selections.
+
+        Plan p takes selection (p // inner[i]) % counts[i] of setting i, the
+        ``itertools.product`` order; of equal rows the first plan's is kept.
+        """
+        kept_rows, kept_plans = [], []
+        step = max(1, _ROW_CHUNK // max(1, self.width))
+        for start in range(0, n_plans, step):
+            p = np.arange(start, min(start + step, n_plans), dtype=np.int64)
+            chosen = [(p // d) % min(c, n_plans) if d < n_plans else np.zeros_like(p)
+                      for c, d in zip(counts, inner)]
+            ok = np.flatnonzero(np.logical_and.reduce([u[q] for u, q in zip(usable, chosen)]))
+            chosen = [q[ok] for q in chosen]
+            rows = self.rows(picks, chosen)
+            first = _first_distinct(rows)
+            kept_rows.append(rows[first])
+            kept_plans.append(np.stack([q[first] for q in chosen], axis=1))
+        rows, plans = np.concatenate(kept_rows), np.concatenate(kept_plans)
+        first = _first_distinct(rows)
+        return rows[first], plans[first]
+
+    def floats(self, rows: np.ndarray) -> np.ndarray:
+        """``float`` of every entry's Fraction, through its distinct values."""
+        values, inverse = np.unique(rows, return_inverse=True)
+        exact = np.array([float(Fraction(v, self.denominator)) for v in values.tolist()])
+        return exact[inverse.ravel()].reshape(rows.shape)
+
+    def terms(self, row: np.ndarray) -> list[LinearTerms]:
+        """Canonical linear terms of each part of a row; equal terms are one object."""
+        u_count = len(self.universe)
+        parts: list[list] = [[] for _ in range(self.parts)]
+        for w in np.flatnonzero(row).tolist():
+            n = int(row[w])
+            term = self._terms[w].get(n)
+            if term is None:
+                term = self._terms[w][n] = (Fraction(n, self.denominator),
+                                            self.universe[w % u_count])
+            parts[w // u_count].append(term)
+        return [tuple(p) for p in parts]
 
 
 def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> InequalityAST:
@@ -137,7 +257,8 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
 
     Sites above the target shift by the encoding width minus one; the
     result is expanded, like-term collected, and carries bound 0 (the
-    caller re-derives the bound).
+    caller re-derives the bound).  The plan is one row of the seed's
+    contribution table, the kernel the descendant search also uses.
     """
     ast = seed.ast if isinstance(seed, Inequality) else seed
     images: dict[Setting, tuple[SignedPauliTerm, ...]] = {}
@@ -159,12 +280,20 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
     width = ast.width - 1 + plan.encoding.width
     if width > LIMITS.max_width:
         raise SubstitutionError("substituted width exceeds cap")
-    counter: dict = {}
-    linear = _canon_linear(_substitute_terms(ast.linear, plan, images, counter))
-    squares = tuple(
-        (c, _canon_linear(_substitute_terms(sub, plan, images, None)))
-        for c, sub in ast.squares
-    )
+    signs = {s: e.sign for s, e in plan.entries.items()}
+    table = _Table(ast, plan.target_site, plan.encoding, images, signs)
+    picks = []
+    for s in table.settings:
+        selection = plan.entries[s].selection
+        if len(selection) == 1 and selection[0] == "subset":
+            raise SubstitutionError(f"empty image selection for {s.text()}")
+        p, usable = table.picks(s, [selection])
+        if not usable[0]:
+            raise SubstitutionError("per-occurrence selection is only supported in the linear part")
+        picks.append(p)
+    chosen = [np.zeros(1, dtype=np.int64)] * len(picks)
+    linear, *subs = table.terms(table.rows(picks, chosen)[0])
+    squares = tuple((c, sub) for (c, _), sub in zip(ast.squares, subs))
     return InequalityAST(linear, squares, ast.relation, Fraction(0))
 
 
@@ -200,38 +329,6 @@ def substitute_symbolic(
 
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DescendantResult:
-    descendant: Inequality
-    lhv_bound: float
-    quantum_state: Optional[StateVector]
-    quantum_value: Optional[float]
-    accepted: bool
-    plan: Optional[SubstitutionPlan] = None
-    truncated: bool = False
-    derived_bound: Optional[float] = None  # image-count * threshold for witness lifts
-
-    @property
-    def violation_ratio(self) -> float:
-        if self.quantum_value is None or self.lhv_bound <= 0:
-            return 0.0
-        return self.quantum_value / self.lhv_bound
-
-    def to_json(self) -> dict:
-        return {
-            "expression": pretty_print(self.descendant.ast),
-            "lhv_bound": self.lhv_bound,
-            "quantum_value": self.quantum_value,
-            "accepted": self.accepted,
-            "violation_ratio": self.violation_ratio,
-            "truncated": self.truncated,
-        }
-
-
-def _route_bound(ast: InequalityAST) -> float:
-    return lhv_bound(ast) if ast.is_linear else lhv_bound_nonlinear(ast)
-
-
 def _plan_selections(n_images: int, occurrences: int):
     """All selections for one setting: subset broadcasts, then injective."""
     idx = range(n_images)
@@ -246,6 +343,115 @@ def _plan_selections(n_images: int, occurrences: int):
             yield ("occ", *perm)
 
 
+def _selection_count(n_images: int, occurrences: int) -> int:
+    """Length of ``_plan_selections(n_images, occurrences)``."""
+    return 2**n_images - 1 + (math.perm(n_images, occurrences) if occurrences >= 2 else 0)
+
+
+def _lhv_bounds(table: _Table, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Deterministic bound of every linear row, one strategy stack per setting set.
+
+    Rows that use the same settings share a setting index, the one their
+    own expression would get, so each value equals ``lhv_bound`` of the row.
+    """
+    settings = sorted({s for mono in table.universe for s in mono})
+    at = {s: k for k, s in enumerate(settings)}
+    incidence = np.zeros((len(table.universe), len(settings)), dtype=np.int64)
+    for u, mono in enumerate(table.universe):
+        incidence[u, [at[s] for s in mono]] = 1
+    present = rows != 0
+    used = (present.astype(np.int64) @ incidence) > 0
+    counts = used.sum(axis=1)
+    over = np.flatnonzero(counts > LIMITS.max_settings)
+    if over.size:
+        raise BoundError(f"{counts[over[0]]} settings exceed cap {LIMITS.max_settings}")
+    patterns, group = np.unique(used, axis=0, return_inverse=True)
+    group = group.ravel()
+    order = np.argsort(group, kind="stable")
+    bounds = np.empty(len(rows))
+    for pattern, members in zip(patterns, np.split(order, np.cumsum(np.bincount(group))[:-1])):
+        index = {settings[k]: i for i, k in enumerate(np.flatnonzero(pattern))}
+        cols = np.flatnonzero(present[members].any(axis=0))
+        masks = [sum(1 << index[s] for s in table.universe[u]) for u in cols]
+        stack = _Stack(coeffs[np.ix_(members, cols)], masks)
+        bounds[members] = _lhv_rows(stack, len(index))
+    return bounds
+
+
+def _quantum_values(table: _Table, coeffs: np.ndarray, square_coeffs: Sequence[float],
+                    assignment: Optional[Mapping], state: StateVector) -> np.ndarray:
+    """``quantum_value`` of every row under one assignment, to the last bit.
+
+    Each universe column is expanded into Pauli strings once and each
+    string's expectation is taken once.  A row's string coefficients then
+    accumulate in column order and its terms add up in
+    ``PauliString.sort_key`` order from +0.0, as ``assign_paulis`` and
+    ``quantum_value`` do for one expression; absent columns add zeros.
+    """
+    u_count = len(table.universe)
+    present = (coeffs != 0).reshape(len(coeffs), table.parts, u_count).any(axis=0)
+    settings = sorted({s for u in np.flatnonzero(present.any(axis=0)) for s in table.universe[u]})
+    observables = _resolve_assignment(settings, assignment or {})
+    width = state.width
+    expectations: dict[tuple[int, int], float] = {}
+    sums = []
+    for part in range(table.parts):
+        acc: dict[tuple[int, int], np.ndarray] = {}
+        for u in np.flatnonzero(present[part]):
+            for ocs, key in _expand_monomial(table.universe[u], observables, width):
+                v = coeffs[:, part * u_count + u]
+                for oc in ocs:
+                    v = v * oc
+                acc[key] = acc.get(key, 0.0) + v
+        total = np.zeros(len(coeffs))
+        for key in sorted(acc, key=lambda k: PauliString(width, *k, 0).sort_key()):
+            kept = np.abs(acc[key]) > 1e-14
+            if not kept.any():
+                continue
+            if key not in expectations:
+                string = PauliString(width, *key, 0)
+                expectations[key] = expectation(state, SignedPauliTerm(1.0, string))
+            total = total + np.where(kept, expectations[key] * acc[key], 0.0)
+        sums.append(total)
+    values = sums[0]
+    for c, s in zip(square_coeffs, sums[1:]):
+        values = values + c * s * s
+    return values
+
+
+@dataclass
+class DescendantResult:
+    descendant: Inequality
+    lhv_bound: float
+    quantum_state: Optional[StateVector]
+    quantum_value: Optional[float]
+    accepted: bool
+    plan: Optional[SubstitutionPlan] = None
+    truncated: bool = False
+    derived_bound: Optional[float] = None  # image-count * threshold for witness lifts
+
+    @cached_property
+    def expression(self) -> str:
+        """The descendant's text, printed once and shared by sorting and output."""
+        return pretty_print(self.descendant.ast)
+
+    @property
+    def violation_ratio(self) -> float:
+        if self.quantum_value is None or self.lhv_bound <= 0:
+            return 0.0
+        return self.quantum_value / self.lhv_bound
+
+    def to_json(self) -> dict:
+        return {
+            "expression": self.expression,
+            "lhv_bound": self.lhv_bound,
+            "quantum_value": self.quantum_value,
+            "accepted": self.accepted,
+            "violation_ratio": self.violation_ratio,
+            "truncated": self.truncated,
+        }
+
+
 def enumerate_descendants(
     seed: Inequality | InequalityAST,
     target_site: int,
@@ -258,13 +464,18 @@ def enumerate_descendants(
     """Search plan selections, re-derive every bound, keep violation order.
 
     ``letter_map`` sends each target-site setting (or its text) to a
-    logical letter, optionally signed ("-Y").  The quantum value of each
-    candidate is evaluated on the lifted seed state (target qubit replaced
-    by the encoding) under the seed assignment for the untouched sites;
-    candidates whose value beats their own re-derived bound are accepted.
-    Deterministic: canonical plan order, canonical dedup, stable sort by
+    logical letter, optionally signed ("-Y").  The first
+    ``max_assignments`` plans of the selection product are searched; a
+    plan that substitution would refuse counts toward that cap.  The
+    quantum value of each candidate is evaluated on the lifted seed state
+    (target qubit replaced by the encoding) under the seed assignment for
+    the untouched sites; candidates whose value beats their own
+    re-derived bound are accepted.  Deterministic: canonical plan order,
+    the first plan of each distinct descendant kept, stable sort by
     descending violation ratio.
     """
+    if max_assignments < 1:
+        raise SubstitutionError(f"max_assignments must be at least 1, got {max_assignments}")
     ast = seed.ast if isinstance(seed, Inequality) else seed
     target_settings = sorted({s for _, m in ast.linear for s in m if s.site == target_site})
     if not target_settings:
@@ -280,65 +491,65 @@ def enumerate_descendants(
         else:
             sign, letter = raw
         entries_base[s] = (letter, sign)
-    image_counts = {
-        s: len(image_set(encoding, entries_base[s][0]))
-        for s in target_settings
-    }
-    occurrences = {
-        s: sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings
-    }
-    per_setting = [
-        list(_plan_selections(image_counts[s], occurrences[s])) for s in target_settings
+    images = {s: image_set(encoding, entries_base[s][0]).members for s in target_settings}
+    occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
+    counts = [_selection_count(len(images[s]), k) for s, k in zip(target_settings, occurrences)]
+    total = math.prod(counts)
+    n_plans = min(total, max_assignments)
+    truncated = total > max_assignments
+    inner = [math.prod(counts[i + 1:]) for i in range(len(counts))]
+    if n_plans == 0:
+        return []
+    selections = [
+        list(itertools.islice(_plan_selections(len(images[s]), k), min(c, (n_plans - 1) // d + 1)))
+        for s, k, c, d in zip(target_settings, occurrences, counts, inner)
     ]
+    # built before substitution, as each plan is, so a bad letter or sign raises
+    entries = [[PlanEntry(*entries_base[s], sel) for sel in sels]
+               for s, sels in zip(target_settings, selections)]
+    square_only = {s for _, sub in ast.squares for _, m in sub for s in m
+                   if s.site == target_site} - set(target_settings)
+    if square_only or ast.width - 1 + encoding.width > LIMITS.max_width:
+        return []  # substitution refuses every plan
+    signs = {s: sign for s, (_, sign) in entries_base.items()}
+    table = _Table(ast, target_site, encoding, images, signs)
+    picks, usable = zip(*(table.picks(s, sel) for s, sel in zip(target_settings, selections)))
+    rows, plans = table.distinct_rows(picks, usable, counts, inner, n_plans)
+    square_coeffs = [c for c, _ in ast.squares]
+    coeffs = table.floats(rows)
+    bounds = _lhv_bounds(table, rows, coeffs) if table.parts == 1 else None
     lifted = (
         lift_state(seed_state, target_site, encoding) if seed_state is not None else None
     )
-    results: dict[str, DescendantResult] = {}
-    truncated = False
-    count = 0
-    for combo in itertools.product(*per_setting):
-        count += 1
-        if count > max_assignments:
-            truncated = True
-            break
-        plan = SubstitutionPlan(
-            target_site,
-            encoding,
-            {
-                s: PlanEntry(entries_base[s][0], entries_base[s][1], sel)
-                for s, sel in zip(target_settings, combo)
-            },
-        )
-        try:
-            descendant = substitute(ast, plan)
-        except SubstitutionError:
-            continue
-        key = pretty_print(descendant)
-        if key in results:
-            continue
-        bound = _route_bound(descendant)
-        qv = None
-        accepted = False
-        if lifted is not None:
-            qv = _bounds.quantum_value(descendant, seed_assignment, lifted)
-            accepted = qv > bound + TOL.violation
-        derived_bound = Fraction(int(round(bound))) if float(bound).is_integer() else float(bound)
-        ineq = Inequality(descendant.with_bound(derived_bound))
-        results[key] = DescendantResult(
-            descendant=ineq,
+    qvs = None
+    if lifted is not None:
+        qvs = _quantum_values(table, coeffs, [float(c) for c in square_coeffs],
+                              seed_assignment, lifted).tolist()
+    del coeffs
+    results = []
+    for i, (row, plan_row) in enumerate(zip(rows, plans.tolist())):
+        linear, *subs = table.terms(row)
+        squares = tuple(zip(square_coeffs, subs))
+        if bounds is None:
+            bound = lhv_bound_nonlinear(InequalityAST(linear, squares, "<=", Fraction(0)))
+        else:
+            bound = float(bounds[i])
+        derived = Fraction(int(round(bound))) if bound.is_integer() else bound
+        plan = SubstitutionPlan(target_site, encoding, {
+            s: column[q] for s, column, q in zip(target_settings, entries, plan_row)
+        })
+        qv = None if qvs is None else qvs[i]
+        results.append(DescendantResult(
+            descendant=Inequality(InequalityAST(linear, squares, "<=", derived)),
             lhv_bound=bound,
             quantum_state=lifted,
             quantum_value=qv,
-            accepted=accepted,
+            accepted=qv is not None and qv > bound + TOL.violation,
             plan=plan,
-        )
-    ordered = sorted(
-        results.values(),
-        key=lambda r: (-r.violation_ratio, pretty_print(r.descendant.ast)),
-    )
-    for r in ordered:
-        r.truncated = truncated
-    return ordered
+            truncated=truncated,
+        ))
+    results.sort(key=lambda r: (-r.violation_ratio, r.expression))
+    return results
 
 
 def lift_coherence_witness(

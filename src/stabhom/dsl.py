@@ -462,24 +462,37 @@ def _resolve_assignment(
     return table
 
 
+def _expand_monomial(
+    mono: Monomial, table: dict[Setting, Observable], width: int
+) -> list[tuple[tuple[float, ...], tuple[int, int]]]:
+    """(observable coefficients, (x_mask, z_mask)) of each Pauli string of a monomial.
+
+    A term's coefficient times its observable coefficients, multiplied in
+    order, is that string's share of the term.
+    """
+    partial: list[tuple[tuple[float, ...], dict]] = [((), {})]
+    for s in mono:
+        partial = [
+            (ocs + (oc,), {**sites, s.site: letter})
+            for ocs, sites in partial
+            for oc, letter in table[s]
+        ]
+    out = []
+    for ocs, sites in partial:
+        ps = PauliString.from_letters("".join(sites.get(i, "I") for i in range(1, width + 1)))
+        out.append((ocs, (ps.x_mask, ps.z_mask)))
+    return out
+
+
 def _expand_terms(
     terms: LinearTerms, table: dict[Setting, Observable], width: int
 ) -> list[tuple[float, PauliString]]:
     out: dict[tuple[int, int], float] = {}
     for coeff, mono in terms:
-        partial = [(float(coeff), {})]
-        for s in mono:
-            nxt = []
-            for c, sites in partial:
-                for oc, letter in table[s]:
-                    d = dict(sites)
-                    d[s.site] = letter
-                    nxt.append((c * oc, d))
-            partial = nxt
-        for c, sites in partial:
-            letters = "".join(sites.get(i, "I") for i in range(1, width + 1))
-            ps = PauliString.from_letters(letters)
-            key = (ps.x_mask, ps.z_mask)
+        for ocs, key in _expand_monomial(mono, table, width):
+            c = float(coeff)
+            for oc in ocs:
+                c *= oc
             out[key] = out.get(key, 0.0) + c
     result = []
     for (x, z), c in out.items():

@@ -28,7 +28,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writable
         if amps.shape != (2**self.width,):
             raise StateError(f"expected {2**self.width} amplitudes, got {amps.shape}")
         if abs(np.linalg.norm(amps) - 1.0) > TOL.norm:
@@ -78,7 +78,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _check_density(self.matrix, 2**self.width)
+        # a copy: the caller's array stays writable
+        m = _check_density(np.array(self.matrix, dtype=complex), 2**self.width)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

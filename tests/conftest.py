@@ -8,12 +8,14 @@ characteristic polynomial, image sets are enumerated by restricting
 every Pauli string's dense matrix to the code space, nonlinear
 envelopes are bounded from below by sampled strategy mixtures, and
 random classical-quantum states and their discord correlators are built
-one state at a time with ``np.kron``.
+one state at a time with ``np.kron``, and descendants are substituted
+with Fractions term by term and searched one plan object at a time.
 Expected values asserted in the tests were computed with these oracles.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -21,8 +23,18 @@ import pytest
 
 from stabhom import bounds
 from stabhom.codespace import LogicalEncoding, image_set, lift_state
-from stabhom.descend import PlanEntry, SubstitutionPlan, substitute
-from stabhom.dsl import Inequality, InequalityAST
+from stabhom.config import LIMITS, TOL
+from stabhom.descend import (
+    DescendantResult,
+    PlanEntry,
+    SubstitutionError,
+    SubstitutionPlan,
+    _image_monomial,
+    _plan_selections,
+    _shift_setting,
+    substitute,
+)
+from stabhom.dsl import Inequality, InequalityAST, _canon_linear, _merge, pretty_print
 from stabhom.pauli import PauliString, SignedPauliTerm
 from stabhom.states import DensityOperator, StateVector
 
@@ -292,6 +304,151 @@ def loop_discord_correlators(rho: np.ndarray) -> tuple[float, float, bool]:
     x = float(np.trace(rho @ np.kron(x_adapted, SX)).real)
     y = float(np.trace(rho @ np.kron(y_adapted, SY)).real)
     return x, y, degenerate
+
+
+def _loop_substitute_terms(terms, plan, images, occurrence_counter=None):
+    """Expanded, like-term collected Fraction dict of one part, term by term."""
+    t, m = plan.target_site, plan.encoding.width
+    out: dict = {}
+    for coeff, mono in terms:
+        on_target = [s for s in mono if s.site == t]
+        rest = tuple(_shift_setting(s, t, m) for s in mono if s.site != t)
+        if not on_target:
+            _merge(out, tuple(sorted(rest)), coeff)
+            continue
+        setting = on_target[0]
+        entry = plan.entries.get(setting)
+        if entry is None:
+            raise SubstitutionError(f"no plan entry for target setting {setting.text()}")
+        members = images[setting]
+        if entry.selection[0] == "occ":
+            if occurrence_counter is None:
+                raise SubstitutionError(
+                    "per-occurrence selection is only supported in the linear part"
+                )
+            k = occurrence_counter.get(setting, 0)
+            occurrence_counter[setting] = k + 1
+            idxs = entry.selection[1:]
+            if k >= len(idxs):
+                raise SubstitutionError(
+                    f"setting {setting.text()} occurs more often than planned"
+                )
+            chosen = [members[idxs[k]]]
+        elif entry.selection[0] == "subset":
+            chosen = [members[i] for i in entry.selection[1:]]
+        else:
+            chosen = list(members)
+        if not chosen:
+            raise SubstitutionError(f"empty image selection for {setting.text()}")
+        for img in chosen:
+            c, img_mono = _image_monomial(img, t)
+            merged = tuple(sorted(rest + img_mono))
+            _merge(out, merged, coeff * Fraction(entry.sign) * Fraction(c).limit_denominator(10**9))
+    return out
+
+
+def loop_substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> InequalityAST:
+    """``descend.substitute`` as a Fraction loop over terms and chosen images."""
+    ast = seed.ast if isinstance(seed, Inequality) else seed
+    images = {}
+    for setting, entry in plan.entries.items():
+        if setting.site != plan.target_site:
+            raise SubstitutionError(
+                f"plan entry {setting.text()} is not on site {plan.target_site}"
+            )
+        members = image_set(plan.encoding, entry.letter).members
+        oc = sum(1 for _, mono in ast.linear for s in mono if s == setting)
+        if entry.selection[0] == "occ" and len(entry.selection) - 1 != oc:
+            raise SubstitutionError(
+                f"{setting.text()} occurs {oc} times, plan covers {len(entry.selection) - 1}"
+            )
+        for i in entry.selection[1:]:
+            if not 0 <= i < len(members):
+                raise SubstitutionError("image index out of range")
+        images[setting] = members
+    if ast.width - 1 + plan.encoding.width > LIMITS.max_width:
+        raise SubstitutionError("substituted width exceeds cap")
+    counter: dict = {}
+    linear = _canon_linear(_loop_substitute_terms(ast.linear, plan, images, counter))
+    squares = tuple(
+        (c, _canon_linear(_loop_substitute_terms(sub, plan, images, None)))
+        for c, sub in ast.squares
+    )
+    return InequalityAST(linear, squares, ast.relation, Fraction(0))
+
+
+def loop_enumerate_descendants(
+    seed: Inequality | InequalityAST,
+    target_site: int,
+    encoding: LogicalEncoding,
+    letter_map: Mapping,
+    seed_state: Optional[StateVector] = None,
+    seed_assignment: Optional[Mapping] = None,
+    max_assignments: int = LIMITS.max_assignments,
+) -> list[DescendantResult]:
+    """``descend.enumerate_descendants`` as one object loop over the plan product.
+
+    Every plan is built, substituted by ``loop_substitute``, deduplicated
+    on its printed text and bounded with ``lhv_bound`` (or
+    ``lhv_bound_nonlinear``) and ``quantum_value`` on its own.
+    """
+    ast = seed.ast if isinstance(seed, Inequality) else seed
+    target_settings = sorted({s for _, m in ast.linear for s in m if s.site == target_site})
+    entries_base = {}
+    for s in target_settings:
+        raw = letter_map.get(s, letter_map.get(s.text()))
+        if isinstance(raw, str):
+            entries_base[s] = (raw.lstrip("+-"), -1 if raw.startswith("-") else 1)
+        else:
+            entries_base[s] = (raw[1], raw[0])
+    per_setting = [
+        list(_plan_selections(
+            len(image_set(encoding, entries_base[s][0])),
+            sum(1 for _, m in ast.linear for x in m if x == s),
+        ))
+        for s in target_settings
+    ]
+    lifted = lift_state(seed_state, target_site, encoding) if seed_state is not None else None
+    results = {}
+    truncated = False
+    for count, combo in enumerate(itertools.product(*per_setting), start=1):
+        if count > max_assignments:
+            truncated = True
+            break
+        plan = SubstitutionPlan(target_site, encoding, {
+            s: PlanEntry(*entries_base[s], sel) for s, sel in zip(target_settings, combo)
+        })
+        try:
+            descendant = loop_substitute(ast, plan)
+        except SubstitutionError:
+            continue
+        key = pretty_print(descendant)
+        if key in results:
+            continue
+        if descendant.is_linear:
+            bound = bounds.lhv_bound(descendant)
+        else:
+            bound = bounds.lhv_bound_nonlinear(descendant)
+        qv = None
+        accepted = False
+        if lifted is not None:
+            qv = bounds.quantum_value(descendant, seed_assignment, lifted)
+            accepted = qv > bound + TOL.violation
+        derived = Fraction(int(round(bound))) if float(bound).is_integer() else float(bound)
+        results[key] = DescendantResult(
+            descendant=Inequality(descendant.with_bound(derived)),
+            lhv_bound=bound,
+            quantum_state=lifted,
+            quantum_value=qv,
+            accepted=accepted,
+            plan=plan,
+        )
+    ordered = sorted(
+        results.values(), key=lambda r: (-r.violation_ratio, pretty_print(r.descendant.ast))
+    )
+    for r in ordered:
+        r.truncated = truncated
+    return ordered
 
 
 @pytest.fixture(scope="session")

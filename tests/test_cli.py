@@ -38,6 +38,15 @@ def test_descend_json(capsys):
     assert sum(r["accepted"] for r in rows) == 71
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_descend_cap_below_one_is_a_usage_error(capsys, cap):
+    argv = ["descend", str(SEEDS / "chsh.ineq"), "--site", "2", "--ghz", "3",
+            "--state", "bell", "--json", "--max-assignments", cap]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_assignments" in captured.err
+
+
 def test_images_width_cap_is_a_usage_error(capsys):
     assert cli.main(["images", "--ghz", "9"]) == cli.USAGE_ERROR == 2
     assert "cap" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import per_image_transport_check
+from conftest import loop_enumerate_descendants, loop_substitute, per_image_transport_check
 from stabhom.bounds import lhv_bound, quantum_value
 from stabhom.codespace import LogicalEncoding, image_set, lift_state
 from stabhom.descend import (
@@ -10,6 +10,7 @@ from stabhom.descend import (
     PlanEntry,
     SubstitutionError,
     SubstitutionPlan,
+    _plan_selections,
     enumerate_descendants,
     lift_coherence_witness,
     substitute,
@@ -216,3 +217,106 @@ class TestWitnessLift:
             lift_coherence_witness(1.5, "X", BELL)
         with pytest.raises(SubstitutionError):
             lift_coherence_witness(0.5, "Z", BELL)
+
+
+CHSH_SYMBOLIC = "A1*A2 + A1*A2' + A1'*A2 - A1'*A2' <= 2"
+BELL_STATE = make_pair_superposition("00", "11", R, R)
+ORACLE_CASES = {
+    "chsh-bell": ("X1*X2 - Y1*Y2 <= 2", 2, BELL, {"X2": "X", "Y2": "Y"}, BELL_STATE, None),
+    "chsh-ghz3": ("X1*X2 - Y1*Y2 <= 2", 2, GHZ3, {"X2": "X", "Y2": "Y"}, BELL_STATE, None),
+    "mermin3-ghz3": (f"{MERMIN_PAULI} <= 2", 3, GHZ3, {"X3": "X", "Y3": "Y"},
+                     ghz_state(3), None),
+    "per-occurrence": ("X1*X2 + Y1*X2 <= 2", 2, GHZ3, {"X2": "X"}, BELL_STATE, None),
+    "square-term": ("X1*X2 - Y1*Y2 - 1/2*sq(X1*X2 + Y1*Y2) <= 2", 2, BELL,
+                    {"X2": "X", "Y2": "-Y"}, BELL_STATE, None),
+    "duplicate-rows": ("X1*X2 + X1*Z2 <= 2", 2, GHZ3, {"X2": "X", "Z2": "X"},
+                       BELL_STATE, None),
+    "symbolic": (CHSH_SYMBOLIC, 2, BELL, {"A2": "X", "A2'": "Z"}, BELL_STATE,
+                 {"A1": "(X1+Z1)/sqrt2", "A1'": "(X1-Z1)/sqrt2"}),
+    "no-state": ("X1*X2 - Y1*Y2 <= 2", 2, GHZ3, {"X2": "X", "Y2": "Y"}, None, None),
+}
+
+
+def assert_same_search(got, want, exact=True):
+    assert [r.expression for r in got] == [pretty_print(r.descendant.ast) for r in want]
+    for g, w in zip(got, want):
+        assert (g.accepted, g.truncated) == (w.accepted, w.truncated)
+        assert g.plan.entries == w.plan.entries
+        assert (g.quantum_value is None) == (w.quantum_value is None)
+        if exact:
+            assert g.lhv_bound.hex() == w.lhv_bound.hex()
+            if w.quantum_value is not None:
+                assert g.quantum_value.hex() == w.quantum_value.hex()
+        else:
+            assert g.lhv_bound == pytest.approx(w.lhv_bound, abs=1e-9)
+            assert g.quantum_value == pytest.approx(w.quantum_value, abs=1e-9)
+
+
+class TestSearchOracle:
+    """The array search against the per-plan object loop it replaced."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_same_rows_text_and_values(self, case):
+        text, site, enc, letters, state, assignment = ORACLE_CASES[case]
+        seed = parse(text)
+        got = enumerate_descendants(seed, site, enc, letters, seed_state=state,
+                                    seed_assignment=assignment)
+        want = loop_enumerate_descendants(seed, site, enc, letters, seed_state=state,
+                                          seed_assignment=assignment)
+        assert got
+        assert_same_search(got, want)
+
+    def test_duplicate_rows_are_dropped(self):
+        text, site, enc, letters, state, _ = ORACLE_CASES["duplicate-rows"]
+        got = enumerate_descendants(parse(text), site, enc, letters, seed_state=state)
+        # image multiplicities a + b in {0,1,2}^4 for nonempty subsets a, b:
+        # all but the zero vector and the four single-image vectors
+        assert len(got) == 3**4 - 1 - 4
+
+    @pytest.mark.parametrize("cap", [3, 100])
+    def test_truncation_inside_the_product(self, cap):
+        seed = parse(f"{MERMIN_PAULI} <= 2")
+        letters = {"X3": "X", "Y3": "Y"}
+        got = enumerate_descendants(seed, 3, GHZ3, letters, seed_state=ghz_state(3),
+                                    max_assignments=cap)
+        want = loop_enumerate_descendants(seed, 3, GHZ3, letters, seed_state=ghz_state(3),
+                                          max_assignments=cap)
+        assert got and all(r.truncated for r in got)
+        assert_same_search(got, want)
+
+    def test_non_dyadic_coefficients_close(self):
+        seed = parse("1/3*X1*X2 - 2/3*Y1*Y2 + 1/3*Z1 <= 1")
+        letters = {"X2": "X", "Y2": "Y"}
+        got = enumerate_descendants(seed, 2, GHZ3, letters, seed_state=BELL_STATE)
+        want = loop_enumerate_descendants(seed, 2, GHZ3, letters, seed_state=BELL_STATE)
+        assert_same_search(got, want, exact=False)
+
+    def test_substitute_matches_fraction_loop_on_every_plan(self):
+        seed = parse("X1*X2 + Y1*X2 <= 2")
+        selections = list(_plan_selections(len(image_set(GHZ3, "X")), 2))
+        assert any(sel[0] == "occ" for sel in selections)
+        for sign in (1, -1):
+            for sel in selections:
+                plan = SubstitutionPlan(2, GHZ3, {Setting(2, "X"): PlanEntry("X", sign, sel)})
+                assert substitute(seed, plan) == loop_substitute(seed, plan)
+
+    def test_per_occurrence_plans_skipped_when_the_setting_is_squared(self):
+        seed = parse("X1*X2 + Y1*X2 - 1/2*sq(X1*X2) <= 2")
+        plan = SubstitutionPlan(2, BELL, {Setting(2, "X"): PlanEntry("X", 1, ("occ", 0, 1))})
+        with pytest.raises(SubstitutionError, match="linear part"):
+            substitute(seed, plan)
+        got = enumerate_descendants(seed, 2, BELL, {"X2": "X"}, seed_state=BELL_STATE)
+        want = loop_enumerate_descendants(seed, 2, BELL, {"X2": "X"}, seed_state=BELL_STATE)
+        assert len(got) == 3
+        assert_same_search(got, want)
+
+    def test_setting_only_in_a_square_refuses_every_plan(self):
+        seed = parse("X1*X2 + Y1*X2 - 1/2*sq(X1*X2 - Y1*Y2) <= 2")
+        assert loop_enumerate_descendants(seed, 2, BELL, {"X2": "X"}) == []
+        assert enumerate_descendants(seed, 2, BELL, {"X2": "X"}) == []
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(SubstitutionError, match="at least 1"):
+            enumerate_descendants(parse("X1*X2 <= 1"), 2, BELL, {"X2": "X"},
+                                  max_assignments=cap)

@@ -128,6 +128,24 @@ class TestMaxEigenvalue:
             assert np.vdot(v, op @ v).real <= top + 1e-9
 
 
+class TestCallerArrays:
+    """A state copies the caller's complex array before freezing its own."""
+
+    def test_state_vector(self):
+        amps = np.array([R, 0, 0, R], dtype=complex)
+        state = StateVector(2, amps)
+        amps[0] = 7.0
+        assert amps.flags.writeable
+        assert state.amplitudes[0] == R and not state.amplitudes.flags.writeable
+
+    def test_density_operator(self):
+        m = np.eye(4, dtype=complex) / 4
+        rho = DensityOperator(2, m)
+        m[0, 0] = 7.0
+        assert m.flags.writeable
+        assert rho.matrix[0, 0] == 0.25 and not rho.matrix.flags.writeable
+
+
 class TestDensity:
     def test_expectation_density_basics(self):
         mixed = DensityOperator(2, np.eye(4) / 4)
