@@ -6,7 +6,11 @@ deterministic extreme points for linear functionals is standard and is
 assumed, not re-proven.  The nonlinear case does NOT assume it: with
 concave square terms the optimum may need a mixture of deterministic
 strategies, so it is computed over probability distributions via an
-upper concave envelope of the strategy point cloud.  Both read one
+upper concave envelope of the strategy point cloud.  The settings inside
+square terms take the low strategy bits: the square moments are
+transformed over those settings alone, and the linear part's values are
+folded to their maximum over the free settings, one per square
+assignment, before the points are grouped.  Both read one
 strategy evaluator, ``_chunked_values``: a term's value under strategy k
 is its coefficient times (-1)^popcount(k & mask), so a term list's values
 over all 2^S strategies are one Walsh-Hadamard transform
@@ -184,22 +188,45 @@ def _group_max(moments: np.ndarray, values: np.ndarray):
     return moments[last], values[last]
 
 
+def _folded_values(term_lists, n_settings: int, low_bits: int) -> np.ndarray:
+    """(lists, 2^low_bits) array: each term list's largest value over the
+    strategies that share their low ``low_bits`` bits.
+
+    A chunk narrower than 2^low_bits fills the slice of low assignments at
+    its offset; a wider one is folded to one value per low assignment.
+    """
+    out = np.full((len(term_lists), 1 << low_bits), -np.inf)
+    for start, values in _chunked_values(term_lists, n_settings):
+        for row, vals in zip(out, values):
+            width = min(len(vals), len(row))
+            at = row[start & (len(row) - 1):][:width]
+            np.maximum(at, vals.reshape(-1, width).max(axis=0), out=at)
+    return out
+
+
 def _strategy_points(ast: InequalityAST):
-    """Distinct (m_1[, m_2], L) strategy values, each moment key with its best L."""
+    """Distinct (m_1[, m_2], L) strategy values, each moment key with its best L.
+
+    The q settings that appear inside a square take the low strategy bits
+    and the free settings the high bits, so the low q bits of a strategy
+    fix its moments.  The moments are transformed over the 2^q square
+    assignments alone, into one (squares, 2^q) array rounded in place.
+    The linear part is transformed over all 2^S strategies and folded to
+    its maximum over the free bits, one value per square assignment.  The
+    2^q (moments, best L) rows are then grouped once.
+    """
     settings = ast.settings
     if len(settings) > LIMITS.max_nonlinear_settings:
         raise BoundError(
             f"{len(settings)} settings exceed nonlinear cap {LIMITS.max_nonlinear_settings}"
         )
-    index = {s: k for k, s in enumerate(settings)}
-    lists = [_index_terms(ast.linear, index)]
-    lists += [_index_terms(sub, index) for _, sub in ast.squares]
-    keys, best = [], []
-    for _, (lvals, *mvals) in _chunked_values(lists, len(settings)):
-        m, v = _group_max(np.round(np.stack(mvals, axis=1), 12), lvals)
-        keys.append(m)
-        best.append(v)
-    m, v = _group_max(np.concatenate(keys), np.concatenate(best))
+    squared = {s for _, sub in ast.squares for _, mono in sub for s in mono}
+    order = sorted(settings, key=lambda s: s not in squared)  # stable: squared first
+    index = {s: k for k, s in enumerate(order)}
+    (best,) = _folded_values([_index_terms(ast.linear, index)], len(order), len(squared))
+    subs = [_index_terms(sub, index) for _, sub in ast.squares]
+    moments = _folded_values(subs, len(squared), len(squared))
+    m, v = _group_max(np.round(moments, 12, out=moments).T, best)
     return [(tuple(k), val) for k, val in zip(m.tolist(), v.tolist())]
 
 

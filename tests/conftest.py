@@ -188,6 +188,18 @@ def naive_strategy_points(expr: Inequality | InequalityAST) -> list:
     return sorted(best.items())
 
 
+def xy_chain(sites: int) -> str:
+    """Nearest-neighbour X and Y chain over ``sites`` sites, minus 1/2*sq(X1 + ... + Xn).
+
+    It has 2 * sites settings and an envelope bound of 2 * (sites - 1):
+    every linear term is at most 1, and the even mixture of all settings +1
+    and all -1 keeps every term at 1 while it zeroes the square's moment.
+    """
+    chain = "+".join(f"X{i}*X{i + 1}+Y{i}*Y{i + 1}" for i in range(1, sites))
+    square = "+".join(f"X{i}" for i in range(1, sites + 1))
+    return f"{chain} - 1/2*sq({square}) <= {2 * (sites - 1)}"
+
+
 def nonlinear_sampling_lower_bound(
     expr: Inequality | InequalityAST, samples: int = 10_000, seed: int = 0
 ) -> float:

@@ -12,6 +12,7 @@ from conftest import (
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
     separable_grid_max,
+    xy_chain,
 )
 from stabhom import bounds
 from stabhom.bounds import (
@@ -29,8 +30,9 @@ from stabhom.bounds import (
     separable_terms,
 )
 from stabhom.catalog import load_catalog
+from stabhom.config import LIMITS
 from stabhom.dsl import assign_paulis, parse
-from stabhom.pauli import PauliString, SignedPauliTerm
+from stabhom.pauli import PauliString, SignedPauliTerm, walsh_hadamard
 from stabhom.states import (
     DensityOperator,
     assemble_operator,
@@ -195,12 +197,58 @@ class TestNonlinear:
         with pytest.raises(BoundError):
             lhv_bound_nonlinear(parse("A1 + sq(A1) <= 1"))
 
-    @pytest.mark.parametrize("chunk_bits", [20, 1])
+    @pytest.mark.parametrize("chunk_bits", [20, 3, 1])
     def test_strategy_points_match_naive_oracle(self, monkeypatch, chunk_bits):
         monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
-        for text in (TWO_SQUARES, "A1*A2 - 1/2*sq(A1) <= 2", "A1 - 1/2*sq(A1 + 1) <= 1"):
+        texts = (
+            TWO_SQUARES,
+            "A1*A2 - 1/2*sq(A1) <= 2",
+            "A1 - 1/2*sq(A1 + 1) <= 1",
+            # squared A1, A2' sort between the free A1', A2; terms mix both kinds
+            "A1*A2 + A1'*A2' + A1*A2' - A1'*A2 - 1/2*sq(A1 + A2') <= 2",
+            # free settings only in linear terms
+            "A1*A2 + B1*B2 + C1 - 1/2*sq(A1 - A2) <= 3",
+            "-1/2*sq(A1 + A2) <= 0",  # no linear part
+            "A1 - 1/2*sq(1) <= 1",  # no squared setting: q = 0
+            # two squares sharing A2, q = 5 of 8 settings: chunks of 2^3 and
+            # 2^1 are narrower than the square assignments
+            "A1*A2*A3 + A1'*A2'*A3 + A1*A2'*A3' - A1'*A2*A3' + B1*B3"
+            " - 1/2*sq(A1 + A2 + A3') - 1/4*sq(A2 - A1' + A3) <= 4",
+        )
+        for text in texts:
             ast = parse(text).ast
             assert bounds._strategy_points(ast) == naive_strategy_points(ast), text
+
+    def test_nonlinear6_transforms_moments_over_square_settings(self, monkeypatch):
+        """18 settings, 12 inside the squares: the moments take 2^12 values."""
+        ast = {f.name: f for f in load_catalog()}["nonlinear6"].inequality.ast
+        shapes, grouped = [], []
+
+        def recording_transform(a):
+            shapes.append(a.shape)
+            return walsh_hadamard(a)
+
+        def recording_group(moments, values, group=bounds._group_max):
+            grouped.append(len(values))
+            return group(moments, values)
+
+        monkeypatch.setattr(bounds, "walsh_hadamard", recording_transform)
+        monkeypatch.setattr(bounds, "_group_max", recording_group)
+        bounds._strategy_points(ast)
+        assert shapes == [(1, 2**18), (2, 2**12)]
+        assert grouped == [4096]
+
+    def test_settings_cap(self, monkeypatch):
+        assert len(parse(xy_chain(10)).ast.settings) == LIMITS.max_nonlinear_settings == 20
+        assert lhv_bound_nonlinear(parse(xy_chain(10))) == pytest.approx(18.0, abs=1e-9)
+
+        def enumerate_all(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(bounds, "_chunked_values", enumerate_all)
+        for text in ("Z11 + " + xy_chain(10), xy_chain(11)):
+            with pytest.raises(BoundError, match="settings exceed nonlinear cap 20"):
+                lhv_bound_nonlinear(parse(text))
 
     def test_nonlinear6_points_independent_of_chunking(self, monkeypatch):
         ast = {f.name: f for f in load_catalog()}["nonlinear6"].inequality.ast

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 import stabhom
-from conftest import brute_force_images
+from conftest import brute_force_images, xy_chain
 from stabhom import cli
 from stabhom.codespace import LogicalEncoding
 
@@ -82,6 +82,18 @@ def test_bound_refuses_square_terms(tmp_path, capsys, kind, text, hint):
     assert cli.main(["bound", str(path), "--kind", kind]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and hint in captured.err
+
+
+@pytest.mark.parametrize("sites,code", [(10, 0), (11, cli.USAGE_ERROR)])
+def test_bound_nonlinear_settings_cap(tmp_path, capsys, sites, code):
+    path = tmp_path / "chain.ineq"
+    path.write_text(xy_chain(sites) + "\n", encoding="utf-8")
+    assert cli.main(["bound", str(path), "--kind", "nonlinear", "--json"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "22 settings exceed nonlinear cap 20" in captured.err
+    else:
+        assert json.loads(captured.out)["value"] == 18.0
 
 
 def test_audit_json_schema(capsys):
