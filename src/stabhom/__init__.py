@@ -23,7 +23,6 @@ from .bounds import (
     lhv_bound_nonlinear,
     quantum_max,
     quantum_value,
-    seesaw_max,
     separable_bound,
 )
 from .descend import (

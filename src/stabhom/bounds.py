@@ -25,11 +25,11 @@ form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
 separable bound is an alternating product-state maximisation over the
 1 | rest split of a linear operator (``separable_terms`` refuses square
-terms), seeded deterministically; the see-saw optimises qubit
-observables against the shared state.  The discord condition check
-takes one two-qubit density matrix or a stack of them and computes the
-adapted-basis correlators of every state together.  Single-qubit
-matrices come from ``pauli._SINGLE``.
+terms), seeded deterministically.  The discord condition check reads
+the rank of each two-qubit state's 3x4 correlation matrix [r_A | T]:
+the adapted-basis correlators are its second and third singular
+values, taken for one state or a stack in one decomposition.
+Single-qubit matrices come from ``pauli._SINGLE``.
 """
 from __future__ import annotations
 
@@ -523,94 +523,17 @@ def separable_bound(
 
 
 # ---------------------------------------------------------------------------
-# see-saw over qubit observables
-
-_XYZ = np.stack([_SINGLE[letter] for letter in "XYZ"])
-
-
-def _bloch_obs(v: np.ndarray) -> np.ndarray:
-    return np.tensordot(v, _XYZ, axes=(0, 0))
-
-
-@dataclass
-class SeesawResult:
-    value: float
-    assignment: dict  # Setting -> unit Bloch 3-vector
-    state: np.ndarray
-
-
-def seesaw_max(
-    expr: Inequality | InequalityAST,
-    restarts: int = LIMITS.seesaw_restarts,
-    seed: int = LIMITS.rng_seed,
-) -> SeesawResult:
-    """Alternating state/observable optimisation for linear expressions.
-
-    Every setting is parametrised as a unit-Bloch-vector qubit observable.
-    One site's settings are optimised in closed form (conditional
-    correlation vector) holding the rest fixed; the shared state is the
-    top eigenvector of the assembled operator.  Deterministic given the
-    seed; the best of ``restarts`` random starts is returned.
-    """
-    ast = _ast(expr)
-    if not ast.is_linear:
-        raise BoundError("see-saw supports linear expressions only")
-    width = ast.width
-    if width > 6:
-        raise BoundError("see-saw capped at 6 sites")
-    settings = ast.settings
-    terms = [(float(c), mono) for c, mono in ast.linear]
-    rng = np.random.default_rng(seed)
-    dim = 2**width
-
-    def operator(assign, target: Optional[Setting] = None, axis: int = 0):
-        """Kron-chain sum of the terms; with ``target``, only the terms that
-        hold it, each with ``target`` replaced by sigma_axis."""
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, mono in terms:
-            if target is not None and target not in mono:
-                continue
-            ops = [_SINGLE["I"]] * width
-            for s in mono:
-                ops[s.site - 1] = _XYZ[axis] if s == target else _bloch_obs(assign[s])
-            m = np.array([[c]], dtype=complex)
-            for o in ops:
-                m = np.kron(m, o)
-            out += m
-        return out
-
-    best = SeesawResult(-np.inf, {}, None)
-    for r in range(restarts):
-        assign = {}
-        for s in settings:
-            v = rng.normal(size=3)
-            assign[s] = v / np.linalg.norm(v)
-        value = -np.inf
-        psi = None
-        for _ in range(300):
-            value_new, psi = max_eigenpair(operator(assign))
-            for s in settings:
-                rvec = np.array(
-                    [np.vdot(psi, operator(assign, s, a) @ psi).real for a in range(3)]
-                )
-                norm = np.linalg.norm(rvec)
-                if norm > 1e-12:
-                    assign[s] = rvec / norm
-            if value_new <= value + TOL.seesaw:
-                value = value_new
-                break
-            value = value_new
-        if value > best.value:
-            best = SeesawResult(float(value), dict(assign), psi)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # discord condition
+
+# kron(sigma_a, sigma_mu) for a in XYZ on qubit 1 and mu in IXYZ on qubit 2
+_CORRELATION_BASIS = np.stack(
+    [[np.kron(_SINGLE[a], _SINGLE[mu]) for mu in "IXYZ"] for a in "XYZ"]
+)
+
 
 @dataclass(frozen=True)
 class DiscordCheck:
-    """Result for one state (floats, bools) or a stack ((n,) arrays).
+    """Result for one state (floats) or a stack ((n,) arrays).
 
     For a stack, ``passed`` holds only if every state passes.
     """
@@ -619,42 +542,35 @@ class DiscordCheck:
     x_correlator: float | np.ndarray
     y_correlator: float | np.ndarray
     epsilon: float
-    degenerate_basis: bool | np.ndarray
 
 
 def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordCheck:
     """Adapted-basis correlator test for the classical-quantum structure.
 
-    The first qubit's reduced state is diagonalised; two observables
-    unbiased to that eigenbasis are built and both cross correlators are
-    compared against epsilon.  States of the classical-quantum form pass
-    for every epsilon; a degenerate reduced state falls back to the
-    computational basis (flagged).  ``rho`` may hold one 4x4 matrix or a
-    (..., 4, 4) stack; the partial trace, eigenbases and correlators of a
-    stack are computed together.
+    M[a, mu] = tr(rho sigma_a (x) sigma_mu), for a in XYZ and mu in IXYZ,
+    is the 3x4 correlation matrix [r_A | T]; a state has zero discord on
+    the first qubit iff M has rank <= 1 (Dakic, Vedral, Brukner, PRL 105,
+    190502 (2010)).  The leading left singular vector of M is the
+    classical direction; the adapted X' and Y' observables lie along the
+    other two, and their rows of M have norms sigma_2 and sigma_3.  These
+    adapted-row norms are ``x_correlator`` and ``y_correlator``, so
+    (sigma_2^2 + sigma_3^2) / 4 is the geometric discord, and a state
+    passes iff sigma_2 <= epsilon.  No eigenvalue gap enters, so
+    classical-quantum states with equal weights pass too.  ``rho`` may
+    hold one 4x4 matrix or a (..., 4, 4) stack; one einsum and one
+    singular-value decomposition serve both.
     """
     if rho.width != 2:
         raise BoundError("discord condition defined for two-qubit states")
     if not 0 < epsilon <= 0.5:
         raise BoundError("epsilon must lie in (0, 1/2]")
-    m = rho.matrix.reshape(rho.matrix.shape[:-2] + (2, 2, 2, 2))
-    vals, vecs = np.linalg.eigh(np.trace(m, axis1=-3, axis2=-1))
-    degenerate = np.abs(vals[..., 1] - vals[..., 0]) < TOL.norm
-    basis = vecs[..., ::-1]  # columns e0, e1 in descending eigenvalue order
-    # make each column's largest-modulus entry real and positive
-    k = np.argmax(np.abs(basis), axis=-2)
-    pivot = np.take_along_axis(basis, k[..., None, :], axis=-2)
-    basis = np.where(degenerate[..., None, None], np.eye(2), basis * (pivot / np.abs(pivot)).conj())
-    ketbra = np.einsum("...a,...b->...ab", basis[..., 0], basis[..., 1].conj())
-    x_adapted = ketbra + ketbra.conj().swapaxes(-1, -2)
-    y_adapted = -1j * ketbra + 1j * ketbra.conj().swapaxes(-1, -2)
-    # tr(rho (A (x) B)) with rho indexed [(b, d), (a, c)]
-    x_corr = np.einsum("...bdac,...ab,cd->...", m, x_adapted, _SINGLE["X"]).real
-    y_corr = np.einsum("...bdac,...ab,cd->...", m, y_adapted, _SINGLE["Y"]).real
-    passed = bool(((np.abs(x_corr) <= epsilon) & (np.abs(y_corr) <= epsilon)).all())
-    if m.ndim == 4:
-        return DiscordCheck(passed, float(x_corr), float(y_corr), epsilon, bool(degenerate))
-    return DiscordCheck(passed, x_corr, y_corr, epsilon, degenerate)
+    m = np.einsum("...ij,amji->...am", rho.matrix, _CORRELATION_BASIS).real
+    s = np.linalg.svd(m, compute_uv=False)
+    x_corr, y_corr = s[..., 1], s[..., 2]
+    passed = bool((x_corr <= epsilon).all())
+    if m.ndim == 2:
+        return DiscordCheck(passed, float(x_corr), float(y_corr), epsilon)
+    return DiscordCheck(passed, x_corr, y_corr, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +605,15 @@ class BoundReport:
             "claim_match": self.claim_match,
         }
 
+    def _failed(self) -> list:
+        return [k for k, ok in self.claim_match.items() if not ok]
+
+    @property
+    def known_mismatch(self) -> bool:
+        """Some failed claim is listed in ``expected_mismatch``."""
+        return any(k in self.expected_mismatch for k in self._failed())
+
     @property
     def unexpected_mismatch(self) -> bool:
-        bad = [k for k, ok in self.claim_match.items() if not ok]
-        return any(k not in self.expected_mismatch for k in bad)
+        """Some failed claim is not listed in ``expected_mismatch``."""
+        return any(k not in self.expected_mismatch for k in self._failed())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -35,7 +36,7 @@ from . import bounds as _bounds
 from .codespace import LogicalEncoding
 from .config import LIMITS, TOL, Tolerances
 from .descend import PlanEntry, Setting, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
-from .dsl import Inequality, parse, pretty_print
+from .dsl import Inequality, parse, parse_setting, pretty_print
 from .states import (
     DensityOperator,
     StateVector,
@@ -101,12 +102,10 @@ def encoding_from_spec(spec: dict) -> LogicalEncoding:
 
 
 def _setting_from_text(text: str) -> Setting:
-    import re
-
-    m = re.fullmatch(r"([A-Z])(\d+)('*)", text)
-    if not m:
+    setting = parse_setting(text)
+    if setting is None:
         raise CatalogError(f"bad setting text {text!r}")
-    return Setting(int(m.group(2)), m.group(1), len(m.group(3)))
+    return setting
 
 
 def plan_from_spec(site: int, encoding: LogicalEncoding, spec: dict) -> SubstitutionPlan:
@@ -222,8 +221,6 @@ def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
             ast = current.ast if isinstance(current, Inequality) else current
             current = Inequality(substitute(ast, plan))
     ast = current.ast if isinstance(current, Inequality) else current
-    from fractions import Fraction
-
     return pretty_print(ast.with_bound(Fraction(0)))
 
 
@@ -358,7 +355,6 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
         "max_cq_correlator": worst,
         "bell_x_correlator": bell_check.x_correlator,
         "bell_passed": bell_check.passed,
-        "degenerate_basis_flag": bell_check.degenerate_basis,
     }
     claims = fx.claims
     if "cq_correlators_vanish" in claims:
@@ -438,15 +434,7 @@ def audit_all(
     else:
         reports = [run(fx) for fx in items]
 
-    expected, unexpected = [], []
-    for fx, rep in zip(items, reports):
-        bad = [k for k, ok in rep.claim_match.items() if not ok]
-        for key in bad:
-            if key in rep.expected_mismatch:
-                if fx.name not in expected:
-                    expected.append(fx.name)
-            else:
-                if fx.name not in unexpected:
-                    unexpected.append(fx.name)
+    expected = list(dict.fromkeys(r.name for r in reports if r.known_mismatch))
+    unexpected = list(dict.fromkeys(r.name for r in reports if r.unexpected_mismatch))
     code = 1 if unexpected else 0
     return AuditResult(reports, code, expected, unexpected, tol.claim)

@@ -32,7 +32,7 @@ from .catalog import (
     state_from_spec,
 )
 from .codespace import CodespaceError, LogicalEncoding, image_set
-from .config import TOL
+from .config import LIMITS, TOL
 from .descend import SubstitutionError, enumerate_descendants
 from .dsl import AssignmentError, ParseError, load_ineq, pretty_print
 from .pauli import PauliError
@@ -211,13 +211,8 @@ def cmd_audit(args) -> int:
                 f"qmax={fmt9(rep.quantum_max)}" if rep.quantum_max is not None else None,
             ]
             detail = " ".join(c for c in cols if c)
-            flag = ""
-            if not all(rep.claim_match.values()):
-                known = all(
-                    k in rep.expected_mismatch
-                    for k, ok in rep.claim_match.items() if not ok
-                )
-                flag = " [expected-mismatch]" if known else " [UNEXPECTED-MISMATCH]"
+            flag = (" [UNEXPECTED-MISMATCH]" if rep.unexpected_mismatch
+                    else " [expected-mismatch]" if rep.known_mismatch else "")
             print(f"{rep.name:24s} {rep.verdict:18s} {detail}{flag}")
         print(f"exit={result.exit_code} expected={result.expected_mismatches} "
               f"unexpected={result.unexpected_mismatches}")
@@ -247,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stabhom",
         description="image sets, descendant inequalities, and bound audits",
     )
-    ap.add_argument("--rng-seed", type=int, default=0,
+    ap.add_argument("--rng-seed", type=int, default=LIMITS.rng_seed,
                     help="seed for the random restarts of bound --kind quantum on "
-                         "expressions with square terms (default 0)")
+                         "expressions with square terms (default %(default)s)")
     ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                     help="worker count for parallel sections (1 = serial)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="JSON letter map for symbolic target settings")
     p.add_argument("--state", help="seed violator: bell | singlet | ghz:N | spec JSON")
     p.add_argument("--assignment", help="JSON observable assignment for seed sites")
-    p.add_argument("--max-assignments", type=int, default=100_000)
+    p.add_argument("--max-assignments", type=int, default=LIMITS.max_assignments)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_descend)
 

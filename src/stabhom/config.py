@@ -11,13 +11,12 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-10          # state normalisation / orthogonality / hermiticity / degeneracy
+    norm: float = 1e-10          # state normalisation / orthogonality / hermiticity
     psd: float = 1e-9            # a density operator's eigenvalues may dip this far below 0
     action: float = 1e-9         # code-space restriction matching
     claim: float = 1e-6          # catalogued-value comparisons in the audit
     violation: float = 1e-9      # strictness margin for "quantum beats classical"
     converge: float = 1e-10      # alternating-optimisation fixed points
-    seesaw: float = 1e-9         # see-saw convergence
 
     def with_claim(self, claim: float) -> "Tolerances":
         return replace(self, claim=claim)
@@ -32,7 +31,6 @@ class SearchLimits:
     max_nonlinear_settings: int = 20
     max_assignments: int = 100_000  # descendant occurrence-assignment search cap
     separable_restarts: int = 64
-    seesaw_restarts: int = 32
     rng_seed: int = 0
 
 

@@ -146,6 +146,12 @@ def _tokenize(text: str):
     return out
 
 
+def parse_setting(text: str) -> Optional[Setting]:
+    """The setting a text such as ``A2'`` names (letter, site, primes), or None."""
+    m = re.fullmatch(r"([A-Z])(\d+)('*)", text)
+    return Setting(int(m.group(2)), m.group(1), len(m.group(3))) if m else None
+
+
 class _Expr:
     """Expanded expression: linear counter + square-term list."""
 
@@ -265,9 +271,7 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "setting":
                 self.take()
-                m = re.fullmatch(r"([A-Z])(\d+)('*)", value)
-                setting = Setting(int(m.group(2)), m.group(1), len(m.group(3)))
-                factors.append({(setting,): Fraction(1)})
+                factors.append({(parse_setting(value),): Fraction(1)})
                 saw_factor = True
             elif kind == "sq":
                 self.take()

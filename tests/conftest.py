@@ -294,28 +294,20 @@ def loop_cq_states(rng, n: int) -> np.ndarray:
     return np.array(out).reshape(n, 4, 4)
 
 
-def loop_discord_correlators(rho: np.ndarray) -> tuple[float, float, bool]:
-    """(x, y, degenerate) of the adapted-basis test on one 4x4 matrix.
+def loop_discord_correlators(rho: np.ndarray) -> tuple[float, float]:
+    """(x, y) adapted-row norms of one 4x4 matrix.
 
-    Eigenbasis of the first qubit's reduced state (computational basis
-    when degenerate), each vector's largest entry made real positive,
-    then tr(rho (A (x) X)) and tr(rho (B (x) Y)) with dense matrices.
+    M[a, mu] = tr(rho (sigma_a (x) sigma_mu)) for a in XYZ and mu in IXYZ,
+    entry by entry with dense Kronecker products, then the second and
+    third singular values of M from one unbatched decomposition.
     """
-    vals, vecs = np.linalg.eigh(np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3))
-    degenerate = bool(abs(vals[1] - vals[0]) < 1e-10)
-    if degenerate:
-        e0, e1 = I2[:, 0], I2[:, 1]
-    else:
-        e0, e1 = vecs[:, 1].copy(), vecs[:, 0].copy()
-        for v in (e0, e1):
-            k = np.argmax(np.abs(v))
-            v *= (v[k] / abs(v[k])).conjugate()
-    ketbra = np.outer(e0, e1.conj())
-    x_adapted = ketbra + ketbra.conj().T
-    y_adapted = -1j * ketbra + 1j * ketbra.conj().T
-    x = float(np.trace(rho @ np.kron(x_adapted, SX)).real)
-    y = float(np.trace(rho @ np.kron(y_adapted, SY)).real)
-    return x, y, degenerate
+    paulis = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+    m = np.array([
+        [np.trace(rho @ np.kron(paulis[a], paulis[mu])).real for mu in "IXYZ"]
+        for a in "XYZ"
+    ])
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[1]), float(s[2])
 
 
 def _loop_substitute_terms(terms, plan, images, occurrence_counter=None):

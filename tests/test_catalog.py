@@ -1,5 +1,6 @@
 """Fixture catalogue loading and the audit built on it."""
 import numpy as np
+import pytest
 
 from conftest import loop_cq_states
 from stabhom import catalog
@@ -39,4 +40,12 @@ def test_audit_sample_stack_matches_per_state_checks():
     assert check.passed and all(s.passed for s in single)
     for got, attr in ((check.x_correlator, "x_correlator"), (check.y_correlator, "y_correlator")):
         assert np.abs(got - [getattr(s, attr) for s in single]).max() < 1e-12
-    assert list(check.degenerate_basis) == [s.degenerate_basis for s in single]
+
+
+def test_plan_setting_text_parses_like_the_grammar():
+    enc = catalog.LogicalEncoding.ghz(2)
+    plan = catalog.plan_from_spec(2, enc, {"A2''": {"letter": "X"}})
+    assert list(plan.entries) == [catalog.parse("A2'' <= 1").ast.settings[0]]
+    for bad in ("a2", "A", "A2*", "AB2"):
+        with pytest.raises(catalog.CatalogError, match="bad setting text"):
+            catalog.plan_from_spec(2, enc, {bad: {"letter": "X"}})

@@ -10,6 +10,7 @@ import stabhom
 from conftest import brute_force_images, xy_chain
 from stabhom import cli
 from stabhom.codespace import LogicalEncoding
+from stabhom.config import LIMITS, SearchLimits
 
 PACKAGE = Path(stabhom.__file__).parent
 SEEDS = PACKAGE / "data" / "seeds"
@@ -111,18 +112,49 @@ def test_audit_output_independent_of_workers(capsys):
     assert outs[0] == outs[1]
 
 
-def test_audit_unexpected_mismatch_exits_1(tmp_path, capsys):
+def altered_chsh_fixtures(tmp_path) -> Path:
+    """A copy of the bundled fixtures whose chsh lhv claim is off by one."""
     fixtures = tmp_path / "fixtures"
     shutil.copytree(PACKAGE / "fixtures", fixtures)
     path = fixtures / "chsh.json"
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["claims"]["lhv"]["value"] += 1
     path.write_text(json.dumps(raw), encoding="utf-8")
+    return fixtures
+
+
+def test_audit_unexpected_mismatch_exits_1(tmp_path, capsys):
+    fixtures = altered_chsh_fixtures(tmp_path)
     code, payload = run_json(capsys, ["audit", "--fixtures", str(fixtures), "--json"],
                              "audit.schema.json")
     assert code == cli.MISMATCH_ERROR == 1
     assert payload["summary"]["exit_code"] == 1
     assert payload["summary"]["unexpected_mismatches"] == ["chsh"]
+
+
+def test_audit_text_flags_each_mismatch(tmp_path, capsys):
+    expected = "['cluster4', 'mermin-desc-5', 'nonlinear6']"
+    assert cli.main(["audit"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line.split()[0] for line in lines if line.endswith(" [expected-mismatch]")]
+    assert flagged == ["cluster4", "mermin-desc-5", "nonlinear6"]
+    assert not any("UNEXPECTED" in line for line in lines)
+    assert lines[-1] == f"exit=0 expected={expected} unexpected=[]"
+
+    assert cli.main(["audit", "--fixtures", str(altered_chsh_fixtures(tmp_path))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line.split()[0] for line in lines if line.endswith(" [UNEXPECTED-MISMATCH]")]
+    assert flagged == ["chsh"]
+    assert lines[-1] == f"exit=1 expected={expected} unexpected=['chsh']"
+
+
+def test_parser_defaults_read_limits(monkeypatch):
+    argv = ["descend", "seed.ineq", "--site", "1"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.rng_seed, args.max_assignments) == (LIMITS.rng_seed, LIMITS.max_assignments)
+    monkeypatch.setattr(cli, "LIMITS", SearchLimits(rng_seed=7, max_assignments=9))
+    args = cli.build_parser().parse_args(argv)
+    assert (args.rng_seed, args.max_assignments) == (7, 9)
 
 
 def test_qvalue_json(capsys):
