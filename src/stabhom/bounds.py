@@ -5,8 +5,10 @@ deterministic +-1 assignments to the settings; sufficiency of the
 deterministic extreme points for linear functionals is standard and is
 assumed, not re-proven.  The nonlinear case does NOT assume it: with
 concave square terms the optimum may need a mixture of deterministic
-strategies, so it is computed over probability distributions via an
-upper concave envelope of the strategy point cloud.  The settings inside
+strategies, so it is computed over probability distributions.  For k
+squares the optimum lies on a face of at most k+1 strategy points of the
+upper concave envelope; ``_face_max`` solves the stationarity system of
+every candidate face in one array pass.  The settings inside
 square terms take the low strategy bits: the square moments are
 transformed over those settings alone, and the linear part's values are
 folded to their maximum over the free settings, one per square
@@ -67,6 +69,8 @@ def _index_terms(terms, setting_index):
 
 
 _CHUNK_BITS = 20  # values evaluated per chunk, rows x strategies: 2^20
+_QUANTUM_RESTARTS = 8  # random starts of the square-term ascent, after the seeded one
+_SEPARABLE_RESTARTS = 64  # Fibonacci-sphere starts of the separable maximisation
 
 
 class _Stack(NamedTuple):
@@ -230,128 +234,77 @@ def _strategy_points(ast: InequalityAST):
     return [(tuple(k), val) for k, val in zip(m.tolist(), v.tolist())]
 
 
-def _upper_concave_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone-chain upper hull of (m, L) points sorted by m."""
-    pts = sorted(points)
-    hull: list[tuple[float, float]] = []
-    for p in pts:
+def _upper_concave_hull(points: Sequence[Sequence[float]]) -> list[int]:
+    """Indices of the monotone-chain upper hull of (m, L) points, by m."""
+    hull: list[int] = []
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        p = points[i]
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            (x1, y1), (x2, y2) = points[hull[-2]], points[hull[-1]]
             if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append(i)
     return hull
 
 
-def _max_quadratic_on_segment(c, p, q):
-    """max of L(w) + c*m(w)^2 for a mixture w in [0,1] of points p=(m,L), q."""
-    (m1, l1), (m2, l2) = p, q
-    cands = [0.0, 1.0]
-    dm = m2 - m1
-    # f(t) = l1 + t(l2-l1) + c(m1 + t dm)^2 ; f'(t) = (l2-l1) + 2c(m1 + t dm) dm
-    if c != 0 and dm != 0:
-        t = (-(l2 - l1) / (2 * c) - m1 * dm) / (dm * dm)
-        if 0 < t < 1:
-            cands.append(t)
-    best = -np.inf
-    for t in cands:
-        m = m1 + t * dm
-        l = l1 + t * (l2 - l1)
-        best = max(best, l + c * m * m)
-    return best
+def _face_max(pts: np.ndarray, c: np.ndarray, faces: np.ndarray) -> float:
+    """Largest interior stationary value of L + sum_j c_j m_j^2 over faces.
+
+    ``pts`` is the (P, k+1) array of strategy points (m_1..m_k, L) and
+    ``faces`` an (F, s) array of point indices, s >= 2.  A mixture of a
+    face is r + w @ D, with r its last point, D its other points minus r
+    and w >= 0, sum w <= 1.  The objective is a concave quadratic in w;
+    its stationary point solves H w = b with H = 2 D_m diag(c) D_m^T and
+    b = -(D_L + 2 D_m (c * r_m)), one (s-1)x(s-1) system per face.  Faces
+    whose H is singular or whose stationary point leaves the simplex are
+    skipped: their maximum lies on a smaller face.
+    """
+    r = pts[faces[:, -1]]
+    d = pts[faces[:, :-1]] - r[:, None]
+    dm = d[..., :-1]
+    h = 2 * np.einsum("fik,k,fjk->fij", dm, c, dm)
+    b = -(d[..., -1] + 2 * np.einsum("fik,fk->fi", dm, c * r[:, :-1]))
+    ok = np.abs(np.linalg.det(h)) > 1e-12
+    w = np.linalg.solve(h[ok], b[ok][..., None])[..., 0]
+    inside = (w >= -1e-12).all(axis=1) & (w.sum(axis=1) <= 1 + 1e-12)
+    x = r[ok][inside] + np.einsum("fi,fik->fk", w[inside], d[ok][inside])
+    return float(np.max(x[:, -1] + x[:, :-1] ** 2 @ c, initial=-np.inf))
 
 
 def lhv_bound_nonlinear(expr: Inequality | InequalityAST) -> float:
     """Exact maximum of E[linear] + sum_j c_j (E[sub_j])^2 over strategy mixtures.
 
-    Requires every square coefficient c_j <= 0 (the objective is then
-    concave in the moment vector, so the optimum sits on the upper
-    concave envelope of the deterministic strategy points).  Supports at
-    most two square terms.
+    Requires every square coefficient c_j <= 0: the objective is then
+    concave in the moment vector, so for k squares the optimum lies on a
+    face of at most k+1 strategy points of the upper concave envelope.
+    Single points are evaluated directly and larger faces go to
+    ``_face_max``: with one square, the edges of the upper hull in (m, L);
+    with two, every pair and every triple of points, one first index at a
+    time.  Supports at most two square terms.
     """
     ast = _ast(expr)
     if ast.is_linear:
         return lhv_bound(ast)
     if len(ast.squares) > 2:
         raise BoundError("at most two square terms supported")
-    coeffs = [float(c) for c, _ in ast.squares]
-    if any(c > 0 for c in coeffs):
+    c = np.array([float(c) for c, _ in ast.squares])
+    if (c > 0).any():
         raise BoundError("positive square coefficients make the problem non-concave")
-    points = _strategy_points(ast)
-    if len(ast.squares) == 1:
-        c = coeffs[0]
-        flat = [(k[0], v) for k, v in points]
-        hull = _upper_concave_hull(flat)
-        best = max(l + c * m * m for m, l in hull)
-        for p, q in zip(hull, hull[1:]):
-            best = max(best, _max_quadratic_on_segment(c, p, q))
-        return float(best)
-    return _nonlinear_two_squares(points, coeffs)
-
-
-def _nonlinear_two_squares(points, coeffs) -> float:
-    """Closed-form maximisation over singles, pairs, and triples of points.
-
-    Any point of the upper envelope over the 2-D moment space is a mixture
-    of at most three strategies, so enumerating triples with the interior
-    stationary point solved exactly is equivalent to facet enumeration of
-    the convex hull.
-    """
-    c1, c2 = coeffs
-    pts = [(k[0], k[1], v) for k, v in points]
-    best = max(l + c1 * m1 * m1 + c2 * m2 * m2 for m1, m2, l in pts)
-
-    def seg(p, q):
-        out = -np.inf
-        # mixture of two points: f(t) concave quadratic in t
-        dm1, dm2, dl = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-        a = c1 * dm1 * dm1 + c2 * dm2 * dm2
-        b = dl + 2 * c1 * p[0] * dm1 + 2 * c2 * p[1] * dm2
-        cands = [0.0, 1.0]
-        if a < 0:
-            t = -b / (2 * a)
-            if 0 < t < 1:
-                cands.append(t)
-        for t in cands:
-            m1 = p[0] + t * dm1
-            m2 = p[1] + t * dm2
-            l = p[2] + t * dl
-            out = max(out, l + c1 * m1 * m1 + c2 * m2 * m2)
-        return out
-
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(best, seg(pts[i], pts[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                got = _triple_interior(pts[i], pts[j], pts[k], c1, c2)
-                if got is not None:
-                    best = max(best, got)
-    return float(best)
-
-
-def _triple_interior(p, q, r, c1, c2):
-    """Interior stationary point of f over the simplex spanned by p, q, r."""
-    a1, a2 = p[0] - r[0], q[0] - r[0]
-    b1, b2 = p[1] - r[1], q[1] - r[1]
-    l1, l2 = p[2] - r[2], q[2] - r[2]
-    # grad in (w1, w2):  l_i + 2 c1 u a_i + 2 c2 v b_i = 0  with u = m1(w), v = m2(w)
-    A = np.array([[2 * c1 * a1, 2 * c2 * b1], [2 * c1 * a2, 2 * c2 * b2]])
-    if abs(np.linalg.det(A)) < 1e-12:
-        return None
-    u, v = np.linalg.solve(A, [-l1, -l2])
-    B = np.array([[a1, a2], [b1, b2]])
-    if abs(np.linalg.det(B)) < 1e-12:
-        return None
-    w1, w2 = np.linalg.solve(B, [u - r[0], v - r[1]])
-    if w1 < -1e-12 or w2 < -1e-12 or w1 + w2 > 1 + 1e-12:
-        return None
-    l = r[2] + w1 * l1 + w2 * l2
-    return l + c1 * u * u + c2 * v * v
+    pts = np.array([[*k, v] for k, v in _strategy_points(ast)])
+    best = float((pts[:, -1] + pts[:, :-1] ** 2 @ c).max())
+    if len(c) == 1:
+        hull = _upper_concave_hull(pts.tolist())
+        edges = np.array([hull[:-1], hull[1:]], dtype=np.intp).T
+        return max(best, _face_max(pts, c, edges))
+    pairs = np.column_stack(np.triu_indices(len(pts), 1))
+    best = max(best, _face_max(pts, c, pairs))
+    for i in range(len(pts) - 2):
+        rest = pairs[pairs[:, 0] > i]
+        triples = np.column_stack([np.full(len(rest), i), rest])
+        best = max(best, _face_max(pts, c, triples))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +330,6 @@ def quantum_value(
 def quantum_max(
     expr: Inequality | InequalityAST,
     assignment: Mapping | None = None,
-    restarts: int = 8,
     seed: int = LIMITS.rng_seed,
 ) -> float:
     """Largest quantum value of the assigned operator expression.
@@ -400,7 +352,7 @@ def quantum_max(
     best = -np.inf
     starts = [seed_vec]
     dim = 2**width
-    for _ in range(restarts):
+    for _ in range(_QUANTUM_RESTARTS):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         starts.append(v / np.linalg.norm(v))
     for psi in starts:
@@ -472,17 +424,14 @@ class SeparableResult:
     right_state: np.ndarray
 
 
-def separable_bound(
-    terms: Sequence[SignedPauliTerm],
-    restarts: int = LIMITS.separable_restarts,
-) -> SeparableResult:
+def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
     """Best product state across the 1 | rest split, by alternating maximisation.
 
-    Qubit 1 starts at each of ``restarts`` Fibonacci-sphere Bloch vectors,
-    so the result is deterministic and draws no random numbers.  The
-    value is attained by the returned product state, so it is a lower
-    bound on the true separable maximum; with the default restart budget
-    it is exact in practice for the small operators handled here
+    Qubit 1 starts at each of ``_SEPARABLE_RESTARTS`` Fibonacci-sphere
+    Bloch vectors, so the result is deterministic and draws no random
+    numbers.  The value is attained by the returned product state, so it
+    is a lower bound on the true separable maximum; with this restart
+    budget it is exact in practice for the small operators handled here
     (cross-checked against a dense grid oracle for the 2x2 case in the
     test-suite).
     """
@@ -495,7 +444,7 @@ def separable_bound(
     dim_r = 2 ** (width - 1)
 
     seeds = []
-    for v in _fibonacci_bloch(restarts):
+    for v in _fibonacci_bloch(_SEPARABLE_RESTARTS):
         theta = np.arccos(np.clip(v[2], -1, 1))
         phi = np.arctan2(v[1], v[0])
         seeds.append(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))

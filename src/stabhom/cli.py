@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -193,6 +194,8 @@ def cmd_qvalue(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise CliError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     try:
         catalog = load_catalog(args.fixtures)
     except CatalogError as exc:

@@ -30,7 +30,6 @@ class SearchLimits:
     max_settings: int = 24       # deterministic-strategy enumeration cap
     max_nonlinear_settings: int = 20
     max_assignments: int = 100_000  # descendant occurrence-assignment search cap
-    separable_restarts: int = 64
     rng_seed: int = 0
 
 

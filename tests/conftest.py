@@ -6,8 +6,9 @@ are enumerated with ``itertools.product`` term by term or from explicit
 +-1 setting columns, eigenvalues can be cross-checked against the
 characteristic polynomial, image sets are enumerated by restricting
 every Pauli string's dense matrix to the code space, nonlinear
-envelopes are bounded from below by sampled strategy mixtures, and
-random classical-quantum states and their discord correlators are built
+envelopes are bounded from below by sampled strategy mixtures and
+maximised point by point over hull segments or over every single, pair
+and triple of strategy points in Python loops, and random classical-quantum states and their discord correlators are built
 one state at a time with ``np.kron``, and descendants are substituted
 with Fractions term by term and searched one plan object at a time.
 Expected values asserted in the tests were computed with these oracles.
@@ -237,6 +238,114 @@ def nonlinear_sampling_lower_bound(
                 else:
                     hi = t2
             best = max(best, value(arr[i] + 0.5 * (lo + hi) * (arr[j] - arr[i])))
+    return float(best)
+
+
+def _loop_upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Monotone-chain upper hull of (m, L) points sorted by m."""
+    pts = sorted(points)
+    hull: list[tuple[float, float]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def _loop_segment_max(c, p, q):
+    """max of L(w) + c*m(w)^2 for a mixture w in [0,1] of points p=(m,L), q."""
+    (m1, l1), (m2, l2) = p, q
+    cands = [0.0, 1.0]
+    dm = m2 - m1
+    # f(t) = l1 + t(l2-l1) + c(m1 + t dm)^2 ; f'(t) = (l2-l1) + 2c(m1 + t dm) dm
+    if c != 0 and dm != 0:
+        t = (-(l2 - l1) / (2 * c) - m1 * dm) / (dm * dm)
+        if 0 < t < 1:
+            cands.append(t)
+    best = -np.inf
+    for t in cands:
+        m = m1 + t * dm
+        l = l1 + t * (l2 - l1)
+        best = max(best, l + c * m * m)
+    return best
+
+
+def _loop_triple_interior(p, q, r, c1, c2):
+    """Interior stationary point of f over the simplex spanned by p, q, r."""
+    a1, a2 = p[0] - r[0], q[0] - r[0]
+    b1, b2 = p[1] - r[1], q[1] - r[1]
+    l1, l2 = p[2] - r[2], q[2] - r[2]
+    # grad in (w1, w2):  l_i + 2 c1 u a_i + 2 c2 v b_i = 0  with u = m1(w), v = m2(w)
+    A = np.array([[2 * c1 * a1, 2 * c2 * b1], [2 * c1 * a2, 2 * c2 * b2]])
+    if abs(np.linalg.det(A)) < 1e-12:
+        return None
+    u, v = np.linalg.solve(A, [-l1, -l2])
+    B = np.array([[a1, a2], [b1, b2]])
+    if abs(np.linalg.det(B)) < 1e-12:
+        return None
+    w1, w2 = np.linalg.solve(B, [u - r[0], v - r[1]])
+    if w1 < -1e-12 or w2 < -1e-12 or w1 + w2 > 1 + 1e-12:
+        return None
+    l = r[2] + w1 * l1 + w2 * l2
+    return l + c1 * u * u + c2 * v * v
+
+
+def _loop_two_squares(points, coeffs) -> float:
+    """Closed-form maximisation over singles, pairs, and triples of points."""
+    c1, c2 = coeffs
+    pts = [(k[0], k[1], v) for k, v in points]
+    best = max(l + c1 * m1 * m1 + c2 * m2 * m2 for m1, m2, l in pts)
+
+    def seg(p, q):
+        out = -np.inf
+        # mixture of two points: f(t) concave quadratic in t
+        dm1, dm2, dl = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+        a = c1 * dm1 * dm1 + c2 * dm2 * dm2
+        b = dl + 2 * c1 * p[0] * dm1 + 2 * c2 * p[1] * dm2
+        cands = [0.0, 1.0]
+        if a < 0:
+            t = -b / (2 * a)
+            if 0 < t < 1:
+                cands.append(t)
+        for t in cands:
+            m1 = p[0] + t * dm1
+            m2 = p[1] + t * dm2
+            l = p[2] + t * dl
+            out = max(out, l + c1 * m1 * m1 + c2 * m2 * m2)
+        return out
+
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = max(best, seg(pts[i], pts[j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                got = _loop_triple_interior(pts[i], pts[j], pts[k], c1, c2)
+                if got is not None:
+                    best = max(best, got)
+    return float(best)
+
+
+def loop_mixture_max(points, coeffs) -> float:
+    """Largest L + sum_j c_j m_j^2 over mixtures of (moments, L) strategy points.
+
+    One square: every upper-hull vertex in (m, L), then each hull segment
+    in closed form.  Two squares: every single, pair and triple of points
+    in nested Python loops, each triple's interior stationary point
+    solved as two 2x2 systems.
+    """
+    if len(coeffs) == 2:
+        return _loop_two_squares(points, coeffs)
+    (c,) = coeffs
+    hull = _loop_upper_hull([(k[0], v) for k, v in points])
+    best = max(l + c * m * m for m, l in hull)
+    for p, q in zip(hull, hull[1:]):
+        best = max(best, _loop_segment_max(c, p, q))
     return float(best)
 
 

@@ -8,6 +8,7 @@ from conftest import (
     column_chunked_values,
     loop_cq_states,
     loop_discord_correlators,
+    loop_mixture_max,
     naive_lhv,
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
@@ -30,7 +31,7 @@ from stabhom.bounds import (
 )
 from stabhom.catalog import load_catalog
 from stabhom.config import LIMITS
-from stabhom.dsl import assign_paulis, parse
+from stabhom.dsl import assign_paulis, parse, pretty_print
 from stabhom.pauli import PauliString, SignedPauliTerm, walsh_hadamard
 from stabhom.states import (
     DensityOperator,
@@ -46,10 +47,46 @@ R = 2**-0.5
 CHSH = "A1*A2 + A1*A2' + A1'*A2 - A1'*A2' <= 2"
 MERMIN = "A1*A2*A3 + A1'*A2'*A3 + A1*A2'*A3' - A1'*A2*A3' <= 2"
 TWO_SQUARES = "A1*A2 + B1*B2 - 1/2*sq(A1 + A2) - 1/2*sq(B1 - B2) <= 9"
+# the 20-setting cap input with a second square over the Y settings
+CAP_TWO_SQUARES = xy_chain(10).replace(
+    " <= ", " - 1/4*sq(" + "+".join(f"Y{i}" for i in range(1, 11)) + ") <= "
+)
 
 
 def term(letters, coeff=1.0):
     return SignedPauliTerm(coeff, PauliString.from_letters(letters))
+
+
+def loop_envelope(ast) -> float:
+    """The loop oracle's mixture maximum over the library's strategy points."""
+    return loop_mixture_max(bounds._strategy_points(ast), [float(c) for c, _ in ast.squares])
+
+
+def random_nonlinear_text(rng) -> str:
+    """2-6 settings on three sites, rational terms and one or two negative squares."""
+    pool = ["A1", "A1'", "A2", "A2'", "A3", "A3'"]
+
+    def coeff():
+        return f"{rng.integers(1, 5)}/{rng.integers(1, 5)}"
+
+    def monomial(settings):
+        by_site = {}
+        for s in rng.permutation(settings)[: rng.integers(1, 4)]:
+            by_site.setdefault(s[:2], s)  # one setting per site in a product
+        return "*".join(sorted(by_site.values()))
+
+    while True:
+        settings = rng.permutation(pool)[: rng.integers(2, 7)]
+        linear = " ".join(f"{rng.choice(['+', '-'])} {coeff()}*{monomial(settings)}"
+                          for _ in range(rng.integers(1, 5)))
+        squares = " ".join(
+            "- {}*sq({})".format(coeff(), " + ".join(f"{coeff()}*{monomial(settings)}"
+                                                    for _ in range(rng.integers(1, 4))))
+            for _ in range(rng.integers(1, 3))
+        )
+        text = f"{linear} {squares} <= 1"
+        if len(parse(text).ast.settings) >= 2:
+            return text
 
 
 class TestLhv:
@@ -272,10 +309,38 @@ class TestNonlinear:
     def test_nonlinear6_envelope(self):
         fx = {f.name: f for f in load_catalog()}["nonlinear6"]
         env = lhv_bound_nonlinear(fx.inequality)
-        assert env == pytest.approx(24.0, abs=1e-9)
+        assert env == 24.0
+        assert env == pytest.approx(loop_envelope(fx.inequality.ast), abs=1e-12)
         low = nonlinear_sampling_lower_bound(fx.inequality, samples=10_000)
         assert env >= low - 1e-9
         assert env == pytest.approx(low, abs=1e-6)
+
+    @pytest.mark.parametrize("text", [xy_chain(10), CAP_TWO_SQUARES], ids=["one", "two"])
+    def test_cap_inputs_match_loop_oracle(self, text):
+        ast = parse(text).ast
+        env = lhv_bound_nonlinear(ast)
+        assert env == pytest.approx(18.0, abs=1e-9)
+        assert env == pytest.approx(loop_envelope(ast), abs=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        # equal sub-expressions: the moments are collinear, every triple singular
+        "A1*A2 + A1'*A2' - A1*A2' - 1/2*sq(A1 + A2) - 1/4*sq(A1 + A2) <= 2",
+        "A1*A2 + A1' - 1/2*sq(A1 - A2) - 1/4*sq(1) <= 2",  # constant-only square
+        "A1*A2 + A1'*A2 - 1/2*sq(A1 + A2) - 0*sq(A1' - A2) <= 2",  # zero coefficient
+        "A1*A2 + A1' - 0*sq(A1 + A2) <= 2",
+        "A1*A2 - 1/3*sq(2) <= 1",
+    ], ids=["collinear", "constant", "zero-coefficient", "zero-only", "constant-only"])
+    def test_degenerate_squares_match_loop_oracle(self, text):
+        ast = parse(text).ast
+        assert lhv_bound_nonlinear(ast) == pytest.approx(loop_envelope(ast), abs=1e-12)
+
+    def test_random_inputs_match_loop_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(150):
+            ast = parse(random_nonlinear_text(rng)).ast
+            assert 2 <= len(ast.settings) <= 6 and 1 <= len(ast.squares) <= 2
+            assert lhv_bound_nonlinear(ast) == pytest.approx(loop_envelope(ast), abs=1e-12), \
+                pretty_print(ast)
 
 
 class TestHybrid:

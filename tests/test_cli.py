@@ -148,6 +148,13 @@ def test_audit_text_flags_each_mismatch(tmp_path, capsys):
     assert lines[-1] == f"exit=1 expected={expected} unexpected=['chsh']"
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_audit_refuses_bad_tolerance(capsys, tolerance):
+    assert cli.main(["audit", f"--tolerance={tolerance}", "--json"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tolerance" in captured.err
+
+
 def test_parser_defaults_read_limits(monkeypatch):
     argv = ["descend", "seed.ineq", "--site", "1"]
     args = cli.build_parser().parse_args(argv)
