@@ -25,12 +25,13 @@ strategies.  Linear bounds refuse square terms and more than
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
-separable bound is an alternating product-state maximisation over the
-1 | rest split of a linear operator (``separable_terms`` refuses square
-terms), seeded deterministically.  The discord condition check reads
-the rank of each two-qubit state's 3x4 correlation matrix [r_A | T]:
-the adapted-basis correlators are its second and third singular
-values, taken for one state or a stack in one decomposition.
+separable bound is a deterministically seeded alternating product-state
+maximisation over the 1 | rest split of a linear operator
+(``separable_terms`` refuses square terms), on four blocks built by
+``assemble_operator``, one per qubit-1 letter.  The discord condition
+check reads the rank of each two-qubit state's 3x4 correlation matrix
+[r_A | T]: the adapted-basis correlators are its second and third
+singular values, taken for one state or a stack in one decomposition.
 Single-qubit matrices come from ``pauli._SINGLE``.
 """
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .config import LIMITS, TOL
 from .dsl import Inequality, InequalityAST, Setting, assign_paulis
-from .pauli import _SINGLE, PauliString, SignedPauliTerm, to_matrix, walsh_hadamard
+from .pauli import _LETTER, _SINGLE, PauliString, SignedPauliTerm, walsh_hadamard
 from .states import (
     DensityOperator,
     StateVector,
@@ -385,15 +386,6 @@ def algebraic_bound(expr: Inequality | InequalityAST) -> float:
 # ---------------------------------------------------------------------------
 # separable bound (alternating product-state maximisation)
 
-def _split_term(term: SignedPauliTerm):
-    letters = term.string.letters
-    return (
-        term.coefficient,
-        to_matrix(PauliString.from_letters(letters[:1])),
-        to_matrix(PauliString.from_letters(letters[1:])),
-    )
-
-
 def _fibonacci_bloch(n: int) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors on the Bloch sphere."""
     k = np.arange(n) + 0.5
@@ -427,21 +419,32 @@ class SeparableResult:
 def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
     """Best product state across the 1 | rest split, by alternating maximisation.
 
-    Qubit 1 starts at each of ``_SEPARABLE_RESTARTS`` Fibonacci-sphere
-    Bloch vectors, so the result is deterministic and draws no random
-    numbers.  The value is attained by the returned product state, so it
-    is a lower bound on the true separable maximum; with this restart
-    budget it is exact in practice for the small operators handled here
-    (cross-checked against a dense grid oracle for the 2x2 case in the
-    test-suite).
+    The operator is split once as O = sum_a sigma_a (x) B_a over a in IXYZ,
+    each block B_a assembled over the terms whose qubit-1 letter is a.  An
+    iteration takes the top eigenvector of the rest's operator
+    B_I + sum_{a in XYZ} <alpha|sigma_a|alpha> B_a, then of qubit 1's
+    sum_a <beta|B_a|beta> sigma_a.  Qubit 1 starts at each of
+    ``_SEPARABLE_RESTARTS`` Fibonacci-sphere Bloch vectors, so the result
+    is deterministic and draws no random numbers.  The value is attained
+    by the returned product state, so it is a lower bound on the true
+    separable maximum; with this restart budget it is exact in practice
+    for the small operators handled here (cross-checked against a dense
+    grid oracle for the 2x2 case in the test-suite).
     """
     if not terms:
         raise BoundError("empty operator")
     width = terms[0].width
+    if any(t.width != width for t in terms):
+        raise BoundError("operator terms differ in width")
     if width < 2:
         raise BoundError("the 1 | rest split needs at least two qubits")
-    parts = [_split_term(t) for t in terms]
-    dim_r = 2 ** (width - 1)
+    rest, low = width - 1, (1 << (width - 1)) - 1
+    groups = {a: [] for a in "IXYZ"}
+    for t in terms:
+        x, z = t.string.x_mask, t.string.z_mask
+        part = SignedPauliTerm(t.coefficient, PauliString(rest, x & low, z & low, 0))
+        groups[_LETTER[x >> rest, z >> rest]].append(part)
+    blocks = {a: assemble_operator(g, rest) for a, g in groups.items()}
 
     seeds = []
     for v in _fibonacci_bloch(_SEPARABLE_RESTARTS):
@@ -452,15 +455,12 @@ def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
     best = SeparableResult(-np.inf, None, None)
     for alpha in seeds:
         value = -np.inf
-        beta = None
         for _ in range(500):
-            o_right = np.zeros((dim_r, dim_r), dtype=complex)
-            for c, pl, pr in parts:
-                o_right += c * np.vdot(alpha, pl @ alpha).real * pr
+            o_right = blocks["I"].copy()
+            for a in "XYZ":
+                o_right += np.vdot(alpha, _SINGLE[a] @ alpha).real * blocks[a]
             _, beta = max_eigenpair(o_right)
-            o_left = np.zeros((2, 2), dtype=complex)
-            for c, pl, pr in parts:
-                o_left += c * np.vdot(beta, pr @ beta).real * pl
+            o_left = sum(np.vdot(beta, b @ beta).real * _SINGLE[a] for a, b in blocks.items())
             new_value, alpha = max_eigenpair(o_left)
             if new_value <= value + TOL.converge:
                 value = new_value

@@ -35,8 +35,8 @@ from .bounds import (
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
 from .config import LIMITS, TOL, Tolerances
-from .descend import PlanEntry, Setting, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
-from .dsl import Inequality, parse, parse_setting, pretty_print
+from .descend import PlanEntry, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
+from .dsl import Inequality, Setting, parse, parse_setting, pretty_print
 from .states import (
     DensityOperator,
     StateVector,

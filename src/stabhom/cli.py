@@ -17,7 +17,6 @@ from pathlib import Path
 from .bounds import (
     BoundError,
     hybrid_bound,
-    lhv_bound,
     lhv_bound_nonlinear,
     lhv_strategy,
     quantum_max,

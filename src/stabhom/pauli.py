@@ -227,9 +227,6 @@ class SignedPauliTerm:
     def width(self) -> int:
         return self.string.width
 
-    def to_matrix(self) -> np.ndarray:
-        return self.coefficient * to_matrix(self.string)
-
     def sort_key(self):
         return (*self.string.sort_key(), self.coefficient)
 

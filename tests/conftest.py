@@ -8,8 +8,10 @@ characteristic polynomial, image sets are enumerated by restricting
 every Pauli string's dense matrix to the code space, nonlinear
 envelopes are bounded from below by sampled strategy mixtures and
 maximised point by point over hull segments or over every single, pair
-and triple of strategy points in Python loops, and random classical-quantum states and their discord correlators are built
-one state at a time with ``np.kron``, and descendants are substituted
+and triple of strategy points in Python loops, the separable optimiser
+re-sums dense per-term factors on every iteration, random
+classical-quantum states and their discord correlators are built one
+state at a time with ``np.kron``, and descendants are substituted
 with Fractions term by term and searched one plan object at a time.
 Expected values asserted in the tests were computed with these oracles.
 """
@@ -37,7 +39,7 @@ from stabhom.descend import (
 )
 from stabhom.dsl import Inequality, InequalityAST, _canon_linear, _merge, pretty_print
 from stabhom.pauli import PauliString, SignedPauliTerm
-from stabhom.states import DensityOperator, StateVector
+from stabhom.states import DensityOperator, StateVector, max_eigenpair
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -376,6 +378,52 @@ def separable_grid_max(terms, steps: int = 60) -> float:
     coeffs = np.array([c for c, _, _ in mats])
     vals = (lefts * coeffs) @ rights.T
     return float(vals.max())
+
+
+def loop_separable_bound(terms) -> bounds.SeparableResult:
+    """Alternating 1 | rest product-state maximisation, term by term.
+
+    Every term is split into a dense qubit-1 factor and a dense rest factor
+    (``kron_chain``), and both one-side operators are re-summed over all
+    terms on every iteration, from the library's Fibonacci-sphere starts.
+    """
+    if not terms:
+        raise bounds.BoundError("empty operator")
+    width = terms[0].width
+    if width < 2:
+        raise bounds.BoundError("the 1 | rest split needs at least two qubits")
+    parts = [
+        (t.coefficient, kron_chain(t.string.letters[:1]), kron_chain(t.string.letters[1:]))
+        for t in terms
+    ]
+    dim_r = 2 ** (width - 1)
+
+    seeds = []
+    for v in bounds._fibonacci_bloch(bounds._SEPARABLE_RESTARTS):
+        theta = np.arccos(np.clip(v[2], -1, 1))
+        phi = np.arctan2(v[1], v[0])
+        seeds.append(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))
+
+    best = bounds.SeparableResult(-np.inf, None, None)
+    for alpha in seeds:
+        value = -np.inf
+        beta = None
+        for _ in range(500):
+            o_right = np.zeros((dim_r, dim_r), dtype=complex)
+            for c, pl, pr in parts:
+                o_right += c * np.vdot(alpha, pl @ alpha).real * pr
+            _, beta = max_eigenpair(o_right)
+            o_left = np.zeros((2, 2), dtype=complex)
+            for c, pl, pr in parts:
+                o_left += c * np.vdot(beta, pr @ beta).real * pl
+            new_value, alpha = max_eigenpair(o_left)
+            if new_value <= value + TOL.converge:
+                value = new_value
+                break
+            value = new_value
+        if value > best.value:
+            best = bounds.SeparableResult(float(value), alpha, beta)
+    return best
 
 
 def loop_cq_states(rng, n: int) -> np.ndarray:

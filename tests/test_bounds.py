@@ -9,6 +9,7 @@ from conftest import (
     loop_cq_states,
     loop_discord_correlators,
     loop_mixture_max,
+    loop_separable_bound,
     naive_lhv,
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
@@ -401,6 +402,64 @@ class TestSeparable:
         assert sep == pytest.approx(1.0, abs=1e-6)
         assert value == pytest.approx(2.0, abs=1e-9)
         assert sep < value
+
+
+def mermin_terms(parties):
+    """Mermin operator: X/Y strings with an even number of Y, sign (-1)^(#Y/2)."""
+    return [
+        term(letters, (-1.0) ** (letters.count("Y") // 2))
+        for letters in map("".join, itertools.product("XY", repeat=parties))
+        if letters.count("Y") % 2 == 0
+    ]
+
+
+def random_sign_terms(rng, width):
+    """The identity, one string per qubit-1 letter and a few more, signs +-1."""
+    strings = ["".join(l) for l in itertools.product("IXYZ", repeat=width)]
+    chosen = {"I" * width}
+    chosen |= {a + "".join(rng.choice(list("IXYZ"), width - 1)) for a in "IXYZ"}
+    chosen |= {strings[i] for i in rng.choice(len(strings), size=rng.integers(0, 2 * width + 1))}
+    return [term(s, float(rng.choice((-1, 1)))) for s in sorted(chosen)]
+
+
+def attained(res, terms):
+    psi = np.kron(res.left_state, res.right_state)
+    return np.vdot(psi, assemble_operator(terms, terms[0].width) @ psi).real
+
+
+class TestSeparableBlocks:
+    """The block optimiser against the per-term loop oracle."""
+
+    def test_audit_witnesses_equal_loop_oracle(self):
+        cat = {f.name: f for f in load_catalog()}
+        for name in ("ent-witness-I", "ent-witness-II-optimal"):
+            fx = cat[name]
+            terms = separable_terms(fx.inequality, fx.assignment)
+            assert separable_bound(terms).value == loop_separable_bound(terms).value, name
+
+    @pytest.mark.parametrize("parties", range(3, 8))
+    def test_mermin_matches_loop_oracle(self, parties):
+        terms = mermin_terms(parties)
+        res = separable_bound(terms)
+        assert res.value == pytest.approx(loop_separable_bound(terms).value, abs=1e-9)
+        assert res.value == pytest.approx(2.0 ** (parties - 2), abs=1e-9)
+        assert attained(res, terms) == pytest.approx(res.value, abs=1e-9)
+
+    def test_random_signs_match_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            terms = random_sign_terms(rng, int(rng.integers(2, 5)))
+            assert {t.string.letters[0] for t in terms} == set("IXYZ")
+            res = separable_bound(terms)
+            oracle = loop_separable_bound(terms).value
+            assert res.value == pytest.approx(oracle, abs=1e-9), [str(t) for t in terms]
+            assert attained(res, terms) == pytest.approx(res.value, abs=1e-9)
+
+    def test_refuses_mixed_widths(self):
+        with pytest.raises(BoundError, match="width"):
+            separable_bound([term("XX"), term("XXX")])
+        with pytest.raises(BoundError, match="width"):
+            separable_bound([term("ZZZ"), term("YY")])
 
 
 class TestQuantum:
