@@ -2,8 +2,10 @@
 """Regenerate the fixture catalogue under src/stabhom/fixtures/.
 
 Derivable inequality texts are produced by the package itself so the
-canonical forms stay in sync, every claim is re-checked against a fresh
-computation before writing, and claims that are known not to reproduce
+canonical forms stay in sync.  The new catalogue is written to a
+temporary directory and audited there by ``catalog.audit_all``, the same
+audit as ``stabhom audit``; the bundled files are replaced only if no
+claim mismatches unexpectedly.  Claims that are known not to reproduce
 are written with an expected_mismatch flag.  Run from the repo root:
 
     python scripts/build_fixtures.py
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,13 +23,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from stabhom.bounds import (  # noqa: E402
-    algebraic_bound,
-    hybrid_bound,
-    lhv_bound,
-    lhv_bound_nonlinear,
-    quantum_value,
-)
+from stabhom.catalog import audit_all, load_catalog  # noqa: E402
 from stabhom.codespace import LogicalEncoding  # noqa: E402
 from stabhom.descend import (  # noqa: E402
     PlanEntry,
@@ -36,7 +33,6 @@ from stabhom.descend import (  # noqa: E402
     substitute_symbolic,
 )
 from stabhom.dsl import Setting, parse, pretty_print  # noqa: E402
-from stabhom.catalog import state_from_spec  # noqa: E402
 
 OUT = ROOT / "src" / "stabhom" / "fixtures"
 
@@ -525,44 +521,25 @@ def main() -> None:
         "expected_mismatch": [],
     })
 
-    # -- verify every claim against a fresh computation -------------------
-    print("verifying fixtures before writing:")
-    failures = []
-    for fx in fixtures:
-        name = fx["name"]
-        if fx["kind"] == "discord":
-            continue
-        ineq = parse(fx["inequality"])
-        state = state_from_spec(fx["state"]) if fx.get("state") else None
-        computed = {}
-        if fx.get("hybrid"):
-            computed["hybrid"] = hybrid_bound(ineq)
-        elif ineq.ast.is_linear:
-            computed["lhv"] = lhv_bound(ineq)
-        else:
-            computed["lhv"] = lhv_bound_nonlinear(ineq)
-        computed["algebraic"] = algebraic_bound(ineq)
-        if state is not None:
-            computed["quantum_value"] = quantum_value(ineq, fx.get("assignment"), state)
-        for key, claim in fx["claims"].items():
-            if key in ("threshold_bound", "quantum_max", "separable", "violated"):
-                continue
-            got = computed.get(key)
-            want = claim["value"]
-            ok = got is not None and abs(got - want) < 1e-6
-            flag = "expected-mismatch" if key in fx["expected_mismatch"] else "MISMATCH"
-            status = "ok" if ok else flag
-            print(f"  {name:22s} {key:14s} claimed={want:<12} computed={got} [{status}]")
-            if not ok and key not in fx["expected_mismatch"]:
-                failures.append((name, key, want, got))
-    if failures:
-        raise SystemExit(f"unexpected mismatches: {failures}")
+    # -- audit the written catalogue before it replaces the bundled one ---
+    texts = {f"{fx['name']}.json": json.dumps(fx, indent=2) + "\n" for fx in fixtures}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        result = audit_all(load_catalog(tmp))
+    print("audit of the new catalogue:")
+    for rep in result.reports:
+        failed = [key for key, ok in rep.claim_match.items() if not ok]
+        flag = (" [UNEXPECTED-MISMATCH]" if rep.unexpected_mismatch
+                else " [expected-mismatch]" if rep.known_mismatch else "")
+        print(f"  {rep.name:24s} {rep.verdict:18s} failed={failed}{flag}")
+    if result.unexpected_mismatches:
+        raise SystemExit(f"unexpected mismatches: {result.unexpected_mismatches}")
 
-    for fx in fixtures:
-        path = OUT / f"{fx['name']}.json"
-        path.write_text(json.dumps(fx, indent=2) + "\n", encoding="utf-8")
+    for name, text in texts.items():
+        path = OUT / name
+        path.write_text(text, encoding="utf-8")
         print("wrote", path.relative_to(ROOT))
-
 
 if __name__ == "__main__":
     main()

@@ -12,26 +12,32 @@ every candidate face in one array pass.  The settings inside
 square terms take the low strategy bits: the square moments are
 transformed over those settings alone, and the linear part's values are
 folded to their maximum over the free settings, one per square
-assignment, before the points are grouped.  Both read one
-strategy evaluator, ``_chunked_values``: a term's value under strategy k
-is its coefficient times (-1)^popcount(k & mask), so a term list's values
-over all 2^S strategies are one Walsh-Hadamard transform
+assignment, before the points are grouped.
+
+Every deterministic value comes from one strategy evaluator,
+``_chunked_values``, which takes one ``_Stack``: coefficient rows over a
+shared list of setting masks.  A term's value under strategy k is its
+coefficient times (-1)^popcount(k & mask), so a row's values over all
+2^S strategies are one Walsh-Hadamard transform
 (``pauli.walsh_hadamard``) of its coefficients scattered by setting mask,
-taken in chunks of 2^20 values; the descendant search passes a stack of
-coefficient rows over one setting index, and its chunks count rows times
-strategies.  Linear bounds refuse square terms and more than
+taken in chunks of 2^20 values, rows times strategies.  One expression is
+a stack of one row (``_stack``); the nonlinear bound stacks its square
+parts, one row each; the descendant search stacks thousands of rows over
+one setting index.  Linear bounds refuse square terms and more than
 ``LIMITS.max_settings`` settings before enumerating.
 
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
-separable bound is a deterministically seeded alternating product-state
+separable value is a deterministically seeded alternating product-state
 maximisation over the 1 | rest split of a linear operator
 (``separable_terms`` refuses square terms), on four blocks built by
-``assemble_operator``, one per qubit-1 letter.  The discord condition
-check reads the rank of each two-qubit state's 3x4 correlation matrix
-[r_A | T]: the adapted-basis correlators are its second and third
-singular values, taken for one state or a stack in one decomposition.
+``assemble_operator``, one per qubit-1 letter; it is a lower bound on the
+separable maximum, attained by the returned product state.  The discord
+condition check reads the rank of each two-qubit state's 3x4
+correlation matrix [r_A | T]: the adapted-basis correlators are its
+second and third singular values, taken for one state or a stack in one
+decomposition.
 Single-qubit matrices come from ``pauli._SINGLE``.
 """
 from __future__ import annotations
@@ -65,10 +71,6 @@ def _ast(expr) -> InequalityAST:
     return expr.ast if isinstance(expr, Inequality) else expr
 
 
-def _index_terms(terms, setting_index):
-    return [(float(c), tuple(setting_index[s] for s in mono)) for c, mono in terms]
-
-
 _CHUNK_BITS = 20  # values evaluated per chunk, rows x strategies: 2^20
 _QUANTUM_RESTARTS = 8  # random starts of the square-term ascent, after the seeded one
 _SEPARABLE_RESTARTS = 64  # Fibonacci-sphere starts of the separable maximisation
@@ -81,45 +83,41 @@ class _Stack(NamedTuple):
     masks: Sequence[int]
 
 
-def _chunked_values(term_lists, n_settings: int):
-    """Yield (strategy_offset, [value array per term list]) over all 2^S strategies.
+def _stack(term_lists, index: Mapping[Setting, int]) -> _Stack:
+    """One row per term list, each row on its own columns.
+
+    A row is zero outside its own columns, and zeros add nothing to a sum,
+    so every row keeps its own term order and the float bits of its values.
+    """
+    coeffs = np.zeros((len(term_lists), sum(map(len, term_lists))))
+    masks: list[int] = []
+    for row, terms in zip(coeffs, term_lists):
+        row[len(masks):len(masks) + len(terms)] = [float(c) for c, _ in terms]
+        masks += [sum(1 << index[s] for s in mono) for _, mono in terms]
+    return _Stack(coeffs, masks)
+
+
+def _chunked_values(stack: _Stack, n_settings: int):
+    """Yield (strategy_offset, (rows, step) values) over all 2^S strategies.
 
     Strategy k sets setting j to (-1)^(bit j of k), so a term c * prod_{j in m}
-    is worth c * (-1)^popcount(k & m): over all k, a term list's values are
-    the Walsh-Hadamard transform of its coefficients scattered by mask.  A
+    is worth c * (-1)^popcount(k & m): over all k, a row's values are the
+    Walsh-Hadamard transform of its coefficients scattered by mask.  A
     chunk fixes the high bits of k; each coefficient is scattered by its low
-    mask bits with the sign its high mask bits take under them.
-
-    A term list is a sequence of (coefficient, setting indices) pairs, and
-    its values come as one (step,) array per chunk; a ``_Stack`` of R rows
-    gives an (R, step) array, the values of each row as if it were its own
-    term list.  The caller keeps rows x step within 2^_CHUNK_BITS.
+    mask bits with the sign its high mask bits take under them.  The caller
+    keeps rows x step within 2^_CHUNK_BITS.
     """
     bits = min(n_settings, _CHUNK_BITS)
     step = 1 << bits
-    lists = []
-    for terms in term_lists:
-        if isinstance(terms, _Stack):
-            coeffs, masks = terms.coeffs, list(terms.masks)
-        else:
-            coeffs = np.array([c for c, _ in terms], dtype=float).reshape(1, len(terms))
-            masks = [sum(1 << k for k in sel) for _, sel in terms]
-        lows = np.array(masks, dtype=np.int64) & (step - 1)
-        lows = (np.arange(len(coeffs))[:, None] * step + lows).ravel()
-        lists.append((coeffs, lows, [m >> bits for m in masks], isinstance(terms, _Stack)))
-    n_rows = sum(len(coeffs) for coeffs, *_ in lists)
+    rows = len(stack.coeffs)
+    lows = np.array(stack.masks, dtype=np.int64) & (step - 1)
+    lows = (np.arange(rows)[:, None] * step + lows).ravel()
+    highs = [m >> bits for m in stack.masks]
     for high in range(1 << (n_settings - bits)):
-        outs = np.empty((n_rows, step))
-        views, row = [], 0
-        for coeffs, lows, highs, stacked in lists:
-            signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
-            out = outs[row:row + len(coeffs)]
-            out[:] = np.bincount(lows, weights=(coeffs * signs).ravel(),
-                                 minlength=out.size).reshape(out.shape)
-            views.append(out if stacked else out[0])
-            row += len(coeffs)
-        walsh_hadamard(outs)
-        yield high << bits, views
+        signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
+        values = np.bincount(lows, weights=(stack.coeffs * signs).ravel(),
+                             minlength=rows * step).reshape(rows, step)
+        yield high << bits, walsh_hadamard(values)
 
 
 def _lhv_rows(stack: _Stack, n_settings: int) -> np.ndarray:
@@ -128,13 +126,14 @@ def _lhv_rows(stack: _Stack, n_settings: int) -> np.ndarray:
     best = np.full(len(stack.coeffs), -np.inf)
     for r in range(0, len(best), per_chunk):
         rows = _Stack(stack.coeffs[r:r + per_chunk], stack.masks)
-        for _, (vals,) in _chunked_values([rows], n_settings):
+        for _, vals in _chunked_values(rows, n_settings):
             np.maximum(best[r:r + per_chunk], vals.max(axis=1), out=best[r:r + per_chunk])
     return best
 
 
-def _linear_indexed(expr) -> tuple[dict[Setting, int], list]:
-    """Setting index and indexed terms of a linear expression within the cap."""
+def _lhv_max(expr) -> tuple[float, int, dict[Setting, int]]:
+    """Deterministic maximum of a linear expression within the cap, its first
+    maximising strategy and the setting index that strategy's bits follow."""
     ast = _ast(expr)
     if not ast.is_linear:
         raise BoundError(
@@ -144,28 +143,23 @@ def _linear_indexed(expr) -> tuple[dict[Setting, int], list]:
     if len(settings) > LIMITS.max_settings:
         raise BoundError(f"{len(settings)} settings exceed cap {LIMITS.max_settings}")
     index = {s: k for k, s in enumerate(settings)}
-    return index, _index_terms(ast.linear, index)
+    best, arg = -np.inf, 0
+    for start, (vals,) in _chunked_values(_stack([ast.linear], index), len(index)):
+        k = int(vals.argmax())
+        if vals[k] > best:
+            best, arg = float(vals[k]), start + k
+    return best, arg, index
 
 
 def lhv_bound(expr: Inequality | InequalityAST) -> float:
     """Exact maximum over all deterministic strategies (linear expressions)."""
-    index, terms = _linear_indexed(expr)
-    best = -np.inf
-    for _, (vals,) in _chunked_values([terms], len(index)):
-        best = max(best, float(vals.max()))
-    return best
+    return _lhv_max(expr)[0]
 
 
 def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting, int]]:
     """As lhv_bound, but also return one maximising assignment."""
-    index, terms = _linear_indexed(expr)
-    best, arg = -np.inf, 0
-    for start, (vals,) in _chunked_values([terms], len(index)):
-        k = int(vals.argmax())
-        if vals[k] > best:
-            best, arg = float(vals[k]), start + k
-    strategy = {s: 1 - 2 * ((arg >> k) & 1) for s, k in index.items()}
-    return best, strategy
+    best, arg, index = _lhv_max(expr)
+    return best, {s: 1 - 2 * ((arg >> k) & 1) for s, k in index.items()}
 
 
 def hybrid_bound(expr: Inequality | InequalityAST) -> float:
@@ -175,10 +169,7 @@ def hybrid_bound(expr: Inequality | InequalityAST) -> float:
     grouped model (composite settings already expanded), so the bound is
     the plain deterministic maximum over all of them.
     """
-    ast = _ast(expr)
-    if not ast.is_linear:
-        raise BoundError("hybrid bound expects a linear (pre-expanded) expression")
-    return lhv_bound(ast)
+    return lhv_bound(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +184,18 @@ def _group_max(moments: np.ndarray, values: np.ndarray):
     return moments[last], values[last]
 
 
-def _folded_values(term_lists, n_settings: int, low_bits: int) -> np.ndarray:
-    """(lists, 2^low_bits) array: each term list's largest value over the
+def _folded_values(stack: _Stack, n_settings: int, low_bits: int) -> np.ndarray:
+    """(rows, 2^low_bits) array: each row's largest value over the
     strategies that share their low ``low_bits`` bits.
 
     A chunk narrower than 2^low_bits fills the slice of low assignments at
     its offset; a wider one is folded to one value per low assignment.
     """
-    out = np.full((len(term_lists), 1 << low_bits), -np.inf)
-    for start, values in _chunked_values(term_lists, n_settings):
-        for row, vals in zip(out, values):
-            width = min(len(vals), len(row))
-            at = row[start & (len(row) - 1):][:width]
-            np.maximum(at, vals.reshape(-1, width).max(axis=0), out=at)
+    out = np.full((len(stack.coeffs), 1 << low_bits), -np.inf)
+    for start, values in _chunked_values(stack, n_settings):
+        width = min(values.shape[1], out.shape[1])
+        at = out[:, start & (out.shape[1] - 1):][:, :width]
+        np.maximum(at, values.reshape(len(values), -1, width).max(axis=1), out=at)
     return out
 
 
@@ -228,9 +218,9 @@ def _strategy_points(ast: InequalityAST):
     squared = {s for _, sub in ast.squares for _, mono in sub for s in mono}
     order = sorted(settings, key=lambda s: s not in squared)  # stable: squared first
     index = {s: k for k, s in enumerate(order)}
-    (best,) = _folded_values([_index_terms(ast.linear, index)], len(order), len(squared))
-    subs = [_index_terms(sub, index) for _, sub in ast.squares]
-    moments = _folded_values(subs, len(squared), len(squared))
+    (best,) = _folded_values(_stack([ast.linear], index), len(order), len(squared))
+    moments = _folded_values(_stack([sub for _, sub in ast.squares], index),
+                             len(squared), len(squared))
     m, v = _group_max(np.round(moments, 12, out=moments).T, best)
     return [(tuple(k), val) for k, val in zip(m.tolist(), v.tolist())]
 
@@ -427,9 +417,10 @@ def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
     ``_SEPARABLE_RESTARTS`` Fibonacci-sphere Bloch vectors, so the result
     is deterministic and draws no random numbers.  The value is attained
     by the returned product state, so it is a lower bound on the true
-    separable maximum; with this restart budget it is exact in practice
-    for the small operators handled here (cross-checked against a dense
-    grid oracle for the 2x2 case in the test-suite).
+    separable maximum, not a certified upper bound.  Where the optimum is
+    flat to fourth order the ascent converges sublinearly: on
+    -I - Y2 - X1X2 - Y1 + Z1Z2 (maximum 1) every start reaches the
+    500-iteration cap and the value falls 2.3e-7 short.
     """
     if not terms:
         raise BoundError("empty operator")

@@ -164,14 +164,6 @@ def default_fixtures_dir() -> Path:
     return Path(str(resources.files("stabhom") / "fixtures"))
 
 
-REQUIRED_FIXTURES = [
-    "coherence-X-half", "ent-witness-I", "ent-witness-II-optimal", "mermin3",
-    "discord-condition", "chsh", "chsh-to-mermin", "dda3", "nl1-3party",
-    "fourparty", "cluster4", "nonlinear6", "mermin-desc-4", "mermin-desc-5",
-    "svetlichny3", "svetlichny-desc-5",
-]
-
-
 def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
     base = Path(directory) if directory else default_fixtures_dir()
     if not base.is_dir():

@@ -18,7 +18,9 @@ setting's image set.  Each pair gives a column, the shifted image
 monomial's place in a universe sorted by canonical monomial order, and an
 exact coefficient, an integer over one common denominator.  A plan picks
 table entries for every seed term, so a descendant is one integer row
-over the universe; ``substitute`` applies the table to one plan.
+over the universe; ``substitute`` applies the table to one plan, and
+``lift_coherence_witness`` substitutes a whole image set into a one-term
+seed.
 
 ``enumerate_descendants`` indexes plans instead of building them: plan p
 of the selection product (``itertools.product`` order) takes selection
@@ -26,10 +28,12 @@ of the selection product (``itertools.product`` order) takes selection
 ``max_assignments`` plans and the selections they reach are ever made.
 Their rows come in chunks of integer arrays and are deduplicated on row
 bytes, the first plan winning.  Bounds and values are then computed for
-all kept rows at once: deterministic bounds of linear rows as stacks
-through the strategy evaluator, quantum values from one expectation per
-distinct Pauli string.  Only the emitted rows become Python objects, each
-with its AST, plan and one printed text.
+all kept rows at once, by the kernels that also serve one expression:
+deterministic bounds of linear rows through ``bounds``' strategy
+evaluator, one stack per setting set, and quantum values through
+``dsl``'s Pauli expansion, one coefficient column per universe monomial,
+with one expectation per distinct Pauli string.  Only the emitted rows
+become Python objects, each with its AST, plan and one printed text.
 
 Bounds of descendants are never inherited: the caller re-derives them
 from scratch (``enumerate_descendants`` does this automatically).
@@ -55,9 +59,9 @@ from .dsl import (
     Monomial,
     Setting,
     _canon_linear,
-    _expand_monomial,
     _merge,
     _mono_key,
+    _pauli_sums,
     _resolve_assignment,
     pretty_print,
 )
@@ -382,36 +386,30 @@ def _quantum_values(table: _Table, coeffs: np.ndarray, square_coeffs: Sequence[f
                     assignment: Optional[Mapping], state: StateVector) -> np.ndarray:
     """``quantum_value`` of every row under one assignment, to the last bit.
 
-    Each universe column is expanded into Pauli strings once and each
-    string's expectation is taken once.  A row's string coefficients then
-    accumulate in column order and its terms add up in
-    ``PauliString.sort_key`` order from +0.0, as ``assign_paulis`` and
-    ``quantum_value`` do for one expression; absent columns add zeros.
+    Each part's present universe columns go once through ``_pauli_sums``,
+    the expansion ``assign_paulis`` uses, one coefficient column per
+    monomial, and each string's expectation is taken once.  A row's string
+    sums then carry the bits of its own expansion, and its terms add up in
+    ``PauliString.sort_key`` order from +0.0, as ``quantum_value`` does for
+    one expression; absent columns add zeros.
     """
     u_count = len(table.universe)
     present = (coeffs != 0).reshape(len(coeffs), table.parts, u_count).any(axis=0)
     settings = sorted({s for u in np.flatnonzero(present.any(axis=0)) for s in table.universe[u]})
     observables = _resolve_assignment(settings, assignment or {})
-    width = state.width
-    expectations: dict[tuple[int, int], float] = {}
+    expectations: dict[PauliString, float] = {}
     sums = []
     for part in range(table.parts):
-        acc: dict[tuple[int, int], np.ndarray] = {}
-        for u in np.flatnonzero(present[part]):
-            for ocs, key in _expand_monomial(table.universe[u], observables, width):
-                v = coeffs[:, part * u_count + u]
-                for oc in ocs:
-                    v = v * oc
-                acc[key] = acc.get(key, 0.0) + v
+        terms = [(coeffs[:, part * u_count + u], table.universe[u])
+                 for u in np.flatnonzero(present[part])]
         total = np.zeros(len(coeffs))
-        for key in sorted(acc, key=lambda k: PauliString(width, *k, 0).sort_key()):
-            kept = np.abs(acc[key]) > 1e-14
+        for acc, string in _pauli_sums(terms, observables, state.width):
+            kept = np.abs(acc) > 1e-14
             if not kept.any():
                 continue
-            if key not in expectations:
-                string = PauliString(width, *key, 0)
-                expectations[key] = expectation(state, SignedPauliTerm(1.0, string))
-            total = total + np.where(kept, expectations[key] * acc[key], 0.0)
+            if string not in expectations:
+                expectations[string] = expectation(state, SignedPauliTerm(1.0, string))
+            total = total + np.where(kept, expectations[string] * acc, 0.0)
         sums.append(total)
     values = sums[0]
     for c, s in zip(square_coeffs, sums[1:]):
@@ -557,7 +555,8 @@ def lift_coherence_witness(
 ) -> DescendantResult:
     """Image-sum lift of the single-site witness  k*<letter> <= k*threshold.
 
-    The left side becomes the sum of every image of the letter; the right
+    The left side becomes the sum of every image of the letter: ``substitute``
+    puts the whole image set into the one-term seed ``letter1``.  The right
     side scales as (image count) * threshold.  The returned result also
     re-derives the deterministic bound and evaluates the lifted maximal
     coherence state.
@@ -569,13 +568,14 @@ def lift_coherence_witness(
     members = image_set(encoding, letter).members
     if not members:
         raise SubstitutionError("empty image set")
-    terms: dict[Monomial, Fraction] = {}
-    for img in members:
-        c, mono = _image_monomial(img, 1)
-        _merge(terms, mono, Fraction(c).limit_denominator(10**9))
+    seed = Setting(1, letter)
+    linear = substitute(
+        InequalityAST(((Fraction(1), (seed,)),), (), "<=", Fraction(0)),
+        SubstitutionPlan(1, encoding, {seed: PlanEntry(letter)}),
+    ).linear
     derived = len(members) * threshold
     bound = Fraction(derived) if float(derived).is_integer() else float(derived)
-    ast = InequalityAST(_canon_linear(terms), (), "<=", bound)
+    ast = InequalityAST(linear, (), "<=", bound)
     bound = lhv_bound(ast)
     amp = 1 / np.sqrt(2)
     phase = 1.0 if letter == "X" else 1.0j

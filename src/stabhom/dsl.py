@@ -15,6 +15,14 @@ other (letter, primes) combination is a free dichotomic setting.  The
 canonical form is fully expanded and like-term collected; ``sq(...)``
 marks a squared sub-expression and cannot be nested or multiplied by
 further factors.
+
+``assign_paulis`` realises an expression as Pauli-string sums under an
+assignment of observables to settings.  One expansion, ``_pauli_sums``,
+turns (coefficient, monomial) pairs into string sums in
+``PauliString.sort_key`` order.  A coefficient is a float for one
+expression, or an array with one entry per row when the descendant
+search expands a stack of rows over one universe of monomials; each row
+then carries the float bits of its own expression's expansion.
 """
 from __future__ import annotations
 
@@ -330,7 +338,7 @@ def _format_number(x: Number) -> str:
     return repr(float(x))
 
 
-def _format_linear(terms: LinearTerms, lead_sign: bool = False) -> str:
+def _format_linear(terms: LinearTerms) -> str:
     parts = []
     for i, (coeff, mono) in enumerate(terms):
         mag = abs(coeff)
@@ -339,7 +347,7 @@ def _format_linear(terms: LinearTerms, lead_sign: bool = False) -> str:
             chunk = body
         else:
             chunk = _format_number(mag) if not mono else f"{_format_number(mag)}*{body}"
-        if i == 0 and not lead_sign:
+        if i == 0:
             parts.append(chunk if coeff > 0 else f"-{chunk}")
         else:
             parts.append(("+ " if coeff > 0 else "- ") + chunk)
@@ -466,44 +474,38 @@ def _resolve_assignment(
     return table
 
 
-def _expand_monomial(
-    mono: Monomial, table: dict[Setting, Observable], width: int
-) -> list[tuple[tuple[float, ...], tuple[int, int]]]:
-    """(observable coefficients, (x_mask, z_mask)) of each Pauli string of a monomial.
+def _pauli_sums(terms, table: Mapping[Setting, Observable], width: int) -> list:
+    """(sum, string) of every Pauli string the terms expand into, in ``sort_key`` order.
 
-    A term's coefficient times its observable coefficients, multiplied in
-    order, is that string's share of the term.
+    A term is a (coefficient, monomial) pair.  Its monomial expands into
+    one string per choice of a letter from each setting's observable, and
+    that string's share is the coefficient times the observable
+    coefficients, multiplied in setting order.  Shares add up in term order
+    from 0.0.  A coefficient may be a float or an array with one entry per
+    row; each row's sums then carry the float bits of that row's own terms.
     """
-    partial: list[tuple[tuple[float, ...], dict]] = [((), {})]
-    for s in mono:
-        partial = [
-            (ocs + (oc,), {**sites, s.site: letter})
-            for ocs, sites in partial
-            for oc, letter in table[s]
-        ]
-    out = []
-    for ocs, sites in partial:
-        ps = PauliString.from_letters("".join(sites.get(i, "I") for i in range(1, width + 1)))
-        out.append((ocs, (ps.x_mask, ps.z_mask)))
-    return out
+    sums: dict[PauliString, float | np.ndarray] = {}
+    for coeff, mono in terms:
+        partial = [(coeff, {})]
+        for s in mono:
+            partial = [
+                (c * oc, {**sites, s.site: letter})
+                for c, sites in partial
+                for oc, letter in table[s]
+            ]
+        for c, sites in partial:
+            string = PauliString.from_letters(
+                "".join(sites.get(i, "I") for i in range(1, width + 1))
+            )
+            sums[string] = sums.get(string, 0.0) + c
+    return [(sums[s], s) for s in sorted(sums, key=PauliString.sort_key)]
 
 
 def _expand_terms(
     terms: LinearTerms, table: dict[Setting, Observable], width: int
 ) -> list[tuple[float, PauliString]]:
-    out: dict[tuple[int, int], float] = {}
-    for coeff, mono in terms:
-        for ocs, key in _expand_monomial(mono, table, width):
-            c = float(coeff)
-            for oc in ocs:
-                c *= oc
-            out[key] = out.get(key, 0.0) + c
-    result = []
-    for (x, z), c in out.items():
-        if abs(c) > 1e-14:
-            result.append((c, PauliString(width, x, z, 0)))
-    result.sort(key=lambda t: t[1].sort_key())
-    return result
+    sums = _pauli_sums([(float(c), mono) for c, mono in terms], table, width)
+    return [(c, s) for c, s in sums if abs(c) > 1e-14]
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,6 @@ class PauliString:
     def y_count(self) -> int:
         return bin(self.x_mask & self.z_mask).count("1")
 
-    def is_hermitian(self) -> bool:
-        return self.phase_exp in (0, 2)
-
     def sort_key(self):
         sites = tuple(
             (s + 1, ch) for s, ch in enumerate(self.letters) if ch != "I"
@@ -193,12 +190,23 @@ def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _phase_vector(string: PauliString, n: int) -> np.ndarray:
+    """Phase of each basis index k under the string: string|k> = phase[k] |k ^ x_mask>."""
+    idx = np.arange(2**n)
+    par = idx & string.z_mask
+    # parity of the n-bit popcount: fold by 2^k for every 2^k < n, largest first
+    for k in reversed(range((n - 1).bit_length())):
+        par ^= par >> (1 << k)
+    sign = 1 - 2 * (par & 1)
+    return string.phase * (1j ** string.y_count) * sign
+
+
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^N x 2^N realisation."""
-    m = np.array([[1]], dtype=complex)
-    for ch in p.letters:
-        m = np.kron(m, _SINGLE[ch])
-    return p.phase * m
+    """Dense 2^N x 2^N realisation: the index permutation k -> k ^ x_mask times the phases."""
+    idx = np.arange(2**p.width)
+    m = np.zeros((len(idx), len(idx)), dtype=complex)
+    m[idx ^ p.x_mask, idx] = _phase_vector(p, p.width)
+    return m
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import PauliError, PauliString, SignedPauliTerm
+from .pauli import PauliError, PauliString, SignedPauliTerm, _phase_vector
 
 
 class StateError(ValueError):
@@ -152,16 +152,6 @@ def make_cq_state(
 
 # ---------------------------------------------------------------------------
 # pauli action and expectations
-
-def _phase_vector(string: PauliString, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    par = idx & string.z_mask
-    # parity of the n-bit popcount: fold by 2^k for every 2^k < n, largest first
-    for k in reversed(range((n - 1).bit_length())):
-        par ^= par >> (1 << k)
-    sign = 1 - 2 * (par & 1)
-    return string.phase * (1j ** string.y_count) * sign
-
 
 def apply_pauli(string: PauliString, amps: np.ndarray) -> np.ndarray:
     """Return string @ amps using index permutation + per-index phases."""

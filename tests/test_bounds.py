@@ -156,9 +156,10 @@ class TestLhv:
 
 
 def indexed_lists(ast):
+    """Each part's (float coefficient, setting indices) terms, linear part first."""
     index = {s: k for k, s in enumerate(ast.settings)}
-    lists = [bounds._index_terms(ast.linear, index)]
-    return lists + [bounds._index_terms(sub, index) for _, sub in ast.squares]
+    parts = [ast.linear] + [sub for _, sub in ast.squares]
+    return [[(float(c), tuple(index[s] for s in mono)) for c, mono in terms] for terms in parts]
 
 
 def random_lists(rng, n_settings, coefficients, count=2):
@@ -174,7 +175,9 @@ def random_lists(rng, n_settings, coefficients, count=2):
 
 
 def chunk_pairs(lists, n_settings):
-    got = list(bounds._chunked_values(lists, n_settings))
+    """(kernel row, oracle values) per term list and chunk; the kernel takes one stack."""
+    stack = bounds._stack(lists, {k: k for k in range(n_settings)})
+    got = list(bounds._chunked_values(stack, n_settings))
     want = list(column_chunked_values(lists, n_settings))
     assert [start for start, _ in got] == [start for start, _ in want]
     return [(g, w) for (_, gs), (_, ws) in zip(got, want) for g, w in zip(gs, ws)]

@@ -76,6 +76,7 @@ def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys, argv, seed):
 @pytest.mark.parametrize("kind,text,hint", [
     ("lhv", "A1 - 1/2*sq(A1) <= 1", "--kind nonlinear"),
     ("separable", "X1*X2 - 1/2*sq(X1*X2) <= 1", "linear"),
+    ("hybrid", "A1 - 1/2*sq(A1) <= 1", "--kind nonlinear"),
 ])
 def test_bound_refuses_square_terms(tmp_path, capsys, kind, text, hint):
     path = tmp_path / "square.ineq"

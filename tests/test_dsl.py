@@ -13,6 +13,8 @@ from stabhom.dsl import (
     InequalityAST,
     ParseError,
     Setting,
+    _pauli_sums,
+    _resolve_assignment,
     assign_paulis,
     dump_ineq,
     load_ineq_text,
@@ -200,3 +202,23 @@ class TestAssignment:
         assert len(opex.squares) == 1
         c, sub = opex.squares[0]
         assert c == -0.5 and len(sub) == 2
+
+    def test_array_coefficients_expand_row_by_row(self):
+        # the descendant search expands one coefficient column per monomial;
+        # each row must carry the bits of the scalar expansion of its own terms
+        ast = parse("A1*A2 + A1*A2' + 1/3*A1'*A2 - A1'*A2' + 2/7*A2 - 1 <= 2").ast
+        amap = {"A1": "(X1-Y1)/sqrt2", "A1'": "(X1+Z1)/sqrt2",
+                "A2": "X2", "A2'": "(Y2-Z2)/sqrt2"}
+        table = _resolve_assignment(ast.settings, amap)
+        monos = [mono for _, mono in ast.linear]
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=(6, len(monos)))
+        coeffs[1, :3] = 0.0
+        coeffs[2] = [float(c) for c, _ in ast.linear]
+        stacked = _pauli_sums([(coeffs[:, j], m) for j, m in enumerate(monos)], table, 2)
+        assert len(stacked) == 11
+        for r, row in enumerate(coeffs):
+            scalar = _pauli_sums([(float(c), m) for c, m in zip(row, monos)], table, 2)
+            assert [s for _, s in scalar] == [s for _, s in stacked]
+            want = np.array([c for c, _ in scalar]).tobytes()
+            assert np.array([c[r] for c, _ in stacked]).tobytes() == want, r

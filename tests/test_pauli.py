@@ -154,6 +154,13 @@ class TestMatrix:
             m = to_matrix(p)
             assert np.allclose(m, m.conj().T) == (e in (0, 2))
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_permutation_form_equals_kron_chain(self, width):
+        for letters in map("".join, itertools.product(LETTERS, repeat=width)):
+            for e in range(4):
+                p = PauliString.from_letters(letters, e)
+                assert np.array_equal(to_matrix(p), p.phase * kron_chain(letters)), (letters, e)
+
 
 def sylvester(n: int) -> np.ndarray:
     out = np.ones((1, 1))

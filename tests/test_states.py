@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import char_poly_max_eig, kron_chain
-from stabhom.pauli import PauliString, SignedPauliTerm
+from stabhom.pauli import PauliString, SignedPauliTerm, _phase_vector
 from stabhom.states import (
     DensityOperator,
     StateError,
     StateVector,
-    _phase_vector,
     assemble_operator,
     basis_state,
     expectation,
