@@ -7,7 +7,6 @@ from .states import (
     StateVector,
     basis_state,
     expectation,
-    expectation_density,
     ghz_state,
     make_cq_state,
     make_pair_superposition,

@@ -26,6 +26,13 @@ parts, one row each; the descendant search stacks thousands of rows over
 one setting index.  Linear bounds refuse square terms and more than
 ``LIMITS.max_settings`` settings before enumerating.
 
+Quantum values come from one kernel, ``_quantum_values``, over parts of
+(coefficient column, monomial) terms with one entry per row:
+``quantum_value`` is its one-row call, and the descendant search passes
+its table columns.  It holds the width contract: a setting on a site past
+the state's width raises ``BoundError``, and a wider state pads with
+identities.
+
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
@@ -48,7 +55,14 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .dsl import Inequality, InequalityAST, Setting, assign_paulis
+from .dsl import (
+    Inequality,
+    InequalityAST,
+    Setting,
+    _pauli_sums,
+    _resolve_assignment,
+    assign_paulis,
+)
 from .pauli import _LETTER, _SINGLE, PauliString, SignedPauliTerm, walsh_hadamard
 from .states import (
     DensityOperator,
@@ -301,6 +315,43 @@ def lhv_bound_nonlinear(expr: Inequality | InequalityAST) -> float:
 # ---------------------------------------------------------------------------
 # quantum values
 
+def _quantum_values(parts, square_coeffs: Sequence[float], assignment: Mapping | None,
+                    state: StateVector, rows: int) -> np.ndarray:
+    """Quantum value of each of ``rows`` expressions on one state.
+
+    ``parts`` holds the linear part, then each square part (its
+    coefficient in ``square_coeffs``), as (coefficient column, monomial)
+    terms with one column entry per row.  Each part goes once through
+    ``_pauli_sums`` and each string's expectation is taken once.  A row's
+    string sums carry the bits of its own expansion and add up in
+    ``PauliString.sort_key`` order from +0.0, and absent terms add zeros,
+    so each row's value is, by construction, the one ``quantum_value``
+    (the one-row call) gives its own expression.  A setting on a site
+    past the state's width is refused; a wider state pads with identities.
+    """
+    settings = sorted({s for terms in parts for _, mono in terms for s in mono})
+    width = max((s.site for s in settings), default=1)
+    if width > state.width:
+        raise BoundError(f"expression width {width} exceeds state width {state.width}")
+    observables = _resolve_assignment(settings, assignment or {})
+    expectations: dict[PauliString, float] = {}
+    sums = []
+    for terms in parts:
+        total = np.zeros(rows)
+        for acc, string in _pauli_sums(terms, observables, state.width):
+            kept = np.abs(acc) > 1e-14
+            if not kept.any():
+                continue
+            if string not in expectations:
+                expectations[string] = expectation(state, SignedPauliTerm(1.0, string))
+            total = total + np.where(kept, expectations[string] * acc, 0.0)
+        sums.append(total)
+    values = sums[0]
+    for c, s in zip(square_coeffs, sums[1:]):
+        values = values + c * s * s
+    return values
+
+
 def quantum_value(
     expr: Inequality | InequalityAST,
     assignment: Mapping | None,
@@ -309,13 +360,13 @@ def quantum_value(
     """Expectation of the assigned operator expression on a state.
 
     Square terms contribute coefficient * (expectation of sub-expression)^2.
+    The expression is a one-row call of ``_quantum_values``.
     """
-    opex = assign_paulis(_ast(expr), assignment, width=state.width)
-    val = sum(expectation(state, t) for t in opex.linear_terms())
-    for c, sub in opex.square_parts():
-        s = sum(expectation(state, t) for t in sub)
-        val += c * s * s
-    return float(val)
+    ast = _ast(expr)
+    parts = [[(np.array([float(c)]), mono) for c, mono in terms]
+             for terms in (ast.linear, *(sub for _, sub in ast.squares))]
+    square_coeffs = [float(c) for c, _ in ast.squares]
+    return float(_quantum_values(parts, square_coeffs, assignment, state, 1)[0])
 
 
 def quantum_max(

@@ -31,8 +31,10 @@ bytes, the first plan winning.  Bounds and values are then computed for
 all kept rows at once, by the kernels that also serve one expression:
 deterministic bounds of linear rows through ``bounds``' strategy
 evaluator, one stack per setting set, and quantum values through
-``dsl``'s Pauli expansion, one coefficient column per universe monomial,
-with one expectation per distinct Pauli string.  Only the emitted rows
+``bounds``' quantum-value kernel, which takes each present universe
+monomial with its coefficient column; ``quantum_value`` is its one-row
+call, so each row's value is its own expression's, and a lifted state
+narrower than the descendants is refused there.  Only the emitted rows
 become Python objects, each with its AST, plan and one printed text.
 
 Bounds of descendants are never inherited: the caller re-derives them
@@ -49,7 +51,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundError, _lhv_rows, _Stack, lhv_bound, lhv_bound_nonlinear
+from .bounds import BoundError, _lhv_rows, _quantum_values, _Stack, lhv_bound, lhv_bound_nonlinear
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
 from .dsl import (
@@ -61,12 +63,10 @@ from .dsl import (
     _canon_linear,
     _merge,
     _mono_key,
-    _pauli_sums,
-    _resolve_assignment,
     pretty_print,
 )
-from .pauli import PauliString, SignedPauliTerm
-from .states import StateVector, expectation
+from .pauli import SignedPauliTerm
+from .states import StateVector
 from . import bounds as _bounds
 
 
@@ -382,41 +382,6 @@ def _lhv_bounds(table: _Table, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarr
     return bounds
 
 
-def _quantum_values(table: _Table, coeffs: np.ndarray, square_coeffs: Sequence[float],
-                    assignment: Optional[Mapping], state: StateVector) -> np.ndarray:
-    """``quantum_value`` of every row under one assignment, to the last bit.
-
-    Each part's present universe columns go once through ``_pauli_sums``,
-    the expansion ``assign_paulis`` uses, one coefficient column per
-    monomial, and each string's expectation is taken once.  A row's string
-    sums then carry the bits of its own expansion, and its terms add up in
-    ``PauliString.sort_key`` order from +0.0, as ``quantum_value`` does for
-    one expression; absent columns add zeros.
-    """
-    u_count = len(table.universe)
-    present = (coeffs != 0).reshape(len(coeffs), table.parts, u_count).any(axis=0)
-    settings = sorted({s for u in np.flatnonzero(present.any(axis=0)) for s in table.universe[u]})
-    observables = _resolve_assignment(settings, assignment or {})
-    expectations: dict[PauliString, float] = {}
-    sums = []
-    for part in range(table.parts):
-        terms = [(coeffs[:, part * u_count + u], table.universe[u])
-                 for u in np.flatnonzero(present[part])]
-        total = np.zeros(len(coeffs))
-        for acc, string in _pauli_sums(terms, observables, state.width):
-            kept = np.abs(acc) > 1e-14
-            if not kept.any():
-                continue
-            if string not in expectations:
-                expectations[string] = expectation(state, SignedPauliTerm(1.0, string))
-            total = total + np.where(kept, expectations[string] * acc, 0.0)
-        sums.append(total)
-    values = sums[0]
-    for c, s in zip(square_coeffs, sums[1:]):
-        values = values + c * s * s
-    return values
-
-
 @dataclass
 class DescendantResult:
     descendant: Inequality
@@ -515,14 +480,19 @@ def enumerate_descendants(
     rows, plans = table.distinct_rows(picks, usable, counts, inner, n_plans)
     square_coeffs = [c for c, _ in ast.squares]
     coeffs = table.floats(rows)
-    bounds = _lhv_bounds(table, rows, coeffs) if table.parts == 1 else None
     lifted = (
         lift_state(seed_state, target_site, encoding) if seed_state is not None else None
     )
     qvs = None
-    if lifted is not None:
-        qvs = _quantum_values(table, coeffs, [float(c) for c in square_coeffs],
-                              seed_assignment, lifted).tolist()
+    if lifted is not None:  # before the bounds, so a refused state costs no enumeration
+        u_count = len(table.universe)
+        present = (coeffs != 0).reshape(len(coeffs), table.parts, u_count).any(axis=0)
+        parts = [[(coeffs[:, part * u_count + u], table.universe[u])
+                  for u in np.flatnonzero(present[part])] for part in range(table.parts)]
+        qvs = _quantum_values(parts, [float(c) for c in square_coeffs],
+                              seed_assignment, lifted, len(coeffs)).tolist()
+        del parts  # its columns are views of coeffs, freed below
+    bounds = _lhv_bounds(table, rows, coeffs) if table.parts == 1 else None
     del coeffs
     results = []
     for i, (row, plan_row) in enumerate(zip(rows, plans.tolist())):

@@ -19,10 +19,11 @@ further factors.
 ``assign_paulis`` realises an expression as Pauli-string sums under an
 assignment of observables to settings.  One expansion, ``_pauli_sums``,
 turns (coefficient, monomial) pairs into string sums in
-``PauliString.sort_key`` order.  A coefficient is a float for one
-expression, or an array with one entry per row when the descendant
-search expands a stack of rows over one universe of monomials; each row
-then carries the float bits of its own expression's expansion.
+``PauliString.sort_key`` order.  A coefficient is a float in
+``assign_paulis``, or an array with one entry per row in ``bounds``'
+quantum-value kernel, which expands one expression or a stack of
+descendant rows over one universe of monomials; each row then carries
+the float bits of its own expression's expansion.
 """
 from __future__ import annotations
 
@@ -396,16 +397,6 @@ def load_ineq(path) -> Inequality:
         return load_ineq_text(fh.read())
 
 
-def dump_ineq(ineq: Inequality) -> str:
-    lines = []
-    if ineq.name:
-        lines.append(f"name: {ineq.name}")
-    if ineq.provenance:
-        lines.append(f"provenance: {ineq.provenance}")
-    lines.append(pretty_print(ineq))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # pauli assignment
 
@@ -526,16 +517,17 @@ class OperatorExpression:
 
 
 def assign_paulis(
-    ineq: Inequality | InequalityAST, assignment: Mapping | None = None, width: int | None = None
+    ineq: Inequality | InequalityAST, assignment: Mapping | None = None
 ) -> OperatorExpression:
     """Expand the inequality into explicit Pauli terms under an assignment.
 
     Fixed-Pauli settings map to themselves; every symbolic setting must
     appear in ``assignment`` (as a Setting or its text form) with a value
     that is a single Pauli letter or a normalised two-letter combination.
+    The strings span the expression's own width, sites 1 to its largest.
     """
     ast = ineq.ast if isinstance(ineq, Inequality) else ineq
-    width = width or ast.width
+    width = ast.width
     table = _resolve_assignment(ast.settings, assignment or {})
     linear = tuple(_expand_terms(ast.linear, table, width))
     squares = tuple(

@@ -174,21 +174,6 @@ def expectation(state: StateVector, term: SignedPauliTerm) -> float:
     return float(val.real)
 
 
-def expectation_density(rho: DensityOperator, term: SignedPauliTerm) -> float:
-    """coefficient * tr(rho * string)."""
-    if rho.matrix.ndim != 2:
-        raise StateError("expectation_density takes one state, not a stack")
-    if rho.width != term.width:
-        raise PauliError(f"width mismatch {rho.width} != {term.width}")
-    n = rho.width
-    ph = _phase_vector(term.string, n)
-    idx = np.arange(2**n)
-    val = term.coefficient * (rho.matrix[idx, idx ^ term.string.x_mask] * ph).sum()
-    if abs(val.imag) > TOL.norm:
-        raise StateError(f"non-real expectation {val}")
-    return float(val.real)
-
-
 # ---------------------------------------------------------------------------
 # eigen-extremes
 

@@ -12,7 +12,8 @@ and triple of strategy points in Python loops, the separable optimiser
 re-sums dense per-term factors on every iteration, random
 classical-quantum states and their discord correlators are built one
 state at a time with ``np.kron``, and descendants are substituted
-with Fractions term by term and searched one plan object at a time.
+with Fractions term by term and searched one plan object at a time,
+each quantum value summed one expectation per assigned term.
 Expected values asserted in the tests were computed with these oracles.
 """
 from __future__ import annotations
@@ -37,9 +38,16 @@ from stabhom.descend import (
     _shift_setting,
     substitute,
 )
-from stabhom.dsl import Inequality, InequalityAST, _canon_linear, _merge, pretty_print
+from stabhom.dsl import (
+    Inequality,
+    InequalityAST,
+    _canon_linear,
+    _merge,
+    assign_paulis,
+    pretty_print,
+)
 from stabhom.pauli import PauliString, SignedPauliTerm
-from stabhom.states import DensityOperator, StateVector, max_eigenpair
+from stabhom.states import DensityOperator, StateVector, expectation, max_eigenpair
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,6 +88,30 @@ def brute_force_images(enc: LogicalEncoding, tol: float = 1e-9) -> dict[str, lis
     }
 
 
+def loop_quantum_value(
+    expr: Inequality | InequalityAST, assignment: Optional[Mapping], state: StateVector
+) -> float:
+    """Quantum value as a sum of per-term expectations, one term at a time.
+
+    Each assigned string is padded with identities to the state's width;
+    square terms contribute coefficient * (sub-expression expectation)^2.
+    """
+    opex = assign_paulis(expr, assignment)
+    pad = "I" * (state.width - opex.width)
+
+    def total(terms):
+        return sum(
+            expectation(state, SignedPauliTerm(c, PauliString.from_letters(s.letters + pad)))
+            for c, s in terms
+        )
+
+    val = total(opex.linear)
+    for c, sub in opex.squares:
+        s = total(sub)
+        val += c * s * s
+    return float(val)
+
+
 def per_image_transport_check(
     seed: Inequality | InequalityAST,
     plan: SubstitutionPlan,
@@ -94,7 +126,7 @@ def per_image_transport_check(
     """
     ast = seed.ast if isinstance(seed, Inequality) else seed
     lifted = lift_state(seed_state, plan.target_site, plan.encoding)
-    seed_val = bounds.quantum_value(ast, seed_assignment, seed_state)
+    seed_val = loop_quantum_value(ast, seed_assignment, seed_state)
     worst = 0.0
     counts = {
         s: len(image_set(plan.encoding, e.letter).members)
@@ -111,7 +143,7 @@ def per_image_transport_check(
             },
         )
         desc = substitute(ast, single)
-        val = bounds.quantum_value(desc, seed_assignment, lifted)
+        val = loop_quantum_value(desc, seed_assignment, lifted)
         worst = max(worst, abs(val - seed_val))
     return worst
 
@@ -593,7 +625,7 @@ def loop_enumerate_descendants(
         qv = None
         accepted = False
         if lifted is not None:
-            qv = bounds.quantum_value(descendant, seed_assignment, lifted)
+            qv = loop_quantum_value(descendant, seed_assignment, lifted)
             accepted = qv > bound + TOL.violation
         derived = Fraction(int(round(bound))) if float(bound).is_integer() else float(bound)
         results[key] = DescendantResult(

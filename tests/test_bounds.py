@@ -9,6 +9,7 @@ from conftest import (
     loop_cq_states,
     loop_discord_correlators,
     loop_mixture_max,
+    loop_quantum_value,
     loop_separable_bound,
     naive_lhv,
     naive_strategy_points,
@@ -480,6 +481,25 @@ class TestQuantum:
         cat = {f.name: f for f in load_catalog()}
         fx = cat["nonlinear6"]
         assert quantum_value(fx.inequality, fx.assignment, fx.state) == pytest.approx(48.0, abs=1e-9)
+
+    @pytest.mark.parametrize("text", ["X1*X2*X3 <= 1", "Z3 <= 1"])
+    def test_value_refuses_sites_past_state_width(self, text):
+        with pytest.raises(BoundError, match="width 3 exceeds state width 2"):
+            quantum_value(parse(text), None, ghz_state(2))
+
+    def test_value_pads_a_wider_state(self):
+        # <Z1 Z2> = 1 and <X1 X2> = 0 on GHZ-3, with identity on site 3
+        value = quantum_value(parse("Z1*Z2 + X1*X2 <= 1"), None, ghz_state(3))
+        assert value == loop_quantum_value(parse("Z1*Z2 + X1*X2 <= 1"), None, ghz_state(3))
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_value_matches_per_term_loop_on_every_fixture(self):
+        # the one-row kernel call keeps the per-term sum's bits, squares included
+        for fx in load_catalog():
+            if fx.inequality is None or fx.state is None:
+                continue
+            got = quantum_value(fx.inequality, fx.assignment, fx.state)
+            assert got.hex() == loop_quantum_value(fx.inequality, fx.assignment, fx.state).hex()
 
     def test_mermin_operator_max(self):
         assert quantum_max(

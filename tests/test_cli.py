@@ -48,6 +48,23 @@ def test_descend_cap_below_one_is_a_usage_error(capsys, cap):
     assert captured.out == "" and "max_assignments" in captured.err
 
 
+def test_qvalue_refuses_sites_past_state_width(tmp_path, capsys):
+    path = tmp_path / "x3.ineq"
+    path.write_text("X1*X2*X3 <= 1\n", encoding="utf-8")
+    assert cli.main(["qvalue", "--file", str(path), "--state", "bell"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "width 3 exceeds state width 2" in captured.err
+
+
+def test_descend_refuses_a_narrow_seed_state(capsys):
+    # the lifted Bell state has 4 qubits; mermin3's descendants span 5 sites
+    argv = ["descend", str(SEEDS / "mermin3.ineq"), "--site", "2", "--ghz", "3",
+            "--state", "bell"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "width 5 exceeds state width 4" in captured.err
+
+
 def test_images_width_cap_is_a_usage_error(capsys):
     assert cli.main(["images", "--ghz", "9"]) == cli.USAGE_ERROR == 2
     assert "cap" in capsys.readouterr().err

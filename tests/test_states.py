@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import char_poly_max_eig, kron_chain
-from stabhom.pauli import PauliString, SignedPauliTerm, _phase_vector
+from stabhom.pauli import PauliString, SignedPauliTerm, _phase_vector, to_matrix
 from stabhom.states import (
     DensityOperator,
     StateError,
@@ -15,7 +15,6 @@ from stabhom.states import (
     assemble_operator,
     basis_state,
     expectation,
-    expectation_density,
     ghz_state,
     make_cq_state,
     make_pair_superposition,
@@ -146,13 +145,6 @@ class TestCallerArrays:
 
 
 class TestDensity:
-    def test_expectation_density_basics(self):
-        mixed = DensityOperator(2, np.eye(4) / 4)
-        assert expectation_density(mixed, term("XX")) == pytest.approx(0.0)
-        bell = make_pair_superposition("00", "11", R, R)
-        rho = DensityOperator(2, np.outer(bell.amplitudes, bell.amplitudes.conj()))
-        assert expectation_density(rho, term("XX")) == pytest.approx(1.0)
-
     def test_invariant_checks(self):
         with pytest.raises(StateError):
             DensityOperator(1, np.array([[1.0, 0.5], [0.4, 0.0]]))  # not hermitian
@@ -176,11 +168,6 @@ class TestDensity:
         stack[1] = bad
         with pytest.raises(StateError, match=message):
             DensityOperator(1, stack)
-
-    def test_expectation_density_refuses_stack(self):
-        rho = DensityOperator(2, np.stack([np.eye(4) / 4] * 2))
-        with pytest.raises(StateError):
-            expectation_density(rho, term("XX"))
 
 
 class TestCqState:
@@ -221,7 +208,8 @@ class TestCqState:
             ],
         )
         for letters in ("XX", "XY", "XZ"):
-            assert expectation_density(rho, term(letters)) == pytest.approx(0.0, abs=1e-12)
+            value = np.trace(rho.matrix @ to_matrix(PauliString.from_letters(letters)))
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_stacked_inputs_build_each_state(self, rng):
         v = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
