@@ -13,7 +13,7 @@ from .states import (
     max_eigenvalue,
 )
 from .codespace import LogicalEncoding, classify_action, image_set, lift_state, verify_homomorphism
-from .dsl import Inequality, InequalityAST, Setting, assign_paulis, parse, parse_expression, pretty_print
+from .dsl import Inequality, InequalityAST, Setting, assign_paulis, parse, pretty_print
 from .bounds import (
     BoundReport,
     discord_condition_check,

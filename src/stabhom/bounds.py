@@ -23,7 +23,12 @@ coefficient times (-1)^popcount(k & mask), so a row's values over all
 taken in chunks of 2^20 values, rows times strategies.  One expression is
 a stack of one row (``_stack``); the nonlinear bound stacks its square
 parts, one row each; the descendant search stacks thousands of rows over
-one setting index.  Linear bounds refuse square terms and more than
+one setting index.  Two reducers read the evaluator: ``_lhv_max`` keeps
+one expression's maximum and its first maximising strategy, and
+``_folded_values`` keeps each row's maximum over the strategies that
+share their low bits, in blocks of rows that keep the chunk size (the
+envelope's folds, and with no low bits the descendant search's row
+maxima).  Linear bounds refuse square terms and more than
 ``LIMITS.max_settings`` settings before enumerating.
 
 Quantum values come from one kernel, ``_quantum_values``, over parts of
@@ -87,6 +92,7 @@ def _ast(expr) -> InequalityAST:
 
 _CHUNK_BITS = 20  # values evaluated per chunk, rows x strategies: 2^20
 _QUANTUM_RESTARTS = 8  # random starts of the square-term ascent, after the seeded one
+_QUANTUM_SEED = 0  # seed of those random starts
 _SEPARABLE_RESTARTS = 64  # Fibonacci-sphere starts of the separable maximisation
 
 
@@ -118,8 +124,9 @@ def _chunked_values(stack: _Stack, n_settings: int):
     is worth c * (-1)^popcount(k & m): over all k, a row's values are the
     Walsh-Hadamard transform of its coefficients scattered by mask.  A
     chunk fixes the high bits of k; each coefficient is scattered by its low
-    mask bits with the sign its high mask bits take under them.  The caller
-    keeps rows x step within 2^_CHUNK_BITS.
+    mask bits with the sign its high mask bits take under them.  A stack of
+    many rows comes through ``_folded_values``, which keeps rows x step
+    within 2^_CHUNK_BITS.
     """
     bits = min(n_settings, _CHUNK_BITS)
     step = 1 << bits
@@ -132,17 +139,6 @@ def _chunked_values(stack: _Stack, n_settings: int):
         values = np.bincount(lows, weights=(stack.coeffs * signs).ravel(),
                              minlength=rows * step).reshape(rows, step)
         yield high << bits, walsh_hadamard(values)
-
-
-def _lhv_rows(stack: _Stack, n_settings: int) -> np.ndarray:
-    """Deterministic maximum of every row of a stack, 2^_CHUNK_BITS values at a time."""
-    per_chunk = max(1, (1 << _CHUNK_BITS) >> n_settings)
-    best = np.full(len(stack.coeffs), -np.inf)
-    for r in range(0, len(best), per_chunk):
-        rows = _Stack(stack.coeffs[r:r + per_chunk], stack.masks)
-        for _, vals in _chunked_values(rows, n_settings):
-            np.maximum(best[r:r + per_chunk], vals.max(axis=1), out=best[r:r + per_chunk])
-    return best
 
 
 def _lhv_max(expr) -> tuple[float, int, dict[Setting, int]]:
@@ -202,14 +198,21 @@ def _folded_values(stack: _Stack, n_settings: int, low_bits: int) -> np.ndarray:
     """(rows, 2^low_bits) array: each row's largest value over the
     strategies that share their low ``low_bits`` bits.
 
-    A chunk narrower than 2^low_bits fills the slice of low assignments at
-    its offset; a wider one is folded to one value per low assignment.
+    The rows go through ``_chunked_values`` in blocks of at most
+    2^_CHUNK_BITS values, rows times strategies.  A chunk narrower than
+    2^low_bits fills the slice of low assignments at its offset; a wider
+    one is folded to one value per low assignment.  With ``low_bits`` 0
+    this is each row's deterministic maximum.
     """
     out = np.full((len(stack.coeffs), 1 << low_bits), -np.inf)
-    for start, values in _chunked_values(stack, n_settings):
-        width = min(values.shape[1], out.shape[1])
-        at = out[:, start & (out.shape[1] - 1):][:, :width]
-        np.maximum(at, values.reshape(len(values), -1, width).max(axis=1), out=at)
+    per_block = max(1, (1 << _CHUNK_BITS) >> n_settings)
+    for r in range(0, len(out), per_block):
+        block = out[r:r + per_block]
+        rows = _Stack(stack.coeffs[r:r + per_block], stack.masks)
+        for start, values in _chunked_values(rows, n_settings):
+            width = min(values.shape[1], block.shape[1])
+            at = block[:, start & (block.shape[1] - 1):][:, :width]
+            np.maximum(at, values.reshape(len(values), -1, width).max(axis=1), out=at)
     return out
 
 
@@ -369,16 +372,14 @@ def quantum_value(
     return float(_quantum_values(parts, square_coeffs, assignment, state, 1)[0])
 
 
-def quantum_max(
-    expr: Inequality | InequalityAST,
-    assignment: Mapping | None = None,
-    seed: int = LIMITS.rng_seed,
-) -> float:
+def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = None) -> float:
     """Largest quantum value of the assigned operator expression.
 
     Linear expressions use the exact Hermitian eigensolver.  Expressions
     with square terms use a heuristic fixed-point ascent over pure states
-    seeded by the linear part's top eigenvector (reported best value).
+    started at the linear part's top eigenvector and at
+    ``_QUANTUM_RESTARTS`` random states drawn from ``_QUANTUM_SEED``
+    (reported best value).
     """
     ast = _ast(expr)
     opex = assign_paulis(ast, assignment)
@@ -389,7 +390,7 @@ def quantum_max(
     subs = [
         (c, assemble_operator(terms, width)) for c, terms in opex.square_parts()
     ]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_QUANTUM_SEED)
     _, seed_vec = max_eigenpair(lin)
     best = -np.inf
     starts = [seed_vec]

@@ -34,7 +34,7 @@ from .bounds import (
 )
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
-from .config import LIMITS, TOL, Tolerances
+from .config import TOL, Tolerances
 from .descend import PlanEntry, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
 from .dsl import Inequality, Setting, parse, parse_setting, pretty_print
 from .states import (
@@ -304,9 +304,8 @@ def audit_fixture(
         "threshold_bound": None,
         "violated": None,
     }
-    classical = report.hybrid if fx.raw.get("hybrid") else report.lhv
-    if report.quantum_value is not None and classical is not None:
-        computed["violated"] = report.quantum_value > classical + tol.violation
+    if report.quantum_value is not None and report.lhv is not None:
+        computed["violated"] = report.quantum_value > report.lhv + tol.violation
     for key, claim in claims.items():
         if key == "threshold_bound":
             lift = fx.raw["derivation"]["chain"][0]["seed"]["lift"]
@@ -334,7 +333,7 @@ def audit_fixture(
 
 
 def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundReport:
-    rng = np.random.default_rng(fx.raw.get("rng_seed", LIMITS.rng_seed))
+    rng = np.random.default_rng(fx.raw.get("rng_seed", 0))
     samples = int(fx.raw.get("samples", 200))
     epsilon = float(fx.raw.get("epsilon", 0.5))
     cq = discord_condition_check(_random_cq_states(rng, samples), epsilon)

@@ -155,8 +155,7 @@ def cmd_bound(args) -> int:
             "right_state": [[v.real, v.imag] for v in res.right_state],
         }
     elif args.kind == "quantum":
-        value = quantum_max(ineq.ast, json.loads(args.assignment) if args.assignment else None,
-                            seed=args.rng_seed)
+        value = quantum_max(ineq.ast, json.loads(args.assignment) if args.assignment else None)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown kind {args.kind}")
     if args.json:
@@ -244,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stabhom",
         description="image sets, descendant inequalities, and bound audits",
     )
-    ap.add_argument("--rng-seed", type=int, default=LIMITS.rng_seed,
-                    help="seed for the random restarts of bound --kind quantum on "
-                         "expressions with square terms (default %(default)s)")
     ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                     help="worker count for parallel sections (1 = serial)")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -9,7 +9,9 @@ All restrictions come from one kernel, the code's Pauli spectrum: for a
 fixed x-mask, <a|X^x Z^z|b> over every z-mask is the Walsh-Hadamard
 transform of conj(a[k^x]) * b[k], so one O(N 4^N) pass restricts all
 4^N strings.  An encoding computes its four image sets from that pass on
-first use and keeps them.
+first use and keeps them.  The homomorphism check reads the image sets:
+a product of two members passes when the sets list its string with the
+product letter and sign.
 """
 from __future__ import annotations
 
@@ -187,29 +189,28 @@ def image_set(enc: LogicalEncoding, letter: str) -> ImageSet:
 def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
     """Check that image-set products classify as the product letters.
 
-    For every P in image(sigma_a) and Q in image(sigma_b), the product PQ
-    must stay on the code space and restrict to exactly the single-qubit
-    product sigma_a sigma_b (including its i-phase).  Returns (ok, list of
-    violating (P, Q) pairs).
+    For every P in image(sigma_a) and Q in image(sigma_b), with
+    sigma_a sigma_b = i^k sigma_c, the product i^-k PQ (``multiply``) must
+    be +-1 times a string whose image-set entry is (c, that sign): then PQ
+    restricts to exactly sigma_a sigma_b, i-phase included.  The image
+    sets hold every string's restriction, so no spectrum is taken, and
+    every encoding within the image cap is checkable.  Returns (ok, list
+    of violating (P, Q, a, b)).
     """
-    if enc.width > LIMITS.max_homomorphism_width:
-        raise CodespaceError(
-            f"width {enc.width} exceeds verification cap {LIMITS.max_homomorphism_width}"
-        )
     sets = enc._image_sets
-    spectrum = _spectrum(enc, range(1 << enc.width))
+    entry = {(m.string.x_mask, m.string.z_mask): (letter, m.coefficient)
+             for letter, members in sets.items() for m in members}
     violations = []
     for a in "IXYZ":
         for b in "IXYZ":
-            want = _SINGLE[a] @ _SINGLE[b]
+            ab = multiply(PauliString.from_letters(a), PauliString.from_letters(b))
             for p in sets[a]:
                 for q in sets[b]:
-                    prod = multiply(p.string, q.string)
-                    # prod = i^(phase_exp + #Y) X^x Z^z
-                    coeff = p.coefficient * q.coefficient
-                    coeff *= _I_POW[(prod.phase_exp + prod.y_count) % 4]
-                    r = coeff * spectrum[:, :, prod.x_mask, prod.z_mask]
-                    if np.abs(r - want).max() > TOL.action:
+                    pq = multiply(p.string, q.string)
+                    # i^-k PQ is p's and q's coefficients times i^e times pq's string
+                    e = (pq.phase_exp - ab.phase_exp) % 4
+                    want = (ab.letters, p.coefficient * q.coefficient * (1 - e))  # 1 - e = i^e
+                    if e % 2 or entry.get((pq.x_mask, pq.z_mask)) != want:
                         violations.append((p, q, a, b))
     return not violations, violations
 

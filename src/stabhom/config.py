@@ -3,6 +3,9 @@
 Every module pulls its comparison thresholds and caps from here.  Each
 field is read by the code; the audit's claim tolerance is the only value
 a caller changes (``audit --tolerance``, via ``Tolerances.with_claim``).
+No field seeds a random generator (the quantum ascent's restarts draw
+from ``bounds._QUANTUM_SEED``), and the homomorphism check has no cap of
+its own: it reads the image sets, so ``max_image_width`` bounds it.
 """
 from __future__ import annotations
 
@@ -26,11 +29,9 @@ class Tolerances:
 class SearchLimits:
     max_width: int = 12          # dense realisation cap (4096 x 4096)
     max_image_width: int = 8     # image-set cap: O(N 4^N) pass, 4*4^N complex (4 MB at 8)
-    max_homomorphism_width: int = 6
     max_settings: int = 24       # deterministic-strategy enumeration cap
     max_nonlinear_settings: int = 20
     max_assignments: int = 100_000  # descendant occurrence-assignment search cap
-    rng_seed: int = 0
 
 
 TOL = Tolerances()

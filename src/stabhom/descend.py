@@ -12,15 +12,17 @@ logical letter it plays and which image terms replace it:
   (in canonical term order) gets its own single image, injectively.
 
 One kernel substitutes, the contribution table (``_Table``).  For one
-seed, target site, encoding and letter map it pairs every seed term, in
-the linear part and in each square part, with every member of its target
-setting's image set.  Each pair gives a column, the shifted image
-monomial's place in a universe sorted by canonical monomial order, and an
-exact coefficient, an integer over one common denominator.  A plan picks
-table entries for every seed term, so a descendant is one integer row
-over the universe; ``substitute`` applies the table to one plan, and
-``lift_coherence_witness`` substitutes a whole image set into a one-term
-seed.
+seed, target site and block width it pairs every seed term, in the
+linear part and in each square part, with every image of its target
+setting, each image a (coefficient, monomial) pair.  Each pair gives a
+column, the shifted image monomial's place in a universe sorted by
+canonical monomial order, and an exact coefficient, an integer over one
+common denominator.  A plan picks table entries for every seed term, so
+a descendant is one integer row over the universe.  ``substitute``
+applies the table to one plan, its images the signed members of image
+sets (``_image_pairs``); ``lift_coherence_witness`` substitutes a whole
+image set into a one-term seed; ``substitute_symbolic`` gives each target
+setting one image, its mapped product of symbolic settings.
 
 ``enumerate_descendants`` indexes plans instead of building them: plan p
 of the selection product (``itertools.product`` order) takes selection
@@ -51,20 +53,17 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundError, _lhv_rows, _quantum_values, _Stack, lhv_bound, lhv_bound_nonlinear
+from .bounds import (
+    BoundError,
+    _folded_values,
+    _quantum_values,
+    _Stack,
+    lhv_bound,
+    lhv_bound_nonlinear,
+)
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
-from .dsl import (
-    Inequality,
-    InequalityAST,
-    LinearTerms,
-    Monomial,
-    Setting,
-    _canon_linear,
-    _merge,
-    _mono_key,
-    pretty_print,
-)
+from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, pretty_print
 from .pauli import SignedPauliTerm
 from .states import StateVector
 from . import bounds as _bounds
@@ -107,13 +106,17 @@ def _shift_setting(s: Setting, target: int, block: int) -> Setting:
     return Setting(s.site + block - 1, s.base, s.primes)
 
 
-def _image_monomial(term: SignedPauliTerm, target: int) -> tuple[float, Monomial]:
-    mono = tuple(
-        Setting(target + i, letter)
-        for i, letter in enumerate(term.string.letters)
-        if letter != "I"
+_Image = tuple[Fraction, Monomial]  # a signed image as (coefficient, monomial)
+
+
+def _image_pairs(members: Sequence[SignedPauliTerm], target: int, sign: int) -> tuple[_Image, ...]:
+    """Each member as sign * coefficient and its non-identity letters from site ``target`` on."""
+    return tuple(
+        (sign * Fraction(m.coefficient).limit_denominator(10**9),
+         tuple(Setting(target + i, letter)
+               for i, letter in enumerate(m.string.letters) if letter != "I"))
+        for m in members
     )
-    return term.coefficient, mono
 
 
 _ROW_CHUNK = 1 << 20  # integer entries built per chunk of plans
@@ -126,14 +129,16 @@ def _first_distinct(rows: np.ndarray) -> np.ndarray:
 
 
 class _Table:
-    """Contribution table of one seed under one target site, encoding and letter map.
+    """Contribution table of one seed under one target site, block width and image map.
 
-    Every seed term is paired with every member of its target setting's
-    image set (a term without a target setting stands alone); each pair
-    is a column of the universe, the distinct result monomials sorted by
-    ``_mono_key``, and an exact coefficient, stored as an integer over one
-    common denominator.  A row is one integer vector per part (the linear
-    part, then each square part), laid end to end.
+    ``images`` gives each target setting its images as (coefficient,
+    monomial) pairs, the monomials on the block's sites.  Every seed term
+    is paired with every image of its target setting (a term without a
+    target setting stands alone); each pair is a column of the universe,
+    the distinct result monomials sorted by ``_mono_key``, and an exact
+    coefficient, stored as an integer over one common denominator.  A row
+    is one integer vector per part (the linear part, then each square
+    part), laid end to end.
 
     For a target setting s, ``cols[s]`` and ``nums[s]`` have shape
     (occurrences, images): its linear-part terms in canonical order, then
@@ -143,17 +148,15 @@ class _Table:
     collisions; entries of different settings may share a column.
     """
 
-    def __init__(self, ast: InequalityAST, target: int, encoding: LogicalEncoding,
-                 images: Mapping[Setting, tuple[SignedPauliTerm, ...]],
-                 signs: Mapping[Setting, int]):
-        m = encoding.width
+    def __init__(self, ast: InequalityAST, target: int, block: int,
+                 images: Mapping[Setting, Sequence[_Image]]):
         self.parts = 1 + len(ast.squares)
         raw = []  # (part, setting or None, occurrence, image, monomial, value)
         occurrences: dict[Setting, int] = {}
         self.n_linear: dict[Setting, int] = {}
         for part, terms in enumerate([ast.linear] + [sub for _, sub in ast.squares]):
             for coeff, mono in terms:
-                rest = tuple(_shift_setting(s, target, m) for s in mono if s.site != target)
+                rest = tuple(_shift_setting(s, target, block) for s in mono if s.site != target)
                 on_target = [s for s in mono if s.site == target]
                 if not on_target:
                     raw.append((part, None, 0, 0, tuple(sorted(rest)), coeff))
@@ -164,10 +167,8 @@ class _Table:
                 o = occurrences[s] = occurrences.get(s, 0) + 1
                 if part == 0:
                     self.n_linear[s] = o
-                for j, img in enumerate(images[s]):
-                    c, img_mono = _image_monomial(img, target)
-                    value = coeff * signs[s] * Fraction(c).limit_denominator(10**9)
-                    raw.append((part, s, o - 1, j, tuple(sorted(rest + img_mono)), value))
+                for j, (c, img_mono) in enumerate(images[s]):
+                    raw.append((part, s, o - 1, j, tuple(sorted(rest + img_mono)), coeff * c))
         self.universe = sorted({r[4] for r in raw}, key=_mono_key)
         column = {mono: u for u, mono in enumerate(self.universe)}
         self.denominator = math.lcm(*(r[5].denominator for r in raw))
@@ -256,6 +257,24 @@ class _Table:
         return [tuple(p) for p in parts]
 
 
+def _one_plan(table: _Table, ast: InequalityAST,
+              selections: Mapping[Setting, tuple]) -> InequalityAST:
+    """The one plan that takes ``selections[s]`` for each target setting s, with bound 0."""
+    picks = []
+    for s in table.settings:
+        selection = selections[s]
+        if len(selection) == 1 and selection[0] == "subset":
+            raise SubstitutionError(f"empty image selection for {s.text()}")
+        p, usable = table.picks(s, [selection])
+        if not usable[0]:
+            raise SubstitutionError("per-occurrence selection is only supported in the linear part")
+        picks.append(p)
+    chosen = [np.zeros(1, dtype=np.int64)] * len(picks)
+    linear, *subs = table.terms(table.rows(picks, chosen)[0])
+    squares = tuple((c, sub) for (c, _), sub in zip(ast.squares, subs))
+    return InequalityAST(linear, squares, ast.relation, Fraction(0))
+
+
 def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> InequalityAST:
     """Replace the target site's settings by code-space image monomials.
 
@@ -265,7 +284,7 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
     contribution table, the kernel the descendant search also uses.
     """
     ast = seed.ast if isinstance(seed, Inequality) else seed
-    images: dict[Setting, tuple[SignedPauliTerm, ...]] = {}
+    images: dict[Setting, tuple[_Image, ...]] = {}
     for setting, entry in plan.entries.items():
         if setting.site != plan.target_site:
             raise SubstitutionError(
@@ -280,25 +299,12 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
         for i in entry.selection[1:]:
             if not 0 <= i < len(members):
                 raise SubstitutionError("image index out of range")
-        images[setting] = members
+        images[setting] = _image_pairs(members, plan.target_site, entry.sign)
     width = ast.width - 1 + plan.encoding.width
     if width > LIMITS.max_width:
         raise SubstitutionError("substituted width exceeds cap")
-    signs = {s: e.sign for s, e in plan.entries.items()}
-    table = _Table(ast, plan.target_site, plan.encoding, images, signs)
-    picks = []
-    for s in table.settings:
-        selection = plan.entries[s].selection
-        if len(selection) == 1 and selection[0] == "subset":
-            raise SubstitutionError(f"empty image selection for {s.text()}")
-        p, usable = table.picks(s, [selection])
-        if not usable[0]:
-            raise SubstitutionError("per-occurrence selection is only supported in the linear part")
-        picks.append(p)
-    chosen = [np.zeros(1, dtype=np.int64)] * len(picks)
-    linear, *subs = table.terms(table.rows(picks, chosen)[0])
-    squares = tuple((c, sub) for (c, _), sub in zip(ast.squares, subs))
-    return InequalityAST(linear, squares, ast.relation, Fraction(0))
+    table = _Table(ast, plan.target_site, plan.encoding.width, images)
+    return _one_plan(table, ast, {s: e.selection for s, e in plan.entries.items()})
 
 
 def substitute_symbolic(
@@ -311,24 +317,20 @@ def substitute_symbolic(
 
     Used for grouping-style descendants where a setting is replicated
     across the new sites (e.g. a third party splitting into three parties
-    measuring the same labelled setting each).
+    measuring the same labelled setting each).  Each target setting has
+    one image, its mapped product, so this is a one-plan call of the
+    contribution table.
     """
     ast = seed.ast if isinstance(seed, Inequality) else seed
-    out: dict[Monomial, Fraction] = {}
-    for coeff, mono in ast.linear:
-        new_mono: list[Setting] = []
+    for _, mono in ast.linear:
         for s in mono:
-            if s.site == target_site:
-                repl = mapping.get(s)
-                if repl is None:
-                    raise SubstitutionError(f"no mapping for {s.text()}")
-                new_mono.extend(repl)
-            else:
-                new_mono.append(_shift_setting(s, target_site, block_width))
-        _merge(out, tuple(sorted(new_mono)), coeff)
+            if s.site == target_site and mapping.get(s) is None:
+                raise SubstitutionError(f"no mapping for {s.text()}")
     if ast.squares:
         raise SubstitutionError("symbolic substitution supports linear seeds only")
-    return InequalityAST(_canon_linear(out), (), ast.relation, Fraction(0))
+    images = {s: ((Fraction(1), tuple(repl)),) for s, repl in mapping.items()}
+    table = _Table(ast, target_site, block_width, images)
+    return _one_plan(table, ast, dict.fromkeys(table.settings, ("all",)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def _lhv_bounds(table: _Table, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarr
         cols = np.flatnonzero(present[members].any(axis=0))
         masks = [sum(1 << index[s] for s in table.universe[u]) for u in cols]
         stack = _Stack(coeffs[np.ix_(members, cols)], masks)
-        bounds[members] = _lhv_rows(stack, len(index))
+        bounds[members] = _folded_values(stack, len(index), 0)[:, 0]
     return bounds
 
 
@@ -454,9 +456,9 @@ def enumerate_descendants(
         else:
             sign, letter = raw
         entries_base[s] = (letter, sign)
-    images = {s: image_set(encoding, entries_base[s][0]).members for s in target_settings}
+    members = {s: image_set(encoding, letter).members for s, (letter, _) in entries_base.items()}
     occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
-    counts = [_selection_count(len(images[s]), k) for s, k in zip(target_settings, occurrences)]
+    counts = [_selection_count(len(members[s]), k) for s, k in zip(target_settings, occurrences)]
     total = math.prod(counts)
     n_plans = min(total, max_assignments)
     truncated = total > max_assignments
@@ -464,7 +466,7 @@ def enumerate_descendants(
     if n_plans == 0:
         return []
     selections = [
-        list(itertools.islice(_plan_selections(len(images[s]), k), min(c, (n_plans - 1) // d + 1)))
+        list(itertools.islice(_plan_selections(len(members[s]), k), min(c, (n_plans - 1) // d + 1)))
         for s, k, c, d in zip(target_settings, occurrences, counts, inner)
     ]
     # built before substitution, as each plan is, so a bad letter or sign raises
@@ -474,8 +476,9 @@ def enumerate_descendants(
                    if s.site == target_site} - set(target_settings)
     if square_only or ast.width - 1 + encoding.width > LIMITS.max_width:
         return []  # substitution refuses every plan
-    signs = {s: sign for s, (_, sign) in entries_base.items()}
-    table = _Table(ast, target_site, encoding, images, signs)
+    images = {s: _image_pairs(members[s], target_site, sign)
+              for s, (_, sign) in entries_base.items()}
+    table = _Table(ast, target_site, encoding.width, images)
     picks, usable = zip(*(table.picks(s, sel) for s, sel in zip(target_settings, selections)))
     rows, plans = table.distinct_rows(picks, usable, counts, inner, n_plans)
     square_coeffs = [c for c, _ in ast.squares]

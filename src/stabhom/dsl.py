@@ -325,11 +325,6 @@ def parse(text: str, name: str = "", provenance: str = "") -> Inequality:
     return Inequality(_Parser(text).parse_inequality(), name, provenance)
 
 
-def parse_expression(text: str) -> InequalityAST:
-    """Parse a bound-free expression; the result carries bound 0, relation <=."""
-    return parse(text + " <= 0").ast
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -11,8 +11,9 @@ maximised point by point over hull segments or over every single, pair
 and triple of strategy points in Python loops, the separable optimiser
 re-sums dense per-term factors on every iteration, random
 classical-quantum states and their discord correlators are built one
-state at a time with ``np.kron``, and descendants are substituted
-with Fractions term by term and searched one plan object at a time,
+state at a time with ``np.kron``, and descendants, from image sets or
+symbolic maps, are substituted with Fractions term by term and searched
+one plan object at a time,
 each quantum value summed one expectation per assigned term.
 Expected values asserted in the tests were computed with these oracles.
 """
@@ -33,7 +34,6 @@ from stabhom.descend import (
     PlanEntry,
     SubstitutionError,
     SubstitutionPlan,
-    _image_monomial,
     _plan_selections,
     _shift_setting,
     substitute,
@@ -41,6 +41,7 @@ from stabhom.descend import (
 from stabhom.dsl import (
     Inequality,
     InequalityAST,
+    Setting,
     _canon_linear,
     _merge,
     assign_paulis,
@@ -534,9 +535,11 @@ def _loop_substitute_terms(terms, plan, images, occurrence_counter=None):
         if not chosen:
             raise SubstitutionError(f"empty image selection for {setting.text()}")
         for img in chosen:
-            c, img_mono = _image_monomial(img, t)
+            img_mono = tuple(Setting(t + i, letter)
+                             for i, letter in enumerate(img.string.letters) if letter != "I")
             merged = tuple(sorted(rest + img_mono))
-            _merge(out, merged, coeff * Fraction(entry.sign) * Fraction(c).limit_denominator(10**9))
+            c = Fraction(img.coefficient).limit_denominator(10**9)
+            _merge(out, merged, coeff * Fraction(entry.sign) * c)
     return out
 
 
@@ -568,6 +571,26 @@ def loop_substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) ->
         for c, sub in ast.squares
     )
     return InequalityAST(linear, squares, ast.relation, Fraction(0))
+
+
+def loop_substitute_symbolic(seed, target_site, block_width, mapping) -> InequalityAST:
+    """``descend.substitute_symbolic`` as a Fraction dict loop over terms."""
+    ast = seed.ast if isinstance(seed, Inequality) else seed
+    out: dict = {}
+    for coeff, mono in ast.linear:
+        new_mono = []
+        for s in mono:
+            if s.site == target_site:
+                repl = mapping.get(s)
+                if repl is None:
+                    raise SubstitutionError(f"no mapping for {s.text()}")
+                new_mono.extend(repl)
+            else:
+                new_mono.append(_shift_setting(s, target_site, block_width))
+        _merge(out, tuple(sorted(new_mono)), coeff)
+    if ast.squares:
+        raise SubstitutionError("symbolic substitution supports linear seeds only")
+    return InequalityAST(_canon_linear(out), (), ast.relation, Fraction(0))
 
 
 def loop_enumerate_descendants(

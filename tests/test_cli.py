@@ -4,11 +4,12 @@ import shutil
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import stabhom
 from conftest import brute_force_images, xy_chain
-from stabhom import cli
+from stabhom import bounds, cli
 from stabhom.codespace import LogicalEncoding
 from stabhom.config import LIMITS, SearchLimits
 
@@ -70,23 +71,21 @@ def test_images_width_cap_is_a_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,seed", [([], 0), (["--rng-seed", "7"], 7)],
-                         ids=["default", "seed7"])
-def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys, argv, seed):
+def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys):
     seen = []
-    optimise = cli.quantum_max
+    default_rng = np.random.default_rng
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("seed"))
-        return optimise(*args, **kwargs)
+    def recording(seed=None):
+        seen.append(seed)
+        return default_rng(seed)
 
-    monkeypatch.setattr(cli, "quantum_max", recording)
+    monkeypatch.setattr(np.random, "default_rng", recording)
     code, payload = run_json(
         capsys,
-        argv + ["bound", str(SEEDS / "nonlinear6.ineq"), "--kind", "quantum", "--json"],
+        ["bound", str(SEEDS / "nonlinear6.ineq"), "--kind", "quantum", "--json"],
         "bound.schema.json",
     )
-    assert code == 0 and seen == [seed]
+    assert code == 0 and seen == [bounds._QUANTUM_SEED] == [0]
     assert payload["value"] == pytest.approx(48.0)
 
 
@@ -176,10 +175,10 @@ def test_audit_refuses_bad_tolerance(capsys, tolerance):
 def test_parser_defaults_read_limits(monkeypatch):
     argv = ["descend", "seed.ineq", "--site", "1"]
     args = cli.build_parser().parse_args(argv)
-    assert (args.rng_seed, args.max_assignments) == (LIMITS.rng_seed, LIMITS.max_assignments)
-    monkeypatch.setattr(cli, "LIMITS", SearchLimits(rng_seed=7, max_assignments=9))
+    assert args.max_assignments == LIMITS.max_assignments
+    monkeypatch.setattr(cli, "LIMITS", SearchLimits(max_assignments=9))
     args = cli.build_parser().parse_args(argv)
-    assert (args.rng_seed, args.max_assignments) == (7, 9)
+    assert args.max_assignments == 9
 
 
 def test_qvalue_json(capsys):

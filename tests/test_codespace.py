@@ -218,16 +218,35 @@ class TestSpectralKernel:
 
 
 class TestHomomorphism:
-    @pytest.mark.parametrize("enc_name", ["ghz2", "ghz3", "ghz4", "cluster"])
-    def test_verify(self, enc_name):
+    @pytest.mark.parametrize("enc_name", ["ghz2", "ghz3", "ghz4", "ghz5", "ghz6", "ghz7", "ghz8",
+                                          "cluster"])
+    def test_verify(self, enc_name, monkeypatch):
         enc = {
-            "ghz2": LogicalEncoding.ghz(2),
-            "ghz3": LogicalEncoding.ghz(3),
-            "ghz4": LogicalEncoding.ghz(4),
+            **{f"ghz{n}": LogicalEncoding.ghz(n) for n in range(2, 9)},
             "cluster": LogicalEncoding.cluster_pair(),
         }[enc_name]
+        enc._image_sets  # the check reads these and takes no second spectrum
+        monkeypatch.setattr(codespace, "_spectrum", None)
         ok, violations = verify_homomorphism(enc)
-        assert ok, violations
+        assert ok, violations[:3]
+
+    def test_reports_planted_violation(self):
+        enc = LogicalEncoding.ghz(3)
+        xs = enc._image_sets["X"].members
+        planted = SignedPauliTerm(-xs[1].coefficient, xs[1].string)
+        enc._image_sets["X"] = codespace.ImageSet("X", enc, (xs[0], planted, *xs[2:]))
+        ok, violations = verify_homomorphism(enc)
+        assert not ok
+        # a pair is judged against the sets, so it fails when it holds the
+        # planted member or when its product is the planted member's string
+        assert all(planted in (p, q) or multiply(p.string, q.string).letters == "XYY"
+                   for p, q, _, _ in violations)
+        # every pair holding it fails but those whose product is itself or +I
+        members = [m for letter in "IXYZ" for m in enc._image_sets[letter]]
+        held = {(p, q) for m in members for p, q in ((planted, m), (m, planted))}
+        identity = term("III")
+        assert held - {(p, q) for p, q, _, _ in violations} == {
+            (planted, identity), (identity, planted), (planted, planted)}
 
     def test_equal_encodings_built_apart_compare_and_hash_equal(self):
         pairs = [
@@ -251,8 +270,8 @@ class TestHomomorphism:
             )
 
     def test_capacity(self):
-        with pytest.raises(CodespaceError):
-            verify_homomorphism(LogicalEncoding.ghz(7))
+        with pytest.raises(CodespaceError, match="image enumeration cap 8"):
+            verify_homomorphism(LogicalEncoding.ghz(9))
 
 
 class TestJsonAndLift:

@@ -2,7 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import loop_enumerate_descendants, loop_substitute, per_image_transport_check
+from conftest import (
+    loop_enumerate_descendants,
+    loop_substitute,
+    loop_substitute_symbolic,
+    per_image_transport_check,
+)
 from stabhom.bounds import lhv_bound, quantum_value
 from stabhom.codespace import LogicalEncoding, image_set, lift_state
 from stabhom.descend import (
@@ -24,6 +29,15 @@ BELL = LogicalEncoding.ghz(2)
 GHZ3 = LogicalEncoding.ghz(3)
 
 MERMIN_PAULI = "X1*X2*X3 - X1*Y2*Y3 - Y1*X2*Y3 - Y1*Y2*X3"
+SVETLICHNY3 = (
+    "B1*A2*A3 + B1'*A2*A3 + B1*A2'*A3 - B1'*A2'*A3 "
+    "+ B1*A2*A3' - B1'*A2*A3' - B1*A2'*A3' - B1'*A2'*A3' <= 4"
+)
+# the third party splits into three parties measuring the same labelled setting
+SVETLICHNY_MAP = {
+    Setting(3, "A"): (Setting(3, "A"), Setting(4, "A"), Setting(5, "A")),
+    Setting(3, "A", 1): (Setting(3, "A", 1), Setting(4, "A", 1), Setting(5, "A", 1)),
+}
 
 
 def expr_text(ast):
@@ -52,19 +66,36 @@ class TestSubstitute:
         assert lhv_bound(out) == 2.0
 
     def test_five_party_symbolic_grouping(self):
-        sv3 = parse(
-            "B1*A2*A3 + B1'*A2*A3 + B1*A2'*A3 - B1'*A2'*A3 "
-            "+ B1*A2*A3' - B1'*A2*A3' - B1*A2'*A3' - B1'*A2'*A3' <= 4"
-        )
-        out = substitute_symbolic(
-            sv3, 3, 3,
-            {Setting(3, "A"): (Setting(3, "A"), Setting(4, "A"), Setting(5, "A")),
-             Setting(3, "A", 1): (Setting(3, "A", 1), Setting(4, "A", 1),
-                                  Setting(5, "A", 1))},
-        )
+        sv3 = parse(SVETLICHNY3)
+        out = substitute_symbolic(sv3, 3, 3, SVETLICHNY_MAP)
         assert out.width == 5
         assert len(out.linear) == 8
         assert lhv_bound(out) == 4.0
+
+    @pytest.mark.parametrize("text,site,width,mapping,expected", [
+        (SVETLICHNY3, 3, 3, SVETLICHNY_MAP,
+         "B1*A2*A3*A4*A5 + B1*A2*A3'*A4'*A5' + B1*A2'*A3*A4*A5 - B1*A2'*A3'*A4'*A5' "
+         "+ B1'*A2*A3*A4*A5 - B1'*A2*A3'*A4'*A5' - B1'*A2'*A3*A4*A5 - B1'*A2'*A3'*A4'*A5'"),
+        # B2 and B2' share one image: the A1 terms cancel, the A1' terms merge
+        ("A1*B2 - A1*B2' + 1/3*A1'*B2 + 2/3*A1'*B2' + B2*C3 - 1/2*A1*C3 <= 3", 2, 2,
+         {Setting(2, "B"): (Setting(2, "B"), Setting(3, "B")),
+          Setting(2, "B", 1): (Setting(2, "B"), Setting(3, "B"))},
+         "-1/2*A1*C4 + A1'*B2*B3 + B2*B3*C4"),
+    ], ids=["svetlichny", "merge-and-cancel"])
+    def test_symbolic_matches_loop_oracle(self, text, site, width, mapping, expected):
+        seed = parse(text)
+        out = substitute_symbolic(seed, site, width, mapping)
+        assert out == loop_substitute_symbolic(seed, site, width, mapping)
+        assert expr_text(out) == expected
+
+    @pytest.mark.parametrize("substitute_fn", [substitute_symbolic, loop_substitute_symbolic],
+                             ids=["table", "oracle"])
+    def test_symbolic_refusals(self, substitute_fn):
+        mapping = {Setting(2, "B"): (Setting(2, "B"), Setting(3, "B"))}
+        with pytest.raises(SubstitutionError, match="no mapping for B2'"):
+            substitute_fn(parse("A1*B2 + A1*B2' <= 2"), 2, 2, mapping)
+        with pytest.raises(SubstitutionError, match="supports linear seeds only"):
+            substitute_fn(parse("A1*B2 - 1/2*sq(A1*B2) <= 1"), 2, 2, mapping)
 
     def test_occurrence_mode_injective(self):
         seed = parse("X1*X2 + Y1*X2 <= 2")  # X2 occurs twice

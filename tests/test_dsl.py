@@ -18,7 +18,6 @@ from stabhom.dsl import (
     assign_paulis,
     load_ineq_text,
     parse,
-    parse_expression,
     parse_observable,
     pretty_print,
 )
