@@ -55,6 +55,7 @@ Single-qubit matrices come from ``pauli._SINGLE``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -76,6 +77,7 @@ from .states import (
     expectation,
     max_eigenpair,
     max_eigenvalue,
+    standard_normals,
 )
 
 
@@ -378,8 +380,11 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     Linear expressions use the exact Hermitian eigensolver.  Expressions
     with square terms use a heuristic fixed-point ascent over pure states
     started at the linear part's top eigenvector and at
-    ``_QUANTUM_RESTARTS`` random states drawn from ``_QUANTUM_SEED``
-    (reported best value).
+    ``_QUANTUM_RESTARTS`` random states (reported best value).  Their
+    amplitudes are standard normals (``states.standard_normals``) from the
+    stdlib generator ``random.Random(_QUANTUM_SEED)``, a new instance per
+    call, so concurrent calls share no state, and on numpy 2 no path
+    loads ``numpy.random``.
     """
     ast = _ast(expr)
     opex = assign_paulis(ast, assignment)
@@ -390,13 +395,13 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     subs = [
         (c, assemble_operator(terms, width)) for c, terms in opex.square_parts()
     ]
-    rng = np.random.default_rng(_QUANTUM_SEED)
+    draws = Random(_QUANTUM_SEED)
     _, seed_vec = max_eigenpair(lin)
     best = -np.inf
     starts = [seed_vec]
-    dim = 2**width
     for _ in range(_QUANTUM_RESTARTS):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        real, imag = standard_normals(draws, (2, 2**width))
+        v = real + 1j * imag
         starts.append(v / np.linalg.norm(v))
     for psi in starts:
         prev = -np.inf

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from random import Random
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ from .states import (
     ghz_state,
     make_cq_state,
     make_pair_superposition,
+    standard_normals,
 )
 
 ENV_FIXTURES = "STABHOM_FIXTURES"
@@ -333,10 +335,16 @@ def audit_fixture(
 
 
 def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundReport:
-    rng = np.random.default_rng(fx.raw.get("rng_seed", 0))
+    """Check the discord condition on sampled classical-quantum states and a Bell state.
+
+    The fixture's ``rng_seed`` (0 when absent) seeds the stdlib generator
+    ``random.Random`` that ``_random_cq_states`` draws its ``samples``
+    states from, so the audit's samples do not depend on any CLI option.
+    """
+    draws = Random(fx.raw.get("rng_seed", 0))
     samples = int(fx.raw.get("samples", 200))
     epsilon = float(fx.raw.get("epsilon", 0.5))
-    cq = discord_condition_check(_random_cq_states(rng, samples), epsilon)
+    cq = discord_condition_check(_random_cq_states(draws, samples), epsilon)
     worst = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
     cq_ok = worst < 1e-9
     bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
@@ -362,20 +370,24 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
     return report
 
 
-def _random_cq_states(rng, samples: int) -> DensityOperator:
+def _random_cq_states(draws: Random, samples: int) -> DensityOperator:
     """Stack of random classical-quantum two-qubit states for the adapted-basis check.
 
-    Draws one state at a time (first-qubit basis, probabilities, two
-    second-qubit states), so the first n states of a seed do not depend on
-    ``samples``; everything after the draws runs on the whole stack.
+    ``draws`` is a stdlib ``random.Random`` (the audit seeds it with the
+    fixture's ``rng_seed``); on numpy 2 no path loads ``numpy.random``.
+    Draws one state at a time (first-qubit basis, Dirichlet(2, 2)
+    probabilities as ``betavariate(2, 2)`` and its complement, two
+    second-qubit states), so the first n states of a seed do not depend
+    on ``samples``; everything after the draws runs on the whole stack.
     """
     v = np.empty((samples, 2, 2, 2))  # real, imaginary part of each basis draw
     p = np.empty((samples, 2))
     a = np.empty((samples, 2, 2, 2, 2))  # two second-qubit draws, each real, imaginary
     for i in range(samples):
-        v[i] = rng.normal(size=(2, 2, 2))
-        p[i] = rng.dirichlet((2.0, 2.0))
-        a[i] = rng.normal(size=(2, 2, 2, 2))
+        v[i] = standard_normals(draws, (2, 2, 2))
+        w = draws.betavariate(2.0, 2.0)
+        p[i] = w, 1.0 - w
+        a[i] = standard_normals(draws, (2, 2, 2, 2))
     # random orthonormal first-qubit bases, kets as columns
     q, _ = np.linalg.qr(v[:, 0] + 1j * v[:, 1])
     a = a[:, :, 0] + 1j * a[:, :, 1]

@@ -108,6 +108,24 @@ def cmd_images(args) -> int:
     return 0
 
 
+_JSON_BATCH = 64  # rows per write, about 16 KB of text
+
+
+def _write_json_rows(results) -> None:
+    """Print ``json.dumps([r.to_json() for r in results], indent=2)``, batch by batch.
+
+    Each batch is encoded as one indented list and written without its
+    brackets, so only one batch's dicts and text are held at a time.
+    """
+    if not results:
+        print("[]")
+        return
+    for start in range(0, len(results), _JSON_BATCH):
+        text = json.dumps([r.to_json() for r in results[start:start + _JSON_BATCH]], indent=2)
+        sys.stdout.write(("[\n" if start == 0 else ",\n") + text[2:-2])
+    sys.stdout.write("\n]\n")
+
+
 def cmd_descend(args) -> int:
     seed = load_ineq(args.seed)
     enc = _encoding_from_args(args)
@@ -127,7 +145,7 @@ def cmd_descend(args) -> int:
     if results and results[0].truncated:
         print("warning: assignment search truncated at cap", file=sys.stderr)
     if args.json:
-        print(json.dumps([r.to_json() for r in results], indent=2))
+        _write_json_rows(results)
     else:
         for r in results:
             qv = fmt9(r.quantum_value) if r.quantum_value is not None else "-"

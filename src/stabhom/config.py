@@ -3,9 +3,13 @@
 Every module pulls its comparison thresholds and caps from here.  Each
 field is read by the code; the audit's claim tolerance is the only value
 a caller changes (``audit --tolerance``, via ``Tolerances.with_claim``).
-No field seeds a random generator (the quantum ascent's restarts draw
-from ``bounds._QUANTUM_SEED``), and the homomorphism check has no cap of
-its own: it reads the image sets, so ``max_image_width`` bounds it.
+No field seeds a random generator: every random draw comes from the
+stdlib ``random.Random``, seeded with ``bounds._QUANTUM_SEED`` (0) for
+the quantum ascent's restarts and with a discord fixture's ``rng_seed``
+for the audit's sampled states, so on numpy 2 (where ``import numpy``
+leaves it unloaded) no CLI path loads ``numpy.random``.
+The homomorphism check has no cap of its own: it reads the image sets,
+so ``max_image_width`` bounds it.
 """
 from __future__ import annotations
 

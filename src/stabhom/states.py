@@ -7,7 +7,9 @@ a per-index phase, so no dense matrix is ever built for expectations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from random import Random
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +116,15 @@ def basis_state(bits: str) -> StateVector:
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return StateVector(len(bits), amps)
+
+
+def standard_normals(draws: Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal draws from a stdlib generator, in C order of ``shape``.
+
+    Each caller passes its own ``random.Random(seed)``, so threads share
+    no generator, and on numpy 2 no path loads ``numpy.random``.
+    """
+    return np.array([draws.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
 
 
 def make_cq_state(

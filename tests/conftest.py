@@ -20,6 +20,7 @@ Expected values asserted in the tests were computed with these oracles.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -459,22 +460,28 @@ def loop_separable_bound(terms) -> bounds.SeparableResult:
     return best
 
 
-def loop_cq_states(rng, n: int) -> np.ndarray:
+def loop_cq_states(draws: random.Random, n: int) -> np.ndarray:
     """(n, 4, 4) random classical-quantum states, drawn and built one at a time.
 
     Each state is sum_k p_k |q_k><q_k| (x) rho_k from a QR basis, a
-    Dirichlet(2, 2) split and two normalised a a^dagger factors, summed
-    as explicit ``np.kron`` products; the factors are validated one by
-    one as ``DensityOperator``.
+    Dirichlet(2, 2) split (``betavariate(2, 2)`` and its complement) and
+    two normalised a a^dagger factors, summed as explicit ``np.kron``
+    products; the factors are validated one by one as ``DensityOperator``.
+    Every 2x2 matrix is four ``gauss`` draws of the stdlib generator, row
+    by row, real part first.
     """
+    def normal():
+        return np.array([[draws.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)])
+
     out = []
     for _ in range(n):
-        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        v = normal() + 1j * normal()
         q, _ = np.linalg.qr(v)
-        p = rng.dirichlet((2.0, 2.0))
+        w = draws.betavariate(2.0, 2.0)
+        p = (w, 1.0 - w)
         rhos = []
         for _ in range(2):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a = normal() + 1j * normal()
             m = a @ a.conj().T
             rhos.append(DensityOperator(1, m / np.trace(m).real))
         rho = np.zeros((4, 4), dtype=complex)

@@ -1,5 +1,6 @@
 """Classical, separable, hybrid, and quantum bound re-derivation."""
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -618,7 +619,7 @@ class TestDiscord:
             np.outer(bell, bell.conj()),  # degenerate, fails
             np.kron(np.outer(plus, plus), np.outer(plus, plus)),
         ]
-        stack = np.concatenate([fixed, loop_cq_states(np.random.default_rng(3), 20)])
+        stack = np.concatenate([fixed, loop_cq_states(random.Random(3), 20)])
         check = discord_condition_check(DensityOperator(2, stack), 0.5)
         assert check.x_correlator.shape == check.y_correlator.shape == (23,)
         assert not check.passed

@@ -1,4 +1,6 @@
 """Fixture catalogue loading and the audit built on it."""
+from random import Random
+
 import numpy as np
 import pytest
 
@@ -25,16 +27,16 @@ def test_audit_reuses_each_fixture_parse(monkeypatch):
 
 
 def test_random_cq_states_match_per_state_sampler():
-    rhos = catalog._random_cq_states(np.random.default_rng(0), 200)
-    want = loop_cq_states(np.random.default_rng(0), 200)
+    rhos = catalog._random_cq_states(Random(0), 200)
+    want = loop_cq_states(Random(0), 200)
     assert rhos.width == 2 and rhos.matrix.shape == (200, 4, 4)
     assert np.abs(rhos.matrix - want).max() < 1e-15
-    head = catalog._random_cq_states(np.random.default_rng(0), 7)
+    head = catalog._random_cq_states(Random(0), 7)
     assert np.array_equal(head.matrix, rhos.matrix[:7])
 
 
 def test_audit_sample_stack_matches_per_state_checks():
-    rhos = catalog._random_cq_states(np.random.default_rng(0), 200)
+    rhos = catalog._random_cq_states(Random(0), 200)
     check = discord_condition_check(rhos, 0.5)
     single = [discord_condition_check(DensityOperator(2, m), 0.5) for m in rhos.matrix]
     assert check.passed and all(s.passed for s in single)

@@ -1,6 +1,10 @@
 """CLI contract: exit codes and ``--json`` schemas, run in process."""
+import ast
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -40,6 +44,23 @@ def test_descend_json(capsys):
     assert sum(r["accepted"] for r in rows) == 71
 
 
+class Row:
+    def __init__(self, i):
+        self.i = i
+
+    def to_json(self):
+        return {"expression": f"+X1*Z{self.i}", "lhv_bound": 2.0 + self.i / 3,
+                "quantum_value": None, "accepted": self.i % 2 == 0}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+def test_descend_json_batches_equal_one_dump(monkeypatch, capsys, count):
+    monkeypatch.setattr(cli, "_JSON_BATCH", 2)
+    rows = [Row(i) for i in range(count)]
+    cli._write_json_rows(rows)
+    assert capsys.readouterr().out == json.dumps([r.to_json() for r in rows], indent=2) + "\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_descend_cap_below_one_is_a_usage_error(capsys, cap):
     argv = ["descend", str(SEEDS / "chsh.ineq"), "--site", "2", "--ghz", "3",
@@ -73,13 +94,13 @@ def test_images_width_cap_is_a_usage_error(capsys):
 
 def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys):
     seen = []
-    default_rng = np.random.default_rng
+    generator = bounds.Random
 
     def recording(seed=None):
         seen.append(seed)
-        return default_rng(seed)
+        return generator(seed)
 
-    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(bounds, "Random", recording)
     code, payload = run_json(
         capsys,
         ["bound", str(SEEDS / "nonlinear6.ineq"), "--kind", "quantum", "--json"],
@@ -87,6 +108,39 @@ def test_rng_seed_reaches_quantum_optimiser(monkeypatch, capsys):
     )
     assert code == 0 and seen == [bounds._QUANTUM_SEED] == [0]
     assert payload["value"] == pytest.approx(48.0)
+
+
+# imported by numpy's generator API: numpy.random, then secrets, then OpenSSL
+LAZY_RANDOM = ("numpy.random", "secrets", "_hashlib")
+COLD_CALL = """
+import sys
+from stabhom import cli
+code = cli.main(sys.argv[2:])
+sys.stderr.write("\\n" + repr((code, [m for m in sys.argv[1].split(",") if m in sys.modules])))
+"""
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1 loads numpy.random, secrets and _hashlib on import")
+@pytest.mark.parametrize("argv", [
+    ["audit", "--json"],
+    ["bound", str(SEEDS / "nonlinear6.ineq"), "--kind", "quantum", "--json"],
+])
+def test_cli_paths_leave_numpy_random_unloaded(argv):
+    """A cold CLI call draws from the stdlib generator, never numpy's.
+
+    On numpy 2 ``numpy.random`` is a lazy submodule, so it, ``secrets``
+    and ``_hashlib`` load only if something draws from numpy.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_CALL, ",".join(LAZY_RANDOM), *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    code, loaded = ast.literal_eval(done.stderr.rsplit("\n", 1)[-1])
+    assert done.returncode == 0 and code == 0
+    assert loaded == []
 
 
 @pytest.mark.parametrize("kind,text,hint", [

@@ -248,6 +248,30 @@ class TestHomomorphism:
         assert held - {(p, q) for p, q, _, _ in violations} == {
             (planted, identity), (identity, planted), (planted, planted)}
 
+    @pytest.mark.parametrize("letter", "XYZ")
+    def test_flipped_or_moved_member_fails(self, letter):
+        for k in range(4):
+            # flip member k's sign, then move it to the next letter's set
+            enc = LogicalEncoding.ghz(3)
+            sets = enc._image_sets
+            members = sets[letter].members
+            flipped = SignedPauliTerm(-members[k].coefficient, members[k].string)
+            sets[letter] = codespace.ImageSet(letter, enc, (*members[:k], flipped, *members[k + 1:]))
+            assert not verify_homomorphism(enc)[0]
+            other = "XYZI"["XYZ".index(letter) + 1]
+            sets[letter] = codespace.ImageSet(letter, enc, (*members[:k], *members[k + 1:]))
+            sets[other] = codespace.ImageSet(other, enc, (members[k], *sets[other].members))
+            assert not verify_homomorphism(enc)[0]
+
+    def test_odd_phase_product_fails_though_its_string_is_listed(self):
+        # X*X = I, but the planted pair gives X1*Z1 = -i Y1, and Y1 is planted under I
+        enc = LogicalEncoding.ghz(1)
+        sets = enc._image_sets
+        sets["I"] = codespace.ImageSet("I", enc, (*sets["I"].members, term("Y")))
+        sets["X"] = codespace.ImageSet("X", enc, (*sets["X"].members, term("Z")))
+        ok, violations = verify_homomorphism(enc)
+        assert not ok and (term("X"), term("Z"), "X", "X") in violations
+
     def test_equal_encodings_built_apart_compare_and_hash_equal(self):
         pairs = [
             (LogicalEncoding.ghz(2), LogicalEncoding.from_json({"n": 2, "zero": "00", "one": "11"})),
