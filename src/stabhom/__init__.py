@@ -1,18 +1,17 @@
 """stabhom: logical-operator image sets, descendant inequalities, bound audits."""
 
 from .config import LIMITS, TOL
-from .pauli import PauliString, SignedPauliTerm, commutes, multiply, parse_pauli, tensor, to_matrix
+from .pauli import PauliString, SignedPauliTerm, multiply, to_matrix
 from .states import (
     DensityOperator,
     StateVector,
-    basis_state,
     expectation,
     ghz_state,
     make_cq_state,
     make_pair_superposition,
     max_eigenvalue,
 )
-from .codespace import LogicalEncoding, classify_action, image_set, lift_state, verify_homomorphism
+from .codespace import LogicalEncoding, image_set, lift_state, verify_homomorphism
 from .dsl import Inequality, InequalityAST, Setting, assign_paulis, parse, pretty_print
 from .bounds import (
     BoundReport,

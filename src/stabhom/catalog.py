@@ -7,6 +7,14 @@ inequality from a seed.  ``audit_all`` re-derives every claimed number
 from scratch and reports matches/mismatches; fixtures may flag claims as
 *expected* mismatches so known-unreproducible catalogue values do not
 fail the audit run.
+
+The bundled JSON files under ``fixtures/`` are the source; nothing
+generates them.  To add a fixture, write its JSON file and give any
+derivation an ``expect`` text (the canonical derived expression without
+its bound): the audit then replays the derivation and reports whether it
+reproduces that text.  A symbolic derivation has no ``expect``; the test
+suite replays it against the fixture's own inequality, so it adds no
+field to the audit JSON.
 """
 from __future__ import annotations
 

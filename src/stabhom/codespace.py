@@ -18,14 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import LIMITS, TOL
 from .pauli import (
     _SINGLE,
-    PauliError,
     PauliString,
     SignedPauliTerm,
     multiply,
@@ -112,33 +111,20 @@ def _spectrum(enc: LogicalEncoding, x_masks: Sequence[int]) -> np.ndarray:
     return walsh_hadamard(shifted.conj()[:, None] * basis[None, :, None, :])
 
 
-def _classify(r: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _classify(r: np.ndarray) -> np.ndarray:
     """Index into ``_TARGETS`` of the sign*letter each restriction r[:, :, m] equals.
 
     -1 where the string leaves the code space (a column of the restriction
-    misses the full norm ``scale``) or acts as no signed letter.
+    misses unit norm) or acts as no signed letter.
     """
     norms = np.sqrt((np.abs(r) ** 2).sum(axis=0))  # column norms, (2, M)
-    stays = np.flatnonzero((np.abs(norms - scale) <= TOL.action).all(axis=0))
+    stays = np.flatnonzero((np.abs(norms - 1.0) <= TOL.action).all(axis=0))
     out = np.full(r.shape[2], -1)
     dist = np.abs(r[:, :, stays][None] - _TARGET_MATRICES[..., None]).max(axis=(1, 2))
     match = dist < TOL.action  # (targets, stays)
     hit = match.any(axis=0)
     out[stays[hit]] = match.argmax(axis=0)[hit]
     return out
-
-
-def classify_action(
-    term: SignedPauliTerm, enc: LogicalEncoding
-) -> Optional[tuple[str, int]]:
-    """Return (letter, sign) when the term acts as sign*letter on the code space."""
-    if term.width != enc.width:
-        raise PauliError(f"width mismatch {term.width} != {enc.width}")
-    s = term.string
-    r = _spectrum(enc, [s.x_mask])[:, :, :, s.z_mask]
-    r = r * (term.coefficient * _I_POW[s.y_count % 4])
-    k = _classify(r, abs(term.coefficient))[0]
-    return None if k < 0 else _TARGETS[k]
 
 
 @dataclass(frozen=True)

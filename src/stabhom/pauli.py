@@ -10,7 +10,6 @@ and Y = i * X * Z, which fixes every sign produced by multiplication.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ _PHASE_TEXT = {0: "+", 2: "-"}
 
 
 class PauliError(ValueError):
-    """Raised on width mismatches, capacity overflows, or bad text forms."""
+    """Raised on width mismatches, capacity overflows, or malformed terms."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,6 @@ class PauliString:
             x = (x << 1) | bx
             z = (z << 1) | bz
         return cls(len(letters), x, z, phase_exp)
-
-    @classmethod
-    def identity(cls, width: int) -> "PauliString":
-        return cls(width, 0, 0, 0)
 
     # -- views ----------------------------------------------------------
     @property
@@ -103,37 +98,6 @@ class PauliString:
         return head + (body or "I")
 
 
-def parse_pauli(text: str, width: int) -> PauliString:
-    """Parse the textual form ``-Y1Y2`` / ``+X1X2X3`` / ``I``.
-
-    Omitted sites are identity; site indices are 1-based and must be
-    strictly increasing.  An explicit width is required because trailing
-    identities are not written.
-    """
-    s = text.strip()
-    m = re.fullmatch(r"([+-]?)(i?)((?:[IXYZ]\d+)*|I)", s)
-    if not m:
-        raise PauliError(f"bad pauli text: {text!r}")
-    sign, imag, body = m.groups()
-    phase_exp = {( "", ""): 0, ("+", ""): 0, ("-", ""): 2,
-                 ("", "i"): 1, ("+", "i"): 1, ("-", "i"): 3}[(sign, imag)]
-    x = z = 0
-    if body != "I" and body:
-        last = 0
-        for letter, idx in re.findall(r"([IXYZ])(\d+)", body):
-            site = int(idx)
-            if site <= last:
-                raise PauliError(f"site indices must increase: {text!r}")
-            if site > width:
-                raise PauliError(f"site {site} exceeds width {width}")
-            last = site
-            bx, bz = _BITS[letter]
-            shift = width - site
-            x |= bx << shift
-            z |= bz << shift
-    return PauliString(width, x, z, phase_exp)
-
-
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Exact product p*q including the accumulated power of i."""
     if p.width != q.width:
@@ -145,26 +109,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     z = p.z_mask ^ q.z_mask
     y = bin(x & z).count("1")
     return PauliString(p.width, x, z, (e - y) % 4)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the dense matrices commute (symplectic-form parity test)."""
-    if p.width != q.width:
-        raise PauliError(f"width mismatch {p.width} != {q.width}")
-    anti = bin(p.x_mask & q.z_mask).count("1") + bin(p.z_mask & q.x_mask).count("1")
-    return anti % 2 == 0
-
-
-def tensor(p: PauliString, q: PauliString) -> PauliString:
-    """Kronecker product; p occupies the leading (most significant) sites."""
-    width = p.width + q.width
-    if width > LIMITS.max_width:
-        raise PauliError(f"combined width {width} exceeds cap {LIMITS.max_width}")
-    e = p.phase_exp + p.y_count + q.phase_exp + q.y_count
-    x = (p.x_mask << q.width) | q.x_mask
-    z = (p.z_mask << q.width) | q.z_mask
-    y = bin(x & z).count("1")
-    return PauliString(width, x, z, (e - y) % 4)
 
 
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:

@@ -49,9 +49,6 @@ class StateVector:
     def __hash__(self):
         return hash(self._key())
 
-    def to_json(self) -> list:
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
 
 def _check_density(m, dim: int) -> np.ndarray:
     """Complex (..., dim, dim) array of density matrices, or StateError.
@@ -110,12 +107,6 @@ def ghz_state(n: int, phase: complex = 1.0) -> StateVector:
     amps[0] = 1 / np.sqrt(2)
     amps[-1] = phase / np.sqrt(2)
     return StateVector(n, amps)
-
-
-def basis_state(bits: str) -> StateVector:
-    amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(len(bits), amps)
 
 
 def standard_normals(draws: Random, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Fixture catalogue loading and the audit built on it."""
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -7,7 +8,22 @@ import pytest
 from conftest import loop_cq_states
 from stabhom import catalog
 from stabhom.bounds import discord_condition_check
+from stabhom.dsl import parse, pretty_print
 from stabhom.states import DensityOperator
+
+CATALOG = catalog.load_catalog()
+DERIVED = [fx for fx in CATALOG if "derivation" in fx.raw]
+
+
+@pytest.mark.parametrize("fx", DERIVED, ids=[fx.name for fx in DERIVED])
+def test_derivation_replays_to_its_texts(fx):
+    # the audit replays only derivations with an ``expect``; this also covers the symbolic one
+    got = catalog.replay_derivation(fx, CATALOG)
+    expect = fx.raw["derivation"].get("expect")
+    if expect is not None:
+        assert got == pretty_print(parse(expect + " <= 0").ast)
+    if expect is None or all(s.is_fixed_pauli for s in fx.inequality.ast.settings):
+        assert got == pretty_print(fx.inequality.ast.with_bound(Fraction(0)))
 
 
 def test_audit_reuses_each_fixture_parse(monkeypatch):

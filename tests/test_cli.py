@@ -29,6 +29,13 @@ def run_json(capsys, argv, schema):
     return code, payload
 
 
+
+@pytest.mark.parametrize("path", sorted(SEEDS.glob("*.ineq")), ids=lambda p: p.name)
+def test_bundled_seed_parses_to_a_fixed_point(capsys, path):
+    assert cli.main(["parse", str(path), "--json"]) == 0
+    canonical = json.loads(capsys.readouterr().out)["canonical"]
+    assert stabhom.pretty_print(stabhom.parse(canonical)) == canonical
+
 def test_images_json(capsys):
     code, payload = run_json(capsys, ["images", "--ghz", "3", "--json"], "images.schema.json")
     assert code == 0

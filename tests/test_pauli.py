@@ -11,10 +11,7 @@ from stabhom.pauli import (
     PauliError,
     PauliString,
     SignedPauliTerm,
-    commutes,
     multiply,
-    parse_pauli,
-    tensor,
     to_matrix,
     walsh_hadamard,
 )
@@ -30,13 +27,6 @@ strings2 = st.builds(
     PauliString.from_letters,
     st.text(alphabet=LETTERS, min_size=2, max_size=2),
     st.integers(min_value=0, max_value=3),
-)
-strings_any = st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.builds(
-        PauliString.from_letters,
-        st.text(alphabet=LETTERS, min_size=n, max_size=n),
-        st.integers(min_value=0, max_value=3),
-    )
 )
 
 
@@ -87,61 +77,6 @@ class TestMultiply:
         assert left == right
 
 
-class TestCommutes:
-    def test_globally_commuting_pair(self):
-        assert commutes(PauliString.from_letters("XX"), PauliString.from_letters("YY", 2))
-
-    def test_single_site_anticommute(self):
-        assert not commutes(PauliString.from_letters("X"), PauliString.from_letters("Y"))
-
-    def test_mixed_width_3(self):
-        a = PauliString.from_letters("XXX")
-        b = PauliString.from_letters("ZZI")
-        ma, mb = dense(a), dense(b)
-        assert commutes(a, b) == np.allclose(ma @ mb, mb @ ma)
-        assert commutes(a, b)
-
-    @given(strings_any, strings_any)
-    @settings(max_examples=200)
-    def test_matches_site_count_rule(self, a, b):
-        if a.width != b.width:
-            return
-        differing = sum(
-            1
-            for x, y in zip(a.letters, b.letters)
-            if x != "I" and y != "I" and x != y
-        )
-        assert commutes(a, b) == (differing % 2 == 0)
-
-    @given(strings2, strings2)
-    @settings(max_examples=100)
-    def test_matches_dense(self, a, b):
-        ma, mb = dense(a), dense(b)
-        assert commutes(a, b) == np.allclose(ma @ mb, mb @ ma, atol=1e-12)
-
-
-class TestTensor:
-    def test_plain(self):
-        assert str(tensor(PauliString.from_letters("X"), PauliString.from_letters("I"))) == "+X1"
-        t = tensor(PauliString.from_letters("XX"), PauliString.from_letters("Y"))
-        assert str(t) == "+X1X2Y3"
-
-    def test_phase_composition(self):
-        iz = PauliString.from_letters("Z", phase_exp=1)
-        assert str(tensor(iz, iz)) == "-Z1Z2"
-        assert np.abs(dense(tensor(iz, iz)) - np.kron(dense(iz), dense(iz))).max() < 1e-12
-
-    def test_capacity(self):
-        a = PauliString.identity(7)
-        with pytest.raises(PauliError):
-            tensor(a, PauliString.identity(6))
-
-    @given(strings2, strings2)
-    @settings(max_examples=100)
-    def test_matches_kron(self, a, b):
-        assert np.abs(dense(tensor(a, b)) - np.kron(dense(a), dense(b))).max() < 1e-12
-
-
 class TestMatrix:
     def test_conventions(self):
         assert np.array_equal(to_matrix(PauliString.from_letters("I")), np.eye(2))
@@ -187,27 +122,6 @@ class TestWalshHadamard:
     def test_rejects_length_not_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_hadamard(np.zeros(6))
-
-
-class TestText:
-    def test_examples(self):
-        assert str(parse_pauli("-Y1Y2", 2)) == "-Y1Y2"
-        assert str(parse_pauli("+X1X2X3", 3)) == "+X1X2X3"
-        assert str(parse_pauli("X2", 3)) == "+X2"
-        assert str(parse_pauli("I", 2)) == "+I"
-
-    def test_rejects_bad_forms(self):
-        with pytest.raises(PauliError):
-            parse_pauli("X2X1", 2)  # sites must increase
-        with pytest.raises(PauliError):
-            parse_pauli("X3", 2)  # out of range
-        with pytest.raises(PauliError):
-            parse_pauli("Q1", 2)
-
-    @given(strings_any)
-    @settings(max_examples=200)
-    def test_round_trip(self, p):
-        assert parse_pauli(str(p), p.width) == p
 
 
 class TestSignedTerm:
