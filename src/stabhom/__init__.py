@@ -1,7 +1,7 @@
 """stabhom: logical-operator image sets, descendant inequalities, bound audits."""
 
 from .config import LIMITS, TOL
-from .pauli import PauliString, SignedPauliTerm, multiply, to_matrix
+from .pauli import PauliString, multiply, to_matrix
 from .states import (
     DensityOperator,
     StateVector,

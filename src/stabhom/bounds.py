@@ -69,7 +69,7 @@ from .dsl import (
     _resolve_assignment,
     assign_paulis,
 )
-from .pauli import _LETTER, _SINGLE, PauliString, SignedPauliTerm, walsh_hadamard
+from .pauli import _LETTER, _SINGLE, PauliString, walsh_hadamard
 from .states import (
     DensityOperator,
     StateVector,
@@ -348,7 +348,7 @@ def _quantum_values(parts, square_coeffs: Sequence[float], assignment: Mapping |
             if not kept.any():
                 continue
             if string not in expectations:
-                expectations[string] = expectation(state, SignedPauliTerm(1.0, string))
+                expectations[string] = expectation(state, string)
             total = total + np.where(kept, expectations[string] * acc, 0.0)
         sums.append(total)
     values = sums[0]
@@ -389,12 +389,10 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     ast = _ast(expr)
     opex = assign_paulis(ast, assignment)
     width = opex.width
-    lin = assemble_operator(opex.linear_terms(), width)
+    lin = assemble_operator(opex.linear, width)
     if not opex.squares:
         return max_eigenvalue(lin)
-    subs = [
-        (c, assemble_operator(terms, width)) for c, terms in opex.square_parts()
-    ]
+    subs = [(c, assemble_operator(terms, width)) for c, terms in opex.squares]
     draws = Random(_QUANTUM_SEED)
     _, seed_vec = max_eigenpair(lin)
     best = -np.inf
@@ -444,8 +442,8 @@ def _fibonacci_bloch(n: int) -> np.ndarray:
 
 def separable_terms(
     expr: Inequality | InequalityAST, assignment: Mapping | None = None
-) -> list[SignedPauliTerm]:
-    """Assigned operator terms of a linear expression, for ``separable_bound``.
+) -> tuple[tuple[float, PauliString], ...]:
+    """Assigned (coefficient, string) pairs of a linear expression, for ``separable_bound``.
 
     The optimiser maximises one operator, so square terms are refused
     rather than dropped.
@@ -453,7 +451,7 @@ def separable_terms(
     ast = _ast(expr)
     if not ast.is_linear:
         raise BoundError("separable bound supports linear expressions only")
-    return assign_paulis(ast, assignment).linear_terms()
+    return assign_paulis(ast, assignment).linear
 
 
 @dataclass(frozen=True)
@@ -463,9 +461,10 @@ class SeparableResult:
     right_state: np.ndarray
 
 
-def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
+def separable_bound(terms: Sequence[tuple[float, PauliString]]) -> SeparableResult:
     """Best product state across the 1 | rest split, by alternating maximisation.
 
+    ``terms`` are the operator's (coefficient, string) pairs, of one width.
     The operator is split once as O = sum_a sigma_a (x) B_a over a in IXYZ,
     each block B_a assembled over the terms whose qubit-1 letter is a.  An
     iteration takes the top eigenvector of the rest's operator
@@ -481,16 +480,16 @@ def separable_bound(terms: Sequence[SignedPauliTerm]) -> SeparableResult:
     """
     if not terms:
         raise BoundError("empty operator")
-    width = terms[0].width
-    if any(t.width != width for t in terms):
+    width = terms[0][1].width
+    if any(string.width != width for _, string in terms):
         raise BoundError("operator terms differ in width")
     if width < 2:
         raise BoundError("the 1 | rest split needs at least two qubits")
     rest, low = width - 1, (1 << (width - 1)) - 1
     groups = {a: [] for a in "IXYZ"}
-    for t in terms:
-        x, z = t.string.x_mask, t.string.z_mask
-        part = SignedPauliTerm(t.coefficient, PauliString(rest, x & low, z & low, 0))
+    for c, string in terms:
+        x, z = string.x_mask, string.z_mask
+        part = (c, PauliString(rest, x & low, z & low, string.phase_exp))
         groups[_LETTER[x >> rest, z >> rest]].append(part)
     blocks = {a: assemble_operator(g, rest) for a, g in groups.items()}
 

@@ -58,10 +58,10 @@ class CliError(Exception):
 # shared option handling
 
 def _encoding_from_args(args) -> LogicalEncoding:
-    chosen = [bool(args.ghz), bool(args.cluster), bool(args.encoding)]
+    chosen = [args.ghz is not None, bool(args.cluster), bool(args.encoding)]
     if sum(chosen) != 1:
         raise CliError("specify exactly one of --ghz N, --cluster, --encoding FILE")
-    if args.ghz:
+    if args.ghz is not None:
         return LogicalEncoding.ghz(args.ghz)
     if args.cluster:
         return LogicalEncoding.cluster_pair()
@@ -94,9 +94,7 @@ def _add_encoding_options(p: argparse.ArgumentParser):
 def cmd_images(args) -> int:
     enc = _encoding_from_args(args)
     letters = [args.letter] if args.letter else list("IXYZ")
-    payload = {}
-    for letter in letters:
-        payload[letter] = image_set(enc, letter).texts()
+    payload = {letter: [str(p) for p in image_set(enc, letter)] for letter in letters}
     if args.json:
         print(json.dumps({"width": enc.width, "images": payload}, indent=2))
     else:

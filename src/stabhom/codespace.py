@@ -9,9 +9,10 @@ All restrictions come from one kernel, the code's Pauli spectrum: for a
 fixed x-mask, <a|X^x Z^z|b> over every z-mask is the Walsh-Hadamard
 transform of conj(a[k^x]) * b[k], so one O(N 4^N) pass restricts all
 4^N strings.  An encoding computes its four image sets from that pass on
-first use and keeps them.  The homomorphism check reads the image sets:
-a product of two members passes when the sets list its string with the
-product letter and sign.
+first use and keeps them, each a sorted tuple of signed strings whose
+sign is their phase.  The homomorphism check reads the image sets: a
+product of two members passes when the sets list it, phase included,
+under the product letter.
 """
 from __future__ import annotations
 
@@ -23,13 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import (
-    _SINGLE,
-    PauliString,
-    SignedPauliTerm,
-    multiply,
-    walsh_hadamard,
-)
+from .pauli import _SINGLE, PauliString, multiply, walsh_hadamard
 from .states import StateVector, make_pair_superposition
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
@@ -55,7 +50,7 @@ class LogicalEncoding:
             raise CodespaceError("logical basis states must be orthogonal")
 
     @cached_property
-    def _image_sets(self) -> dict[str, "ImageSet"]:
+    def _image_sets(self) -> dict[str, tuple[PauliString, ...]]:
         # the amplitudes are read-only, so the sets never go stale
         return _compute_image_sets(self)
 
@@ -70,6 +65,8 @@ class LogicalEncoding:
     @classmethod
     def ghz(cls, n: int) -> "LogicalEncoding":
         """|0_L> = |0...0>, |1_L> = |1...1> on n qubits."""
+        if not 1 <= n <= LIMITS.max_width:
+            raise CodespaceError(f"GHZ code size {n} outside 1..{LIMITS.max_width}")
         return cls.from_basis_pair("0" * n, "1" * n)
 
     @classmethod
@@ -90,6 +87,8 @@ class LogicalEncoding:
         n = int(spec["n"])
         zero, one = spec["zero"], spec["one"]
         if isinstance(zero, str):
+            if len(zero) != n or len(one) != n:
+                raise CodespaceError(f"basis labels {zero!r}, {one!r} do not have n = {n} sites")
             return cls.from_basis_pair(zero, one)
         def vec(pairs):
             return StateVector(n, np.array([complex(re, im) for re, im in pairs]))
@@ -127,23 +126,7 @@ def _classify(r: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ImageSet:
-    logical_letter: str
-    encoding: LogicalEncoding
-    members: tuple[SignedPauliTerm, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def texts(self) -> list[str]:
-        return [str(m) for m in self.members]
-
-
-def _compute_image_sets(enc: LogicalEncoding) -> dict[str, ImageSet]:
+def _compute_image_sets(enc: LogicalEncoding) -> dict[str, tuple[PauliString, ...]]:
     """All four image sets, classified from one full Pauli spectrum."""
     if enc.width > LIMITS.max_image_width:
         raise CodespaceError(
@@ -158,15 +141,14 @@ def _compute_image_sets(enc: LogicalEncoding) -> dict[str, ImageSet]:
     for flat in np.flatnonzero(kinds >= 0):
         letter, sign = _TARGETS[kinds[flat]]
         x, z = divmod(int(flat), len(masks))
-        members[letter].append(SignedPauliTerm(float(sign), PauliString(enc.width, x, z, 0)))
-    return {
-        letter: ImageSet(letter, enc, tuple(sorted(terms, key=SignedPauliTerm.sort_key)))
-        for letter, terms in members.items()
-    }
+        members[letter].append(PauliString(enc.width, x, z, 1 - sign))  # phase 0 or 2
+    # each string is classified once, so sort_key's phase never breaks a tie
+    return {letter: tuple(sorted(strings, key=PauliString.sort_key))
+            for letter, strings in members.items()}
 
 
-def image_set(enc: LogicalEncoding, letter: str) -> ImageSet:
-    """All signed strings acting exactly as +letter on the code space."""
+def image_set(enc: LogicalEncoding, letter: str) -> tuple[PauliString, ...]:
+    """All strings acting exactly as +letter on the code space, signed by phase, sorted."""
     if letter not in _SINGLE:
         raise CodespaceError(f"unknown logical letter {letter!r}")
     return enc._image_sets[letter]
@@ -176,15 +158,15 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
     """Check that image-set products classify as the product letters.
 
     For every P in image(sigma_a) and Q in image(sigma_b), with
-    sigma_a sigma_b = i^k sigma_c, the product i^-k PQ (``multiply``) must
-    be +-1 times a string whose image-set entry is (c, that sign): then PQ
-    restricts to exactly sigma_a sigma_b, i-phase included.  The image
-    sets hold every string's restriction, so no spectrum is taken, and
-    every encoding within the image cap is checkable.  Returns (ok, list
-    of violating (P, Q, a, b)).
+    sigma_a sigma_b = i^k sigma_c, the product i^-k PQ (``multiply``, signs
+    included as phases) must be a member of image(sigma_c), phase and all:
+    then PQ restricts to exactly sigma_a sigma_b.  An odd phase fails, as
+    no member carries one.  The image sets hold every string's
+    restriction, so no spectrum is taken, and every encoding within the
+    image cap is checkable.  Returns (ok, list of violating (P, Q, a, b)).
     """
     sets = enc._image_sets
-    entry = {(m.string.x_mask, m.string.z_mask): (letter, m.coefficient)
+    entry = {(m.x_mask, m.z_mask): (letter, m.phase_exp)
              for letter, members in sets.items() for m in members}
     violations = []
     for a in "IXYZ":
@@ -192,11 +174,9 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
             ab = multiply(PauliString.from_letters(a), PauliString.from_letters(b))
             for p in sets[a]:
                 for q in sets[b]:
-                    pq = multiply(p.string, q.string)
-                    # i^-k PQ is p's and q's coefficients times i^e times pq's string
-                    e = (pq.phase_exp - ab.phase_exp) % 4
-                    want = (ab.letters, p.coefficient * q.coefficient * (1 - e))  # 1 - e = i^e
-                    if e % 2 or entry.get((pq.x_mask, pq.z_mask)) != want:
+                    pq = multiply(p, q)
+                    want = (ab.letters, (pq.phase_exp - ab.phase_exp) % 4)  # i^-k PQ
+                    if entry.get((pq.x_mask, pq.z_mask)) != want:
                         violations.append((p, q, a, b))
     return not violations, violations
 

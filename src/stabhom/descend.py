@@ -64,7 +64,7 @@ from .bounds import (
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
 from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, pretty_print
-from .pauli import SignedPauliTerm
+from .pauli import PauliString
 from .states import StateVector
 from . import bounds as _bounds
 
@@ -109,12 +109,12 @@ def _shift_setting(s: Setting, target: int, block: int) -> Setting:
 _Image = tuple[Fraction, Monomial]  # a signed image as (coefficient, monomial)
 
 
-def _image_pairs(members: Sequence[SignedPauliTerm], target: int, sign: int) -> tuple[_Image, ...]:
-    """Each member as sign * coefficient and its non-identity letters from site ``target`` on."""
+def _image_pairs(members: Sequence[PauliString], target: int, sign: int) -> tuple[_Image, ...]:
+    """Each member as ``sign`` times its phase and its non-I letters from site ``target`` on."""
     return tuple(
-        (sign * Fraction(m.coefficient).limit_denominator(10**9),
+        (Fraction(sign * (1 - m.phase_exp)),  # phase_exp 0 or 2 gives sign +1 or -1
          tuple(Setting(target + i, letter)
-               for i, letter in enumerate(m.string.letters) if letter != "I"))
+               for i, letter in enumerate(m.letters) if letter != "I"))
         for m in members
     )
 
@@ -290,7 +290,7 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
             raise SubstitutionError(
                 f"plan entry {setting.text()} is not on site {plan.target_site}"
             )
-        members = image_set(plan.encoding, entry.letter).members
+        members = image_set(plan.encoding, entry.letter)
         oc = sum(1 for _, mono in ast.linear for s in mono if s == setting)
         if entry.selection[0] == "occ" and len(entry.selection) - 1 != oc:
             raise SubstitutionError(
@@ -456,7 +456,7 @@ def enumerate_descendants(
         else:
             sign, letter = raw
         entries_base[s] = (letter, sign)
-    members = {s: image_set(encoding, letter).members for s, (letter, _) in entries_base.items()}
+    members = {s: image_set(encoding, letter) for s, (letter, _) in entries_base.items()}
     occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
     counts = [_selection_count(len(members[s]), k) for s, k in zip(target_settings, occurrences)]
     total = math.prod(counts)
@@ -538,7 +538,7 @@ def lift_coherence_witness(
         raise SubstitutionError("coherence witnesses use X or Y")
     if not 0 < threshold <= 1:
         raise SubstitutionError("threshold must lie in (0, 1]")
-    members = image_set(encoding, letter).members
+    members = image_set(encoding, letter)
     if not members:
         raise SubstitutionError("empty image set")
     seed = Setting(1, letter)

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .pauli import PauliString, SignedPauliTerm
+from .pauli import PauliString
 
 Number = Union[Fraction, float]
 
@@ -208,7 +208,7 @@ class _Parser:
             neg = True
         kind, value, pos = self.take("number")
         if "." in value:
-            num = Fraction(value).limit_denominator(10**6)
+            num = Fraction(value)
         else:
             num = Fraction(int(value))
             if self.peek()[:2] == ("op", "/"):
@@ -489,26 +489,18 @@ def _pauli_sums(terms, table: Mapping[Setting, Observable], width: int) -> list:
 
 def _expand_terms(
     terms: LinearTerms, table: dict[Setting, Observable], width: int
-) -> list[tuple[float, PauliString]]:
+) -> tuple[tuple[float, PauliString], ...]:
     sums = _pauli_sums([(float(c), mono) for c, mono in terms], table, width)
-    return [(c, s) for c, s in sums if abs(c) > 1e-14]
+    return tuple((c, s) for c, s in sums if abs(c) > 1e-14)
 
 
 @dataclass(frozen=True)
 class OperatorExpression:
-    """Expanded Pauli realisation of an inequality's left-hand side."""
+    """Expanded Pauli realisation of a left-hand side, each part as (coefficient, string) pairs."""
 
     width: int
     linear: tuple[tuple[float, PauliString], ...]
     squares: tuple[tuple[float, tuple[tuple[float, PauliString], ...]], ...] = ()
-
-    def linear_terms(self) -> list[SignedPauliTerm]:
-        return [SignedPauliTerm(c, s) for c, s in self.linear]
-
-    def square_parts(self) -> list[tuple[float, list[SignedPauliTerm]]]:
-        return [
-            (c, [SignedPauliTerm(cc, ss) for cc, ss in sub]) for c, sub in self.squares
-        ]
 
 
 def assign_paulis(
@@ -524,9 +516,6 @@ def assign_paulis(
     ast = ineq.ast if isinstance(ineq, Inequality) else ineq
     width = ast.width
     table = _resolve_assignment(ast.settings, assignment or {})
-    linear = tuple(_expand_terms(ast.linear, table, width))
-    squares = tuple(
-        (float(c), tuple(_expand_terms(sub, table, width))) for c, sub in ast.squares
-    )
-    return OperatorExpression(width, linear, squares)
+    squares = tuple((float(c), _expand_terms(sub, table, width)) for c, sub in ast.squares)
+    return OperatorExpression(width, _expand_terms(ast.linear, table, width), squares)
 

@@ -7,11 +7,17 @@ ordering used by the state engine.  The single-site conventions are
     X = [[0, 1], [1, 0]]    Y = [[0, -i], [i, 0]]    Z = diag(1, -1)
 
 and Y = i * X * Z, which fixes every sign produced by multiplication.
+
+A signed string, such as a member of an image set, is a PauliString
+whose phase is its sign: ``phase_exp`` 0 for +1, 2 for -1.  A real
+multiple of a string is a (coefficient, PauliString) pair, the form
+``dsl._pauli_sums`` returns; ``states.assemble_operator`` and
+``bounds.separable_bound`` take lists of such pairs, and
+``states.expectation`` takes a bare string.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -151,41 +157,3 @@ def to_matrix(p: PauliString) -> np.ndarray:
     m = np.zeros((len(idx), len(idx)), dtype=complex)
     m[idx ^ p.x_mask, idx] = _phase_vector(p, p.width)
     return m
-
-
-@dataclass(frozen=True)
-class SignedPauliTerm:
-    """Real multiple of a phase-free Pauli string (a Hermitian observable)."""
-
-    coefficient: float
-    string: PauliString
-
-    def __post_init__(self):
-        coeff = self.coefficient
-        string = self.string
-        if string.phase_exp == 2:  # fold a -1 phase into the coefficient
-            coeff = -coeff
-            string = PauliString(string.width, string.x_mask, string.z_mask, 0)
-        elif string.phase_exp != 0:
-            raise PauliError("term string must carry phase +-1")
-        if isinstance(coeff, Fraction):
-            coeff = float(coeff)
-        if not np.isfinite(coeff) or coeff == 0:
-            raise PauliError("coefficient must be finite and nonzero")
-        object.__setattr__(self, "coefficient", float(coeff))
-        object.__setattr__(self, "string", string)
-
-    @property
-    def width(self) -> int:
-        return self.string.width
-
-    def sort_key(self):
-        return (*self.string.sort_key(), self.coefficient)
-
-    def __str__(self) -> str:
-        mag = abs(self.coefficient)
-        body = str(self.string)[1:]  # drop the string's own '+'
-        head = "+" if self.coefficient > 0 else "-"
-        if abs(mag - 1.0) < 1e-15:
-            return f"{head}{body}"
-        return f"{head}{mag:g}*{body}"

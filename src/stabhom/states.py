@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import PauliError, PauliString, SignedPauliTerm, _phase_vector
+from .pauli import PauliError, PauliString, _phase_vector
 
 
 class StateError(ValueError):
@@ -92,6 +92,10 @@ def make_pair_superposition(a: str, b: str, amp_a: complex, amp_b: complex) -> S
         raise StateError("bitstring lengths differ")
     if a == b:
         raise StateError("bitstrings must differ")
+    if set(a + b) - {"0", "1"}:  # int(., 2) would also take "_", "+" and "-"
+        raise StateError(f"bitstrings {a!r}, {b!r} must hold only 0 and 1")
+    if len(a) > LIMITS.max_width:
+        raise StateError(f"bitstring length {len(a)} exceeds width cap {LIMITS.max_width}")
     if abs(abs(amp_a) ** 2 + abs(amp_b) ** 2 - 1.0) > TOL.norm:
         raise StateError("|amp_a|^2 + |amp_b|^2 must be 1")
     n = len(a)
@@ -103,6 +107,8 @@ def make_pair_superposition(a: str, b: str, amp_a: complex, amp_b: complex) -> S
 
 def ghz_state(n: int, phase: complex = 1.0) -> StateVector:
     """(|0...0> + phase |1...1>)/sqrt(2)."""
+    if not 1 <= n <= LIMITS.max_width:
+        raise StateError(f"GHZ state size {n} outside 1..{LIMITS.max_width}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1 / np.sqrt(2)
     amps[-1] = phase / np.sqrt(2)
@@ -165,12 +171,13 @@ def apply_pauli(string: PauliString, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def expectation(state: StateVector, term: SignedPauliTerm) -> float:
-    """coefficient * <psi| string |psi>, guaranteed real for Hermitian terms."""
-    if state.width != term.width:
-        raise PauliError(f"width mismatch {state.width} != {term.width}")
-    val = np.vdot(state.amplitudes, apply_pauli(term.string, state.amplitudes))
-    val *= term.coefficient
+def expectation(state: StateVector, string: PauliString) -> float:
+    """<psi| string |psi>, the string's sign being its phase; a phase of +-i raises PauliError."""
+    if state.width != string.width:
+        raise PauliError(f"width mismatch {state.width} != {string.width}")
+    if string.phase_exp % 2:
+        raise PauliError(f"string {string} has an imaginary phase")
+    val = np.vdot(state.amplitudes, apply_pauli(string, state.amplitudes))
     if abs(val.imag) > TOL.norm:
         raise StateError(f"non-real expectation {val}")
     return float(val.real)
@@ -199,12 +206,11 @@ def max_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[-1]), vecs[:, -1]
 
 
-def assemble_operator(terms: Sequence[SignedPauliTerm], width: int) -> np.ndarray:
-    """Dense sum of signed Pauli terms (column-wise, no kron chains)."""
+def assemble_operator(terms: Sequence[tuple[float, PauliString]], width: int) -> np.ndarray:
+    """Dense sum of (coefficient, string) pairs, phases included (column-wise, no kron chains)."""
     dim = 2**width
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    for t in terms:
-        ph = _phase_vector(t.string, width)
-        out[idx ^ t.string.x_mask, idx] += t.coefficient * ph
+    for c, string in terms:
+        out[idx ^ string.x_mask, idx] += c * _phase_vector(string, width)
     return out

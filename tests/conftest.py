@@ -48,7 +48,7 @@ from stabhom.dsl import (
     assign_paulis,
     pretty_print,
 )
-from stabhom.pauli import PauliString, SignedPauliTerm
+from stabhom.pauli import PauliString
 from stabhom.states import DensityOperator, StateVector, expectation, max_eigenpair
 
 I2 = np.eye(2, dtype=complex)
@@ -80,13 +80,11 @@ def brute_force_images(enc: LogicalEncoding, tol: float = 1e-9) -> dict[str, lis
             continue
         for letter, sign in itertools.product("IXYZ", (1, -1)):
             if np.abs(r - sign * SIGMA[letter]).max() < tol:
-                found[letter].append(
-                    SignedPauliTerm(float(sign), PauliString.from_letters("".join(letters)))
-                )
+                found[letter].append(PauliString.from_letters("".join(letters), 1 - sign))
                 break
     return {
-        letter: [str(t) for t in sorted(terms, key=SignedPauliTerm.sort_key)]
-        for letter, terms in found.items()
+        letter: [str(p) for p in sorted(strings, key=PauliString.sort_key)]
+        for letter, strings in found.items()
     }
 
 
@@ -103,7 +101,7 @@ def loop_quantum_value(
 
     def total(terms):
         return sum(
-            expectation(state, SignedPauliTerm(c, PauliString.from_letters(s.letters + pad)))
+            c * expectation(state, PauliString.from_letters(s.letters + pad))
             for c, s in terms
         )
 
@@ -131,7 +129,7 @@ def per_image_transport_check(
     seed_val = loop_quantum_value(ast, seed_assignment, seed_state)
     worst = 0.0
     counts = {
-        s: len(image_set(plan.encoding, e.letter).members)
+        s: len(image_set(plan.encoding, e.letter))
         for s, e in plan.entries.items()
     }
     index_lists = [range(counts[s]) for s in plan.entries]
@@ -394,7 +392,10 @@ def char_poly_max_eig(op: np.ndarray) -> float:
 
 
 def separable_grid_max(terms, steps: int = 60) -> float:
-    """Dense Bloch-sphere grid over both qubits of a two-qubit operator."""
+    """Dense Bloch-sphere grid over both qubits of a two-qubit operator.
+
+    ``terms`` are (coefficient, qubit-1 matrix, qubit-2 matrix) triples.
+    """
     thetas = np.linspace(0, np.pi, steps)
     phis = np.linspace(0, 2 * np.pi, 2 * steps, endpoint=False)
 
@@ -404,12 +405,9 @@ def separable_grid_max(terms, steps: int = 60) -> float:
                 yield np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)])
 
     states = list(bloch_states())
-    mats = [(c.coefficient if hasattr(c, "coefficient") else c[0], m1, m2)
-            for c, m1, m2 in terms]
-    best = -np.inf
-    lefts = np.array([[np.vdot(a, m1 @ a).real for _, m1, _ in mats] for a in states])
-    rights = np.array([[np.vdot(b, m2 @ b).real for _, _, m2 in mats] for b in states])
-    coeffs = np.array([c for c, _, _ in mats])
+    lefts = np.array([[np.vdot(a, m1 @ a).real for _, m1, _ in terms] for a in states])
+    rights = np.array([[np.vdot(b, m2 @ b).real for _, _, m2 in terms] for b in states])
+    coeffs = np.array([c for c, _, _ in terms])
     vals = (lefts * coeffs) @ rights.T
     return float(vals.max())
 
@@ -423,12 +421,12 @@ def loop_separable_bound(terms) -> bounds.SeparableResult:
     """
     if not terms:
         raise bounds.BoundError("empty operator")
-    width = terms[0].width
+    width = terms[0][1].width
     if width < 2:
         raise bounds.BoundError("the 1 | rest split needs at least two qubits")
     parts = [
-        (t.coefficient, kron_chain(t.string.letters[:1]), kron_chain(t.string.letters[1:]))
-        for t in terms
+        (c * s.phase, kron_chain(s.letters[:1]), kron_chain(s.letters[1:]))
+        for c, s in terms
     ]
     dim_r = 2 ** (width - 1)
 
@@ -543,10 +541,9 @@ def _loop_substitute_terms(terms, plan, images, occurrence_counter=None):
             raise SubstitutionError(f"empty image selection for {setting.text()}")
         for img in chosen:
             img_mono = tuple(Setting(t + i, letter)
-                             for i, letter in enumerate(img.string.letters) if letter != "I")
+                             for i, letter in enumerate(img.letters) if letter != "I")
             merged = tuple(sorted(rest + img_mono))
-            c = Fraction(img.coefficient).limit_denominator(10**9)
-            _merge(out, merged, coeff * Fraction(entry.sign) * c)
+            _merge(out, merged, coeff * Fraction(entry.sign) * Fraction(img.phase))
     return out
 
 
@@ -559,7 +556,7 @@ def loop_substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) ->
             raise SubstitutionError(
                 f"plan entry {setting.text()} is not on site {plan.target_site}"
             )
-        members = image_set(plan.encoding, entry.letter).members
+        members = image_set(plan.encoding, entry.letter)
         oc = sum(1 for _, mono in ast.linear for s in mono if s == setting)
         if entry.selection[0] == "occ" and len(entry.selection) - 1 != oc:
             raise SubstitutionError(

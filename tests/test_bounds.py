@@ -35,7 +35,7 @@ from stabhom.bounds import (
 from stabhom.catalog import load_catalog
 from stabhom.config import LIMITS
 from stabhom.dsl import assign_paulis, parse, pretty_print
-from stabhom.pauli import PauliString, SignedPauliTerm, walsh_hadamard
+from stabhom.pauli import PauliString, walsh_hadamard
 from stabhom.states import (
     DensityOperator,
     assemble_operator,
@@ -57,7 +57,7 @@ CAP_TWO_SQUARES = xy_chain(10).replace(
 
 
 def term(letters, coeff=1.0):
-    return SignedPauliTerm(coeff, PauliString.from_letters(letters))
+    return coeff, PauliString.from_letters(letters)
 
 
 def loop_envelope(ast) -> float:
@@ -377,15 +377,12 @@ class TestSeparable:
 
         for letters in (("XX", "YY", "ZZ"), ("XX", "YY")):
             terms = [term(l) if l != "YY" else term(l, -1.0) for l in letters]
-            parts = [
-                (t.coefficient,
-                 to_matrix(PauliString.from_letters(t.string.letters[0])),
-                 to_matrix(PauliString.from_letters(t.string.letters[1])))
-                for t in terms
-            ]
-            grid = separable_grid_max(
-                [((c,), m1, m2) for c, m1, m2 in parts]
-            )
+            grid = separable_grid_max([
+                (c,
+                 to_matrix(PauliString.from_letters(s.letters[0])),
+                 to_matrix(PauliString.from_letters(s.letters[1])))
+                for c, s in terms
+            ])
             alt = separable_bound(terms).value
             assert alt == pytest.approx(grid, abs=1e-3)
             assert alt >= grid - 1e-9  # alternation refines the grid
@@ -398,7 +395,7 @@ class TestSeparable:
     def test_terms_refuse_square_terms(self):
         with pytest.raises(BoundError, match="linear"):
             separable_terms(parse("X1*X2 - 1/2*sq(X1*X2) <= 1"))
-        assert separable_terms(parse("X1*X2 - Y1*Y2 <= 1")) == [term("XX"), term("YY", -1.0)]
+        assert separable_terms(parse("X1*X2 - Y1*Y2 <= 1")) == (term("XX"), term("YY", -1.0))
 
     def test_witness_gap_on_pair_state(self):
         bell = make_pair_superposition("00", "11", R, R)
@@ -429,7 +426,7 @@ def random_sign_terms(rng, width):
 
 def attained(res, terms):
     psi = np.kron(res.left_state, res.right_state)
-    return np.vdot(psi, assemble_operator(terms, terms[0].width) @ psi).real
+    return np.vdot(psi, assemble_operator(terms, terms[0][1].width) @ psi).real
 
 
 class TestSeparableBlocks:
@@ -454,10 +451,10 @@ class TestSeparableBlocks:
         rng = np.random.default_rng(0)
         for _ in range(10):
             terms = random_sign_terms(rng, int(rng.integers(2, 5)))
-            assert {t.string.letters[0] for t in terms} == set("IXYZ")
+            assert {s.letters[0] for _, s in terms} == set("IXYZ")
             res = separable_bound(terms)
             oracle = loop_separable_bound(terms).value
-            assert res.value == pytest.approx(oracle, abs=1e-9), [str(t) for t in terms]
+            assert res.value == pytest.approx(oracle, abs=1e-9), [(c, str(s)) for c, s in terms]
             assert attained(res, terms) == pytest.approx(res.value, abs=1e-9)
 
     def test_refuses_mixed_widths(self):
@@ -512,7 +509,7 @@ class TestQuantum:
         cat = {f.name: f for f in load_catalog()}
         fx = cat["nl1-3party"]
         opex = assign_paulis(fx.inequality.ast, fx.assignment)
-        top = max_eigenvalue(assemble_operator(opex.linear_terms(), 3))
+        top = max_eigenvalue(assemble_operator(opex.linear, 3))
         assert top == pytest.approx(6.0, abs=1e-8)
 
     def test_chsh_tsirelson_via_eigensolver(self):
@@ -537,7 +534,7 @@ class TestInvariantChain:
                 continue
             lhv = hybrid_bound(ineq) if fx.raw.get("hybrid") else lhv_bound(ineq)
             opex = assign_paulis(ineq.ast, fx.assignment)
-            qmax = max_eigenvalue(assemble_operator(opex.linear_terms(), opex.width))
+            qmax = max_eigenvalue(assemble_operator(opex.linear, opex.width))
             alg = algebraic_bound(ineq)
             assert lhv <= qmax + 1e-7, fx.name
             assert qmax <= alg + 1e-7, fx.name

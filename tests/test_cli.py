@@ -94,6 +94,21 @@ def test_descend_refuses_a_narrow_seed_state(capsys):
     assert captured.out == "" and "width 5 exceeds state width 4" in captured.err
 
 
+@pytest.mark.parametrize("argv,size", [
+    (["descend", str(SEEDS / "chsh.ineq"), "--site", "2", "--ghz", "3", "--state", "ghz:-1"], -1),
+    (["descend", str(SEEDS / "chsh.ineq"), "--site", "2", "--ghz", "3", "--state", "ghz:0"], 0),
+    (["images", "--ghz", "0"], 0),
+    (["images", "--ghz", "-1"], -1),
+    (["descend", str(SEEDS / "chsh.ineq"), "--site", "2", "--ghz", "3", "--state", "ghz:40"], 40),
+    (["images", "--ghz", "40"], 40),
+])
+def test_ghz_size_outside_width_cap_is_a_usage_error(capsys, argv, size):
+    # refused before any 2^size array is allocated
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"size {size} outside 1..12" in captured.err
+
+
 def test_images_width_cap_is_a_usage_error(capsys):
     assert cli.main(["images", "--ghz", "9"]) == cli.USAGE_ERROR == 2
     assert "cap" in capsys.readouterr().err

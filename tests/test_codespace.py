@@ -13,14 +13,28 @@ from stabhom.codespace import (
     lift_state,
     verify_homomorphism,
 )
-from stabhom.pauli import PauliString, SignedPauliTerm, multiply
-from stabhom.states import StateVector, expectation, ghz_state, make_pair_superposition
+from stabhom.pauli import PauliString, multiply
+from stabhom.states import (
+    StateError,
+    StateVector,
+    expectation,
+    ghz_state,
+    make_pair_superposition,
+)
 
 R = 2**-0.5
 
 
-def term(letters, coeff=1.0):
-    return SignedPauliTerm(coeff, PauliString.from_letters(letters))
+def term(letters):
+    return PauliString.from_letters(letters)
+
+
+def texts(enc, letter):
+    return [str(p) for p in image_set(enc, letter)]
+
+
+def negated(p):
+    return PauliString(p.width, p.x_mask, p.z_mask, p.phase_exp + 2)
 
 
 def complementary_pairs(widths):
@@ -31,15 +45,6 @@ def complementary_pairs(widths):
             one = "".join("1" if b == "0" else "0" for b in bits)
             if zero < one:
                 yield zero, one
-
-
-def signed_product(p, q):
-    """p*q as a signed term; raises if the product carries a phase of +-i."""
-    return SignedPauliTerm(p.coefficient * q.coefficient, multiply(p.string, q.string))
-
-
-def keys(terms):
-    return {(t.coefficient, t.string) for t in terms}
 
 
 # (|001> + i|110>)/sqrt2 and (|001> - i|110>)/sqrt2
@@ -67,18 +72,18 @@ STRUCTURE_CASES = [
 class TestImageSets:
     def test_pair_code(self):
         enc = LogicalEncoding.ghz(2)
-        assert image_set(enc, "X").texts() == ["+X1X2", "-Y1Y2"]
-        assert image_set(enc, "I").texts() == ["+I", "+Z1Z2"]
-        assert image_set(enc, "Y").texts() == ["+X1Y2", "+Y1X2"]
-        assert image_set(enc, "Z").texts() == ["+Z1", "+Z2"]
+        assert texts(enc, "X") == ["+X1X2", "-Y1Y2"]
+        assert texts(enc, "I") == ["+I", "+Z1Z2"]
+        assert texts(enc, "Y") == ["+X1Y2", "+Y1X2"]
+        assert texts(enc, "Z") == ["+Z1", "+Z2"]
 
     def test_triple_code(self):
         enc = LogicalEncoding.ghz(3)
-        assert image_set(enc, "I").texts() == ["+I", "+Z1Z2", "+Z1Z3", "+Z2Z3"]
-        assert image_set(enc, "X").texts() == [
+        assert texts(enc, "I") == ["+I", "+Z1Z2", "+Z1Z3", "+Z2Z3"]
+        assert texts(enc, "X") == [
             "+X1X2X3", "-X1Y2Y3", "-Y1X2Y3", "-Y1Y2X3",
         ]
-        assert image_set(enc, "Y").texts() == [
+        assert texts(enc, "Y") == [
             "+X1X2Y3", "+X1Y2X3", "+Y1X2X3", "-Y1Y2Y3",
         ]
 
@@ -86,9 +91,9 @@ class TestImageSets:
         # the Z images of the superposed code carry definite signs fixed by
         # the conventions of the single-site matrices
         enc = LogicalEncoding.cluster_pair()
-        assert image_set(enc, "Z").texts() == ["+X1X2", "-Y1Y2"]
-        assert image_set(enc, "X").texts() == ["+Z1", "+Z2"]
-        assert image_set(enc, "Y").texts() == ["-X1Y2", "-Y1X2"]
+        assert texts(enc, "Z") == ["+X1X2", "-Y1Y2"]
+        assert texts(enc, "X") == ["+Z1", "+Z2"]
+        assert texts(enc, "Y") == ["-X1Y2", "-Y1X2"]
 
     def test_capacity(self):
         with pytest.raises(CodespaceError):
@@ -126,13 +131,13 @@ class TestImageSets:
         sets = {letter: image_set(enc, letter) for letter in "IXYZ"}
         for letter, members in sets.items():
             assert len(members) == 2 ** (n - 1), letter
+        # a product's phase is its sign, so a +-i product would match no member
         stabs = sets["I"]
-        assert all(keys([signed_product(p, q)]) <= keys(stabs) for p in stabs for q in stabs)
+        assert all(multiply(p, q) in stabs for p in stabs for q in stabs)
         for letter, members in sets.items():
-            assert keys(signed_product(members.members[0], s) for s in stabs) == keys(members)
-        x_keys = keys(sets["X"])
+            assert {multiply(members[0], s) for s in stabs} == set(members)
         for stab in stabs:
-            assert keys(signed_product(m, stab) for m in sets["X"]) == x_keys
+            assert {multiply(m, stab) for m in sets["X"]} == set(sets["X"])
 
     def test_basis_pair_support_structure(self):
         # X images act exactly on the differing sites of the basis pair
@@ -141,20 +146,20 @@ class TestImageSets:
             differ = {i + 1 for i, (x, y) in enumerate(zip(zero, one)) if x != y}
             for m in image_set(enc, "X"):
                 support = {
-                    i + 1 for i, ch in enumerate(m.string.letters) if ch in "XY"
+                    i + 1 for i, ch in enumerate(m.letters) if ch in "XY"
                 }
                 assert support == differ
 
     def test_global_commute_local_noncommute(self):
         for enc in (LogicalEncoding.ghz(2), LogicalEncoding.ghz(3)):
             members = list(image_set(enc, "I")) + list(image_set(enc, "X"))
-            dense = [kron_chain(m.string.letters) for m in members]
+            dense = [kron_chain(m.letters) for m in members]
             assert all(np.allclose(a @ b, b @ a) for a in dense for b in dense)
             locally_noncommuting = any(
                 pa != "I" and qa != "I" and pa != qa
                 for p in members
                 for q in members
-                for pa, qa in zip(p.string.letters, q.string.letters)
+                for pa, qa in zip(p.letters, q.letters)
             )
             assert locally_noncommuting
 
@@ -164,13 +169,13 @@ class TestSpectralKernel:
     def test_matches_brute_force(self, name, enc):
         oracle = brute_force_images(enc)
         for letter in "IXYZ":
-            assert image_set(enc, letter).texts() == oracle[letter], letter
+            assert texts(enc, letter) == oracle[letter], letter
 
     def test_complex_encoding_signs(self):
         # X1Y2X3|001> = i|110>, so +X1Y2X3 fixes (|001> + i|110>)/sqrt2
         enc = LogicalEncoding.from_json(COMPLEX_SPEC)
-        assert image_set(enc, "Z").texts() == ["-X1X2Y3", "+X1Y2X3", "+Y1X2X3", "+Y1Y2Y3"]
-        assert image_set(enc, "X").texts() == ["+Z1", "+Z2", "-Z3", "-Z1Z2Z3"]
+        assert texts(enc, "Z") == ["-X1X2Y3", "+X1Y2X3", "+Y1X2X3", "+Y1Y2Y3"]
+        assert texts(enc, "X") == ["+Z1", "+Z2", "-Z3", "-Z1Z2Z3"]
 
     def test_image_sets_memoised_per_encoding(self):
         enc = LogicalEncoding.ghz(3)
@@ -207,14 +212,14 @@ class TestHomomorphism:
 
     def test_reports_planted_violation(self):
         enc = LogicalEncoding.ghz(3)
-        xs = enc._image_sets["X"].members
-        planted = SignedPauliTerm(-xs[1].coefficient, xs[1].string)
-        enc._image_sets["X"] = codespace.ImageSet("X", enc, (xs[0], planted, *xs[2:]))
+        xs = enc._image_sets["X"]
+        planted = negated(xs[1])
+        enc._image_sets["X"] = (xs[0], planted, *xs[2:])
         ok, violations = verify_homomorphism(enc)
         assert not ok
         # a pair is judged against the sets, so it fails when it holds the
         # planted member or when its product is the planted member's string
-        assert all(planted in (p, q) or multiply(p.string, q.string).letters == "XYY"
+        assert all(planted in (p, q) or multiply(p, q).letters == "XYY"
                    for p, q, _, _ in violations)
         # every pair holding it fails but those whose product is itself or +I
         members = [m for letter in "IXYZ" for m in enc._image_sets[letter]]
@@ -229,21 +234,20 @@ class TestHomomorphism:
             # flip member k's sign, then move it to the next letter's set
             enc = LogicalEncoding.ghz(3)
             sets = enc._image_sets
-            members = sets[letter].members
-            flipped = SignedPauliTerm(-members[k].coefficient, members[k].string)
-            sets[letter] = codespace.ImageSet(letter, enc, (*members[:k], flipped, *members[k + 1:]))
+            members = sets[letter]
+            sets[letter] = (*members[:k], negated(members[k]), *members[k + 1:])
             assert not verify_homomorphism(enc)[0]
             other = "XYZI"["XYZ".index(letter) + 1]
-            sets[letter] = codespace.ImageSet(letter, enc, (*members[:k], *members[k + 1:]))
-            sets[other] = codespace.ImageSet(other, enc, (members[k], *sets[other].members))
+            sets[letter] = (*members[:k], *members[k + 1:])
+            sets[other] = (members[k], *sets[other])
             assert not verify_homomorphism(enc)[0]
 
     def test_odd_phase_product_fails_though_its_string_is_listed(self):
         # X*X = I, but the planted pair gives X1*Z1 = -i Y1, and Y1 is planted under I
         enc = LogicalEncoding.ghz(1)
         sets = enc._image_sets
-        sets["I"] = codespace.ImageSet("I", enc, (*sets["I"].members, term("Y")))
-        sets["X"] = codespace.ImageSet("X", enc, (*sets["X"].members, term("Z")))
+        sets["I"] = (*sets["I"], term("Y"))
+        sets["X"] = (*sets["X"], term("Z"))
         ok, violations = verify_homomorphism(enc)
         assert not ok and (term("X"), term("Z"), "X", "X") in violations
 
@@ -276,7 +280,16 @@ class TestHomomorphism:
 class TestJsonAndLift:
     def test_from_json_basis(self):
         enc = LogicalEncoding.from_json({"n": 3, "zero": "000", "one": "111"})
-        assert image_set(enc, "X").texts() == image_set(LogicalEncoding.ghz(3), "X").texts()
+        assert image_set(enc, "X") == image_set(LogicalEncoding.ghz(3), "X")
+
+    def test_basis_pair_width_cap(self):
+        with pytest.raises(StateError, match="width cap 12"):
+            LogicalEncoding.from_json({"n": 40, "zero": "0" * 40, "one": "1" * 40})
+
+    @pytest.mark.parametrize("zero,one", [("00", "11"), ("0000", "1111"), ("000", "11")])
+    def test_from_json_basis_refuses_labels_off_width(self, zero, one):
+        with pytest.raises(CodespaceError, match="n = 3"):
+            LogicalEncoding.from_json({"n": 3, "zero": zero, "one": one})
 
     def test_from_json_amplitudes(self):
         spec = {
@@ -285,7 +298,7 @@ class TestJsonAndLift:
             "one": [[R, 0], [0, 0], [0, 0], [-R, 0]],
         }
         enc = LogicalEncoding.from_json(spec)
-        assert image_set(enc, "Z").texts() == ["+X1X2", "-Y1Y2"]
+        assert texts(enc, "Z") == ["+X1X2", "-Y1Y2"]
 
     def test_lift_bell_to_ghz(self):
         bell = make_pair_superposition("00", "11", R, R)

@@ -66,6 +66,12 @@ class TestGrammar:
         coeffs = {c for c, _ in ineq.ast.linear}
         assert Fraction(3, 2) in coeffs and Fraction(-1, 4) in coeffs
         assert ineq.ast.bound == Fraction(1, 2)
+        # decimals are exact at any number of places: none is dropped or rounded
+        small = parse("0.0000001*X1 + X2 <= 1")
+        assert small.ast.linear[0] == (Fraction(1, 10**7), (Setting(1, "X"),))
+        assert pretty_print(small) == "1/10000000*X1 + X2 <= 1"
+        (c, _), = parse("0.12345678*X1*X2 <= 1").ast.linear
+        assert c == Fraction(12345678, 10**8)
 
     def test_square_terms(self):
         ineq = parse("X1*X2 - 1/2*sq(X1 + X2) <= 1")
@@ -191,8 +197,8 @@ class TestAssignment:
         factored = parse("A1*(A2+A2') + A1'*(A2-A2') <= 2")
         expanded = parse("A1*A2 + A1*A2' + A1'*A2 - A1'*A2' <= 2")
         amap = {"A1": "(X1-Y1)/sqrt2", "A1'": "(X1+Y1)/sqrt2", "A2": "X2", "A2'": "Y2"}
-        m1 = assemble_operator(assign_paulis(factored.ast, amap).linear_terms(), 2)
-        m2 = assemble_operator(assign_paulis(expanded.ast, amap).linear_terms(), 2)
+        m1 = assemble_operator(assign_paulis(factored.ast, amap).linear, 2)
+        m2 = assemble_operator(assign_paulis(expanded.ast, amap).linear, 2)
         assert np.abs(m1 - m2).max() < 1e-12
 
     def test_square_terms_expand(self):

@@ -10,7 +10,6 @@ from conftest import kron_chain
 from stabhom.pauli import (
     PauliError,
     PauliString,
-    SignedPauliTerm,
     multiply,
     to_matrix,
     walsh_hadamard,
@@ -125,19 +124,6 @@ class TestWalshHadamard:
 
 
 class TestSignedTerm:
-    def test_phase_folding(self):
-        t = SignedPauliTerm(2.0, PauliString.from_letters("XY", phase_exp=2))
-        assert t.coefficient == -2.0
-        assert t.string.phase_exp == 0
-
-    def test_rejects_imaginary_phase(self):
-        with pytest.raises(PauliError):
-            SignedPauliTerm(1.0, PauliString.from_letters("X", phase_exp=1))
-
-    def test_rejects_zero_coefficient(self):
-        with pytest.raises(PauliError):
-            SignedPauliTerm(0.0, PauliString.from_letters("X"))
-
     def test_square_is_identity_times_phase_squared(self):
         # every string squared equals (phase^2) * identity
         for e in range(4):

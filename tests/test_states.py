@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import char_poly_max_eig, kron_chain
-from stabhom.pauli import PauliString, SignedPauliTerm, _phase_vector, to_matrix
+from stabhom.pauli import PauliError, PauliString, _phase_vector, to_matrix
 from stabhom.states import (
     DensityOperator,
     StateError,
@@ -23,8 +23,8 @@ from stabhom.states import (
 R = 2**-0.5
 
 
-def term(text_letters: str, coeff: float = 1.0) -> SignedPauliTerm:
-    return SignedPauliTerm(coeff, PauliString.from_letters(text_letters))
+def term(text_letters: str, phase_exp: int = 0) -> PauliString:
+    return PauliString.from_letters(text_letters, phase_exp)
 
 
 class TestPairSuperposition:
@@ -47,6 +47,11 @@ class TestPairSuperposition:
         with pytest.raises(StateError):
             make_pair_superposition("01", "01", R, R)
 
+    @pytest.mark.parametrize("a,b", [("0_1", "1_0"), ("+1", "01"), ("0a", "11")])
+    def test_rejects_non_binary_labels(self, a, b):
+        with pytest.raises(StateError, match="only 0 and 1"):
+            make_pair_superposition(a, b, R, R)
+
     def test_rejects_bad_norm(self):
         with pytest.raises(StateError):
             make_pair_superposition("0", "1", 1.0, 1.0)
@@ -56,7 +61,7 @@ class TestExpectation:
     def test_bell_stabilisers(self):
         bell = make_pair_superposition("00", "11", R, R)
         assert expectation(bell, term("XX")) == pytest.approx(1.0)
-        assert expectation(bell, term("YY", -1.0)) == pytest.approx(1.0)
+        assert expectation(bell, term("YY", 2)) == pytest.approx(1.0)  # the string -YY
         assert expectation(bell, term("ZZ")) == pytest.approx(1.0)
 
     def test_singlet_isotropic_sum(self):
@@ -71,12 +76,21 @@ class TestExpectation:
             v /= np.linalg.norm(v)
             state = StateVector(n, v)
             letters = "".join(rng.choice(list("IXYZ"), n))
-            c = float(rng.normal())
-            if c == 0:
-                continue
-            t = term(letters, c)
-            want = c * np.vdot(v, kron_chain(letters) @ v).real
-            assert expectation(state, t) == pytest.approx(want, abs=1e-12)
+            want = np.vdot(v, kron_chain(letters) @ v).real
+            assert expectation(state, term(letters)) == pytest.approx(want, abs=1e-12)
+
+    def test_negative_phase_negates(self, rng):
+        # a signed string's sign is its phase: -P has minus the expectation of +P
+        for _ in range(20):
+            v = rng.normal(size=8) + 1j * rng.normal(size=8)
+            state = StateVector(3, v / np.linalg.norm(v))
+            letters = "".join(rng.choice(list("IXYZ"), 3))
+            assert expectation(state, term(letters, 2)) == -expectation(state, term(letters))
+
+    @pytest.mark.parametrize("phase_exp", [1, 3])
+    def test_rejects_imaginary_phase(self, phase_exp):
+        with pytest.raises(PauliError, match="imaginary phase"):
+            expectation(ghz_state(2), term("XX", phase_exp))
 
     def test_width_mismatch(self):
         with pytest.raises(Exception):
@@ -91,8 +105,7 @@ class TestExpectation:
         v = np.zeros(2**n, dtype=complex)
         v[idx % 2**n] = 1.0
         state = StateVector(n, v)
-        t = term("XYZ", coeff)
-        assert abs(expectation(state, t)) <= abs(coeff) + 1e-12
+        assert abs(coeff * expectation(state, term("XYZ"))) <= abs(coeff) + 1e-12
 
 
 class TestMaxEigenvalue:
@@ -117,7 +130,7 @@ class TestMaxEigenvalue:
             max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_dominates_expectations(self, rng):
-        op = assemble_operator([term("XX"), term("ZZ", 0.5)], 2)
+        op = assemble_operator([(1.0, term("XX")), (0.5, term("ZZ"))], 2)
         top = max_eigenvalue(op)
         for _ in range(100):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
