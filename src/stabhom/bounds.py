@@ -537,7 +537,6 @@ class DiscordCheck:
     passed: bool
     x_correlator: float | np.ndarray
     y_correlator: float | np.ndarray
-    epsilon: float
 
 
 def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordCheck:
@@ -565,8 +564,8 @@ def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordChec
     x_corr, y_corr = s[..., 1], s[..., 2]
     passed = bool((x_corr <= epsilon).all())
     if m.ndim == 2:
-        return DiscordCheck(passed, float(x_corr), float(y_corr), epsilon)
-    return DiscordCheck(passed, x_corr, y_corr, epsilon)
+        return DiscordCheck(passed, float(x_corr), float(y_corr))
+    return DiscordCheck(passed, x_corr, y_corr)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +584,6 @@ class BoundReport:
     paper_claim: dict = field(default_factory=dict)
     claim_match: dict = field(default_factory=dict)
     expected_mismatch: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {

@@ -8,13 +8,15 @@ from scratch and reports matches/mismatches; fixtures may flag claims as
 *expected* mismatches so known-unreproducible catalogue values do not
 fail the audit run.
 
-The bundled JSON files under ``fixtures/`` are the source; nothing
-generates them.  To add a fixture, write its JSON file and give any
-derivation an ``expect`` text (the canonical derived expression without
-its bound): the audit then replays the derivation and reports whether it
-reproduces that text.  A symbolic derivation has no ``expect``; the test
-suite replays it against the fixture's own inequality, so it adds no
-field to the audit JSON.
+The fixtures directory is ``--fixtures`` when given, else the bundled
+``fixtures/`` directory, whose JSON files are the source; nothing
+generates them.  Code specs are read by ``LogicalEncoding.from_json``
+and state specs by ``state_from_spec``.  To add a fixture, write its
+JSON file and give any derivation an ``expect`` text (the canonical
+derived expression without its bound): the audit then replays the
+derivation and reports whether it reproduces that text.  A symbolic
+derivation has no ``expect``; the test suite replays it against the
+fixture's own inequality, so it adds no field to the audit JSON.
 """
 from __future__ import annotations
 
@@ -43,8 +45,9 @@ from .bounds import (
 )
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
-from .config import TOL, Tolerances
-from .descend import PlanEntry, SubstitutionPlan, lift_coherence_witness, substitute, substitute_symbolic
+from .config import LIMITS, TOL, Tolerances
+from .descend import (DescendantResult, PlanEntry, SubstitutionPlan, lift_coherence_witness,
+                      substitute, substitute_symbolic)
 from .dsl import Inequality, Setting, parse, parse_setting, pretty_print
 from .states import (
     DensityOperator,
@@ -55,15 +58,13 @@ from .states import (
     standard_normals,
 )
 
-ENV_FIXTURES = "STABHOM_FIXTURES"
-
 
 class CatalogError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# scalar / state / encoding specs
+# scalar and state specs
 
 _SCALARS = {
     "1": 1.0,
@@ -82,33 +83,45 @@ _SCALARS = {
 def parse_scalar(tok) -> complex:
     if isinstance(tok, (int, float)):
         return complex(tok)
+    if not isinstance(tok, str):
+        raise CatalogError(f"scalar must be a number or text, got {tok!r}")
     if tok in _SCALARS:
         return complex(_SCALARS[tok])
     return complex(float(tok))
 
 
 def state_from_spec(spec: dict) -> StateVector:
-    kind = spec["kind"]
+    """Read a state spec of kind ``ghz`` (``n``, optional ``phase``), ``pair``
+    (labels ``a``, ``b`` and two ``amps``) or ``amplitudes`` (``n`` and a
+    ``nonzero`` map from n-bit labels to amplitudes)."""
+    if not isinstance(spec, dict):
+        raise CatalogError(f"state spec must be a JSON object, got {spec!r}")
+    kind = spec.get("kind")
     if kind == "ghz":
-        return ghz_state(int(spec["n"]), parse_scalar(spec.get("phase", "1")))
+        return ghz_state(_entry(spec, "n", int), parse_scalar(spec.get("phase", "1")))
     if kind == "pair":
-        amps = [parse_scalar(a) for a in spec["amps"]]
-        return make_pair_superposition(spec["a"], spec["b"], amps[0], amps[1])
+        amps = [parse_scalar(a) for a in _entry(spec, "amps", list)]
+        if len(amps) != 2:
+            raise CatalogError(f"state spec 'amps' must hold two entries, got {len(amps)}")
+        return make_pair_superposition(_entry(spec, "a", str), _entry(spec, "b", str), *amps)
     if kind == "amplitudes":
-        n = int(spec["n"])
+        n = _entry(spec, "n", int)
+        if not 1 <= n <= LIMITS.max_width:  # before the 2^n array is allocated
+            raise CatalogError(f"state spec 'n' = {n} outside 1..{LIMITS.max_width}")
         vec = np.zeros(2**n, dtype=complex)
-        for bits, amp in spec["nonzero"].items():
+        for bits, amp in _entry(spec, "nonzero", dict).items():
+            if len(bits) != n or set(bits) - {"0", "1"}:  # int(., 2) also takes "_" and a sign
+                raise CatalogError(f"state spec label {bits!r} is not {n} characters of 0 and 1")
             vec[int(bits, 2)] = parse_scalar(amp)
         return StateVector(n, vec)
     raise CatalogError(f"unknown state kind {kind!r}")
 
 
-def encoding_from_spec(spec: dict) -> LogicalEncoding:
-    if "ghz" in spec:
-        return LogicalEncoding.ghz(int(spec["ghz"]))
-    if spec.get("cluster"):
-        return LogicalEncoding.cluster_pair()
-    return LogicalEncoding.from_json(spec)
+def _entry(spec: dict, key: str, kind: type):
+    value = spec.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CatalogError(f"state spec {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _setting_from_text(text: str) -> Setting:
@@ -140,7 +153,6 @@ class Fixture:
     name: str
     kind: str  # linear | nonlinear | derivation | discord | coherence
     raw: dict
-    path: Optional[Path] = None
 
     @cached_property
     def inequality(self) -> Optional[Inequality]:
@@ -167,15 +179,8 @@ class Fixture:
         return list(self.raw.get("expected_mismatch", []))
 
 
-def default_fixtures_dir() -> Path:
-    override = os.environ.get(ENV_FIXTURES)
-    if override:
-        return Path(override)
-    return Path(str(resources.files("stabhom") / "fixtures"))
-
-
 def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
-    base = Path(directory) if directory else default_fixtures_dir()
+    base = Path(directory or str(resources.files("stabhom") / "fixtures"))
     if not base.is_dir():
         raise CatalogError(f"fixtures directory not found: {base}")
     fixtures = []
@@ -184,7 +189,7 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
             raw = json.loads(path.read_text(encoding="utf-8"))
             if raw.get("schema") != 1:
                 raise CatalogError("unsupported schema version")
-            fx = Fixture(raw["name"], raw["kind"], raw, path)
+            fx = Fixture(raw["name"], raw["kind"], raw)
             fx.inequality  # parse now, so a corrupt expression fails at load time
         except CatalogError:
             raise
@@ -218,7 +223,7 @@ def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
         if "seed" in step:
             current = _resolve_seed(step["seed"], catalog)
         if "site" in step:
-            enc = encoding_from_spec(step["encoding"])
+            enc = LogicalEncoding.from_json(step["encoding"])
             plan = plan_from_spec(step["site"], enc, step["plan"])
             ast = current.ast if isinstance(current, Inequality) else current
             current = Inequality(substitute(ast, plan))
@@ -233,13 +238,16 @@ def _resolve_seed(spec, catalog: list[Fixture]) -> Inequality:
                 return fx.inequality
         raise CatalogError(f"unknown seed fixture {spec!r}")
     if "lift" in spec:
-        lift = spec["lift"]
-        enc = encoding_from_spec(lift["encoding"])
-        threshold = float(parse_scalar(lift["threshold"]).real)
-        return lift_coherence_witness(threshold, lift["letter"], enc).descendant
+        return _lift(spec["lift"]).descendant
     if "expression" in spec:
         return parse(spec["expression"])
     raise CatalogError(f"bad seed spec {spec!r}")
+
+
+def _lift(lift: dict) -> DescendantResult:
+    """The coherence-witness lift a ``{"lift": ...}`` seed spec names."""
+    enc = LogicalEncoding.from_json(lift["encoding"])
+    return lift_coherence_witness(float(parse_scalar(lift["threshold"]).real), lift["letter"], enc)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +301,7 @@ def audit_fixture(
     if derivation and "expect" in derivation:
         got = replay_derivation(fx, catalog)
         expect_parsed = pretty_print(parse(derivation["expect"] + " <= 0").ast)
-        report.notes["derivation"] = got
         report.claim_match["derivation"] = got == expect_parsed
-
-    # alternative readings, evaluated informatively
-    for alt in fx.raw.get("alternatives", []):
-        alt_ast = parse(alt["inequality"]).ast
-        entry = {"lhv": lhv_bound(alt_ast)}
-        if state is not None:
-            entry["quantum_value"] = _bounds.quantum_value(alt_ast, assignment, state)
-        report.notes[alt["label"]] = entry
 
     computed = {
         "lhv": report.lhv,
@@ -319,11 +318,7 @@ def audit_fixture(
     for key, claim in claims.items():
         if key == "threshold_bound":
             lift = fx.raw["derivation"]["chain"][0]["seed"]["lift"]
-            enc = encoding_from_spec(lift["encoding"])
-            thr = float(parse_scalar(lift["threshold"]).real)
-            computed["threshold_bound"] = lift_coherence_witness(
-                thr, lift["letter"], enc
-            ).derived_bound
+            computed["threshold_bound"] = _lift(lift).derived_bound
         report.claim_match[key] = _match(computed.get(key), claim["value"], tol.claim)
 
     # verdict
@@ -353,25 +348,15 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
     samples = int(fx.raw.get("samples", 200))
     epsilon = float(fx.raw.get("epsilon", 0.5))
     cq = discord_condition_check(_random_cq_states(draws, samples), epsilon)
-    worst = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
-    cq_ok = worst < 1e-9
+    cq_max = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
     bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
     bell_rho = DensityOperator(2, np.outer(bell.amplitudes, bell.amplitudes.conj()))
-    bell_check = discord_condition_check(bell_rho, epsilon)
-    report.notes = {
-        "max_cq_correlator": worst,
-        "bell_x_correlator": bell_check.x_correlator,
-        "bell_passed": bell_check.passed,
+    computed = {
+        "cq_correlators_vanish": cq_max < 1e-9,
+        "bell_fails": not discord_condition_check(bell_rho, epsilon).passed,
     }
-    claims = fx.claims
-    if "cq_correlators_vanish" in claims:
-        report.claim_match["cq_correlators_vanish"] = cq_ok == claims[
-            "cq_correlators_vanish"
-        ]["value"]
-    if "bell_fails" in claims:
-        report.claim_match["bell_fails"] = (not bell_check.passed) == claims[
-            "bell_fails"
-        ]["value"]
+    for key in (k for k in computed if k in fx.claims):
+        report.claim_match[key] = computed[key] == fx.claims[key]["value"]
     report.verdict = (
         "no-violation" if all(report.claim_match.values()) else "audit-mismatch"
     )

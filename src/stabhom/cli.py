@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .bounds import (
-    BoundError,
     hybrid_bound,
     lhv_bound_nonlinear,
     lhv_strategy,
@@ -24,19 +23,12 @@ from .bounds import (
     separable_terms,
 )
 from . import bounds as _bounds
-from .catalog import (
-    CatalogError,
-    ENV_FIXTURES,
-    audit_all,
-    load_catalog,
-    state_from_spec,
-)
-from .codespace import CodespaceError, LogicalEncoding, image_set
+from .catalog import audit_all, load_catalog, state_from_spec
+from .codespace import LogicalEncoding, image_set
 from .config import LIMITS, TOL
-from .descend import SubstitutionError, enumerate_descendants
-from .dsl import AssignmentError, ParseError, load_ineq, pretty_print
-from .pauli import PauliError
-from .states import StateError, StateVector, ghz_state, make_pair_superposition
+from .descend import enumerate_descendants
+from .dsl import load_ineq, pretty_print
+from .states import StateVector, ghz_state, make_pair_superposition
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -65,8 +57,7 @@ def _encoding_from_args(args) -> LogicalEncoding:
         return LogicalEncoding.ghz(args.ghz)
     if args.cluster:
         return LogicalEncoding.cluster_pair()
-    spec = json.loads(Path(args.encoding).read_text(encoding="utf-8"))
-    return LogicalEncoding.from_json(spec)
+    return LogicalEncoding.from_json(json.loads(Path(args.encoding).read_text(encoding="utf-8")))
 
 
 def _state_from_arg(text: str) -> StateVector:
@@ -77,7 +68,7 @@ def _state_from_arg(text: str) -> StateVector:
     if text.startswith("ghz:"):
         return ghz_state(int(text.split(":", 1)[1]))
     if text.endswith(".json"):
-        return state_from_spec(json.loads(Path(text).read_text(encoding="utf-8")))
+        text = Path(text).read_text(encoding="utf-8")
     return state_from_spec(json.loads(text))
 
 
@@ -85,7 +76,8 @@ def _add_encoding_options(p: argparse.ArgumentParser):
     p.add_argument("--ghz", type=int, help="basis-pair code |0..0>, |1..1> on N qubits")
     p.add_argument("--cluster", action="store_true",
                    help="superposed pair code (|00>+|11>, |00>-|11>)/sqrt2")
-    p.add_argument("--encoding", help="JSON file with the encoding spec")
+    p.add_argument("--encoding", help="JSON file with a code spec: {\"ghz\": N}, "
+                   "{\"cluster\": true}, or n with zero/one basis labels or [re, im] lists")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def cmd_descend(args) -> int:
     seed = load_ineq(args.seed)
     enc = _encoding_from_args(args)
     letter_map = json.loads(args.map) if args.map else {}
-    if not letter_map:
+    if letter_map == {}:
         # default: fixed-Pauli settings on the target site keep their letter
         for s in seed.ast.settings:
             if s.site == args.site and s.is_fixed_pauli:
@@ -210,10 +202,7 @@ def cmd_qvalue(args) -> int:
 def cmd_audit(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise CliError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    try:
-        catalog = load_catalog(args.fixtures)
-    except CatalogError as exc:
-        raise CliError(str(exc), USAGE_ERROR)
+    catalog = load_catalog(args.fixtures)
     tol = TOL.with_claim(args.tolerance)
     result = audit_all(catalog, tol, workers=args.workers)
     if args.json:
@@ -290,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qvalue", help="quantum value of a fixture or expression")
     p.add_argument("--fixture")
-    p.add_argument("--fixtures", help="fixtures directory override")
+    p.add_argument("--fixtures", help="fixtures directory (default: the bundled fixtures)")
     p.add_argument("--file")
     p.add_argument("--state")
     p.add_argument("--assignment")
@@ -298,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qvalue)
 
     p = sub.add_parser("audit", help="re-derive every catalogued claim")
-    p.add_argument("--fixtures", help="fixtures directory (or $%s)" % ENV_FIXTURES)
+    p.add_argument("--fixtures", help="fixtures directory (default: the bundled fixtures)")
     p.add_argument("--tolerance", type=float, default=TOL.claim)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
@@ -320,12 +309,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, PauliError, CodespaceError, BoundError, SubstitutionError,
-            AssignmentError, CatalogError, StateError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # every module error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

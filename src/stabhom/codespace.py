@@ -16,7 +16,6 @@ under the product letter.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -65,8 +64,8 @@ class LogicalEncoding:
     @classmethod
     def ghz(cls, n: int) -> "LogicalEncoding":
         """|0_L> = |0...0>, |1_L> = |1...1> on n qubits."""
-        if not 1 <= n <= LIMITS.max_width:
-            raise CodespaceError(f"GHZ code size {n} outside 1..{LIMITS.max_width}")
+        if type(n) is not int or not 1 <= n <= LIMITS.max_width:
+            raise CodespaceError(f"GHZ code size {n!r} outside 1..{LIMITS.max_width}")
         return cls.from_basis_pair("0" * n, "1" * n)
 
     @classmethod
@@ -80,19 +79,32 @@ class LogicalEncoding:
         )
 
     @classmethod
-    def from_json(cls, spec: dict | str) -> "LogicalEncoding":
-        """Load {"n": 3, "zero": "000", "one": "111"} or amplitude lists."""
-        if isinstance(spec, str):
-            spec = json.loads(spec)
-        n = int(spec["n"])
-        zero, one = spec["zero"], spec["one"]
-        if isinstance(zero, str):
+    def from_json(cls, spec: dict) -> "LogicalEncoding":
+        """Read a code spec, the object a fixture or ``--encoding`` file holds.
+
+        Four forms: ``{"ghz": n}``; ``{"cluster": true}``; ``{"n": 3,
+        "zero": "000", "one": "111"}``, two basis labels of n sites; and
+        ``{"n": 1, "zero": [[1, 0], [0, 0]], "one": [[0, 0], [1, 0]]}``,
+        2^n ``[re, im]`` amplitudes per logical state.
+        """
+        if not isinstance(spec, dict):
+            raise CodespaceError(f"code spec must be a JSON object, got {spec!r}")
+        if "ghz" in spec:
+            return cls.ghz(spec["ghz"])
+        if spec.get("cluster"):
+            return cls.cluster_pair()
+        n, zero, one = spec.get("n"), spec.get("zero"), spec.get("one")
+        if type(n) is not int:
+            raise CodespaceError(f"code spec 'n' must be an integer, got {n!r}")
+        if isinstance(zero, str) and isinstance(one, str):
             if len(zero) != n or len(one) != n:
                 raise CodespaceError(f"basis labels {zero!r}, {one!r} do not have n = {n} sites")
             return cls.from_basis_pair(zero, one)
-        def vec(pairs):
-            return StateVector(n, np.array([complex(re, im) for re, im in pairs]))
-        return cls(n, vec(zero), vec(one))
+        try:
+            amps = [[complex(re, im) for re, im in v] for v in (zero, one)]
+        except (TypeError, ValueError):  # not lists of number pairs
+            raise CodespaceError("code spec 'zero', 'one' need labels or [re, im] lists") from None
+        return cls(n, *(StateVector(n, np.array(a)) for a in amps))
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,6 @@ def _lhv_bounds(table: _Table, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarr
 class DescendantResult:
     descendant: Inequality
     lhv_bound: float
-    quantum_state: Optional[StateVector]
     quantum_value: Optional[float]
     accepted: bool
     plan: Optional[SubstitutionPlan] = None
@@ -445,17 +444,18 @@ def enumerate_descendants(
     target_settings = sorted({s for _, m in ast.linear for s in m if s.site == target_site})
     if not target_settings:
         raise SubstitutionError(f"seed has no settings on site {target_site}")
+    if not isinstance(letter_map, Mapping):
+        raise SubstitutionError(f"letter map must be a JSON object, got {letter_map!r}")
     entries_base: dict[Setting, tuple[str, int]] = {}
     for s in target_settings:
         raw = letter_map.get(s, letter_map.get(s.text()))
         if raw is None:
             raise SubstitutionError(f"letter map misses {s.text()}")
         if isinstance(raw, str):
-            sign = -1 if raw.startswith("-") else 1
-            letter = raw.lstrip("+-")
-        else:
-            sign, letter = raw
-        entries_base[s] = (letter, sign)
+            raw = (-1 if raw.startswith("-") else 1, raw.lstrip("+-"))
+        if not (isinstance(raw, (tuple, list)) and len(raw) == 2 and raw[1] in ("X", "Y", "Z")):
+            raise SubstitutionError(f"letter map entry {s.text()}: {raw!r} is not a signed letter")
+        entries_base[s] = (raw[1], raw[0])
     members = {s: image_set(encoding, letter) for s, (letter, _) in entries_base.items()}
     occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
     counts = [_selection_count(len(members[s]), k) for s, k in zip(target_settings, occurrences)]
@@ -513,7 +513,6 @@ def enumerate_descendants(
         results.append(DescendantResult(
             descendant=Inequality(InequalityAST(linear, squares, "<=", derived)),
             lhv_bound=bound,
-            quantum_state=lifted,
             quantum_value=qv,
             accepted=qv is not None and qv > bound + TOL.violation,
             plan=plan,
@@ -560,7 +559,6 @@ def lift_coherence_witness(
     return DescendantResult(
         descendant=Inequality(ast, name=f"lift-{letter.lower()}-{threshold:g}"),
         lhv_bound=bound,
-        quantum_state=plus,
         quantum_value=qv,
         accepted=qv > bound + TOL.violation,
         derived_bound=derived,

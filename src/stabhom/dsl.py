@@ -405,9 +405,12 @@ class AssignmentError(ValueError):
 
 
 def _check_observable(obs: Observable) -> Observable:
-    obs = tuple((float(c), letter) for c, letter in obs)
+    try:
+        obs = tuple((float(c), letter) for c, letter in obs)
+    except (TypeError, ValueError):  # not a sequence of (number, letter) pairs
+        raise AssignmentError(f"observable {obs!r} is not (coefficient, letter) pairs") from None
     letters = [l for _, l in obs]
-    if not 1 <= len(obs) <= 2 or any(l not in "XYZ" for l in letters):
+    if not 1 <= len(obs) <= 2 or any(l not in ("X", "Y", "Z") for l in letters):
         raise AssignmentError("observable must combine one or two of X, Y, Z")
     if len(obs) == 2 and letters[0] == letters[1]:
         raise AssignmentError("observable letters must be distinct (anticommuting)")
@@ -438,12 +441,15 @@ def parse_observable(text: str) -> Observable:
 def _resolve_assignment(
     settings: Iterable[Setting], assignment: Mapping
 ) -> dict[Setting, Observable]:
+    if not isinstance(assignment, Mapping):
+        raise AssignmentError(f"assignment must be a JSON object, got {assignment!r}")
     table: dict[Setting, Observable] = {}
     by_text = {}
     for key, value in assignment.items():
-        if isinstance(value, str):
-            value = parse_observable(value)
-        value = _check_observable(value)
+        try:
+            value = _check_observable(parse_observable(value) if isinstance(value, str) else value)
+        except AssignmentError as exc:
+            raise AssignmentError(f"assignment for {key}: {exc}") from None
         if isinstance(key, Setting):
             table[key] = value
         else:

@@ -33,7 +33,7 @@ class StateVector:
         amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writable
         if amps.shape != (2**self.width,):
             raise StateError(f"expected {2**self.width} amplitudes, got {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > TOL.norm:
+        if not abs(np.linalg.norm(amps) - 1.0) <= TOL.norm:  # a NaN fails too
             raise StateError("state vector is not normalised")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

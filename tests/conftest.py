@@ -658,7 +658,6 @@ def loop_enumerate_descendants(
         results[key] = DescendantResult(
             descendant=Inequality(descendant.with_bound(derived)),
             lhv_bound=bound,
-            quantum_state=lifted,
             quantum_value=qv,
             accepted=accepted,
             plan=plan,

@@ -67,3 +67,21 @@ def test_plan_setting_text_parses_like_the_grammar():
     for bad in ("a2", "A", "A2*", "AB2"):
         with pytest.raises(catalog.CatalogError, match="bad setting text"):
             catalog.plan_from_spec(2, enc, {bad: {"letter": "X"}})
+
+
+def amplitudes_spec(n, nonzero):
+    return {"kind": "amplitudes", "n": n, "nonzero": nonzero}
+
+
+@pytest.mark.parametrize("spec,message", [
+    (amplitudes_spec(0, {}), "'n' = 0 outside 1..12"),
+    (amplitudes_spec(13, {}), "'n' = 13 outside 1..12"),
+    (amplitudes_spec(40, {}), "'n' = 40 outside 1..12"),  # 16 TiB if allocated
+    (amplitudes_spec(2, {"111": 1}), "label '111' is not 2 characters"),
+    (amplitudes_spec(2, {"1_1": 1}), "label '1_1' is not 2 characters"),
+    (amplitudes_spec(2, {"-1": 1}), "label '-1' is not 2 characters"),
+    ({"kind": "pair", "a": "00", "b": "11", "amps": [1]}, "'amps' must hold two entries"),
+], ids=["n0", "n13", "n40", "long-label", "underscore-label", "signed-label", "one-amp"])
+def test_state_spec_refuses_bad_sizes_and_labels(spec, message):
+    with pytest.raises(catalog.CatalogError, match=message):
+        catalog.state_from_spec(spec)

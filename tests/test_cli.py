@@ -14,8 +14,11 @@ import pytest
 import stabhom
 from conftest import brute_force_images, xy_chain
 from stabhom import bounds, cli
-from stabhom.codespace import LogicalEncoding
+from stabhom.catalog import state_from_spec
+from stabhom.codespace import LogicalEncoding, image_set
 from stabhom.config import LIMITS, SearchLimits
+from stabhom.dsl import load_ineq
+from stabhom.states import make_pair_superposition
 
 PACKAGE = Path(stabhom.__file__).parent
 SEEDS = PACKAGE / "data" / "seeds"
@@ -261,3 +264,78 @@ def test_qvalue_json(capsys):
     code, payload = run_json(capsys, ["qvalue", "--fixture", "mermin3", "--json"],
                              "qvalue.schema.json")
     assert code == 0 and payload == {"value": 4.0}
+
+
+CHSH = str(SEEDS / "chsh.ineq")
+SYMBOLIC = str(SEEDS / "chsh-symbolic.ineq")
+
+
+@pytest.mark.parametrize("argv,code_spec", [
+    (["qvalue", "--file", CHSH, "--state", "[]"], None),
+    (["qvalue", "--file", CHSH, "--state", '{"kind":"ghz"}'], None),
+    (["qvalue", "--file", SYMBOLIC, "--state", "bell", "--assignment", "[1]"], None),
+    (["qvalue", "--file", SYMBOLIC, "--state", "bell", "--assignment", '{"A1": 5}'], None),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", "[1]"], None),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", '{"X2": 5, "Y2": "Y"}'], None),
+    (["images", "--encoding"], "[1]"),
+    (["images", "--encoding"], "{}"),
+    (["images", "--encoding"], None),  # a directory
+])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, code_spec):
+    """Each reader refuses a value of the wrong shape: one ``error:`` line, exit 2."""
+    if argv[-1] == "--encoding":
+        path = tmp_path / "code.json"
+        if code_spec is not None:
+            path.write_text(code_spec, encoding="utf-8")
+        argv = [*argv, str(path if code_spec is not None else tmp_path)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+R = 2**-0.5
+CODE_SPECS = {
+    "basis-pair": ({"n": 3, "zero": "001", "one": "110"},
+                   LogicalEncoding.from_basis_pair("001", "110")),
+    "amplitudes": ({"n": 2, "zero": [[R, 0], [0, 0], [0, 0], [R, 0]],
+                    "one": [[R, 0], [0, 0], [0, 0], [-R, 0]]}, LogicalEncoding.cluster_pair()),
+    "ghz": ({"ghz": 3}, LogicalEncoding.ghz(3)),
+    "cluster": ({"cluster": True}, LogicalEncoding.cluster_pair()),
+}
+
+
+@pytest.mark.parametrize("name", [None, *CODE_SPECS])
+def test_images_reads_every_code_form(tmp_path, capsys, name):
+    """``--cluster`` and each ``--encoding`` spec form print the library's image sets."""
+    if name is None:
+        argv, enc = ["--cluster"], LogicalEncoding.cluster_pair()
+    else:
+        spec, enc = CODE_SPECS[name]
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["--encoding", str(path)]
+    code, payload = run_json(capsys, ["images", *argv, "--json"], "images.schema.json")
+    assert code == 0
+    assert payload == {"width": enc.width, "images": {
+        letter: [str(p) for p in image_set(enc, letter)] for letter in "IXYZ"}}
+
+
+GHZ_MINUS = {"kind": "ghz", "n": 2, "phase": "-1"}
+
+
+@pytest.mark.parametrize("form", ["singlet", "file", "inline"])
+def test_qvalue_reads_every_state_form(tmp_path, capsys, form):
+    """``--state`` as a name, a ``.json`` file and inline JSON give ``quantum_value``."""
+    if form == "singlet":
+        arg, state = "singlet", make_pair_superposition("01", "10", R, -R)
+    else:
+        arg, state = json.dumps(GHZ_MINUS), state_from_spec(GHZ_MINUS)
+        if form == "file":
+            path = tmp_path / "state.json"
+            path.write_text(arg, encoding="utf-8")
+            arg = str(path)
+    code, payload = run_json(capsys, ["qvalue", "--file", CHSH, "--state", arg, "--json"],
+                             "qvalue.schema.json")
+    want = bounds.quantum_value(load_ineq(CHSH), None, state)
+    assert code == 0 and payload == {"value": float(cli.fmt9(want))}

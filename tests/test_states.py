@@ -56,6 +56,10 @@ class TestPairSuperposition:
         with pytest.raises(StateError):
             make_pair_superposition("0", "1", 1.0, 1.0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(StateError, match="not normalised"):  # a NaN norm compares false
+            make_pair_superposition("0", "1", float("nan"), 1.0)
+
 
 class TestExpectation:
     def test_bell_stabilisers(self):
