@@ -132,17 +132,29 @@ def _setting_from_text(text: str) -> Setting:
 
 
 def plan_from_spec(site: int, encoding: LogicalEncoding, spec: dict) -> SubstitutionPlan:
+    """Read a plan: an object from setting text to an object with a ``letter``
+    X, Y or Z, an optional ``sign`` 1 or -1 and an optional ``select``, either
+    ``"all"`` or a list of distinct non-negative integers."""
+    if not isinstance(spec, dict):
+        raise CatalogError(f"plan must be a JSON object, got {spec!r}")
     entries = {}
     for text, entry in spec.items():
+        if not _is_plan_entry(entry):
+            raise CatalogError(f"plan entry {text} needs a letter X, Y or Z, a sign 1 or -1 "
+                               f"and select \"all\" or distinct indices >= 0, got {entry!r}")
         select = entry.get("select", "all")
-        if select == "all":
-            selection = ("all",)
-        else:
-            selection = ("subset", *[int(i) for i in select])
-        entries[_setting_from_text(text)] = PlanEntry(
-            entry["letter"], int(entry.get("sign", 1)), selection
-        )
+        selection = ("all",) if select == "all" else ("subset", *select)
+        sign = entry.get("sign", 1)
+        entries[_setting_from_text(text)] = PlanEntry(entry["letter"], sign, selection)
     return SubstitutionPlan(site, encoding, entries)
+
+
+def _is_plan_entry(entry) -> bool:
+    fields = entry if isinstance(entry, dict) else {}
+    sign, select = fields.get("sign", 1), fields.get("select", "all")
+    indices = isinstance(select, list) and all(type(i) is int and i >= 0 for i in select)
+    return (fields.get("letter") in ("X", "Y", "Z") and type(sign) is int and sign in (1, -1)
+            and (select == "all" or indices and len(set(select)) == len(select)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +236,10 @@ def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
             current = _resolve_seed(step["seed"], catalog)
         if "site" in step:
             enc = LogicalEncoding.from_json(step["encoding"])
-            plan = plan_from_spec(step["site"], enc, step["plan"])
+            try:
+                plan = plan_from_spec(step["site"], enc, step["plan"])
+            except CatalogError as exc:
+                raise CatalogError(f"fixture {fx.name}: {exc}") from None
             ast = current.ast if isinstance(current, Inequality) else current
             current = Inequality(substitute(ast, plan))
     ast = current.ast if isinstance(current, Inequality) else current

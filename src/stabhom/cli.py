@@ -40,10 +40,8 @@ def fmt9(x) -> str:
     return format(float(x), "#.9g")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +304,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, OSError) as exc:  # every module error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

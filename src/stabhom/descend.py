@@ -82,7 +82,7 @@ class PlanEntry:
     selection: tuple = ("all",)      # ("all",) | ("subset", idx...) | ("occ", idx...)
 
     def __post_init__(self):
-        if self.letter not in "XYZ":
+        if self.letter not in ("X", "Y", "Z"):
             raise SubstitutionError(f"logical letter must be X/Y/Z, got {self.letter!r}")
         if self.sign not in (1, -1):
             raise SubstitutionError("sign must be +-1")

@@ -2,19 +2,21 @@
 
 Grammar (one inequality per ``.ineq`` file, ``#`` comments allowed):
 
-    inequality := expr rel number
+    inequality := expr rel ["-"] number
     rel        := "<=" | "<"
     expr       := ["+"|"-"] term { ("+"|"-") term }
-    term       := [coefficient ["*"]] factor { ["*"] factor } | coefficient
-    factor     := setting | "sq" "(" expr ")" | "(" expr ")" | "1"
-    coefficient:= INT ["/" INT] | DECIMAL
+    term       := factor { ["*"] factor }
+    factor     := number | setting | "(" expr ")" | "sq" "(" expr ")"
+    number     := INT ["/" INT] | DECIMAL
     setting    := LETTER INT { "'" }
 
+A term is a product: without ``*``, only a setting, ``(`` or ``sq`` may
+follow a factor, and settings in one product sit on distinct sites.
 Settings named X/Y/Z with no primes are fixed Pauli measurements; any
 other (letter, primes) combination is a free dichotomic setting.  The
 canonical form is fully expanded and like-term collected; ``sq(...)``
-marks a squared sub-expression and cannot be nested or multiplied by
-further factors.
+marks a squared sub-expression: it does not nest, appear inside
+parentheses or share a product with anything but numbers.
 
 ``assign_paulis`` realises an expression as Pauli-string sums under an
 assignment of observables to settings.  One expansion, ``_pauli_sums``,
@@ -137,6 +139,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<sq>sq\b)|(?P<setting>[A-Z]\d+'*)|(?P<number>\d+\.\d+|\d+)"
     r"|(?P<op><=|<|[-+*/()]))"
 )
+_SIGNS = (("op", "+"), ("op", "-"))
 
 
 def _tokenize(text: str):
@@ -161,19 +164,22 @@ def parse_setting(text: str) -> Optional[Setting]:
     return Setting(int(m.group(2)), m.group(1), len(m.group(3))) if m else None
 
 
-class _Expr:
-    """Expanded expression: linear counter + square-term list."""
-
-    __slots__ = ("linear", "squares")
-
-    def __init__(self):
-        self.linear: dict[Monomial, Fraction] = {}
-        self.squares: list[tuple[Fraction, dict[Monomial, Fraction]]] = []
+def _times(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction], pos: int):
+    """The product of two polynomials; refuses two settings on one site, even at coefficient 0."""
+    b_sites = [({s.site for s in mono}, mono, c) for mono, c in b.items()]
+    out: dict[Monomial, Fraction] = {}
+    for mono_a, ca in a.items():
+        sites_a = {s.site for s in mono_a}
+        for sites_b, mono_b, cb in b_sites:
+            shared = sites_a & sites_b
+            if shared:
+                raise ParseError(f"two settings on site {min(shared)} in one product", pos)
+            out[tuple(sorted(mono_a + mono_b))] = ca * cb
+    return out
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -189,17 +195,15 @@ class _Parser:
 
     # grammar ------------------------------------------------------------
     def parse_inequality(self) -> InequalityAST:
-        expr = self.parse_expr()
+        linear, squares = self.parse_expr()
         kind, value, pos = self.peek()
         if not (kind == "op" and value in ("<=", "<")):
             raise ParseError("expected relation <= or <", pos)
         self.take()
         bound = self.parse_number()
         self.take("end")
-        squares = tuple(
-            (c, _canon_linear(sub)) for c, sub in expr.squares
-        )
-        return InequalityAST(_canon_linear(expr.linear), squares, value, bound)
+        squares = tuple((c, _canon_linear(sub)) for c, sub in squares)
+        return InequalityAST(_canon_linear(linear), squares, value, bound)
 
     def parse_number(self) -> Fraction:
         neg = False
@@ -219,106 +223,67 @@ class _Parser:
                 num /= int(den)
         return -num if neg else num
 
-    def parse_expr(self) -> _Expr:
-        out = _Expr()
-        sign = Fraction(1)
-        if self.peek()[:2] == ("op", "+"):
-            self.take()
-        elif self.peek()[:2] == ("op", "-"):
-            self.take()
-            sign = Fraction(-1)
-        self._accumulate_term(out, sign)
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            sign = Fraction(1) if self.take()[1] == "+" else Fraction(-1)
-            self._accumulate_term(out, sign)
-        return out
-
-    def _accumulate_term(self, out: _Expr, sign: Fraction):
-        coeff, factors, square = self.parse_term()
-        coeff *= sign
-        if square is not None:
-            out.squares.append((coeff, square))
-            return
-        # distribute the product of factors
-        acc: dict[Monomial, Fraction] = {(): Fraction(1)}
-        for factor in factors:
-            nxt: dict[Monomial, Fraction] = {}
-            for mono_a, ca in acc.items():
-                for mono_b, cb in factor.items():
-                    merged = self._merge_monomials(mono_a, mono_b)
-                    _merge(nxt, merged, ca * cb)
-            acc = nxt
-        for mono, c in acc.items():
-            _merge(out.linear, mono, coeff * c)
-
-    def _merge_monomials(self, a: Monomial, b: Monomial) -> Monomial:
-        sites = {s.site for s in a}
-        for s in b:
-            if s.site in sites:
-                raise ParseError(
-                    f"two settings on site {s.site} in one product", self.peek()[2]
-                )
-            sites.add(s.site)
-        return tuple(sorted(a + b))
+    def parse_expr(self):
+        """(linear part, [(coefficient, linear part)] of its squares) of a signed sum."""
+        linear, squares = {}, []
+        op = self.take()[1] if self.peek()[:2] in _SIGNS else "+"
+        while True:
+            sign = -1 if op == "-" else 1
+            product, square = self.parse_term()
+            if square is None:
+                for mono, c in product.items():
+                    _merge(linear, mono, sign * c)
+            else:
+                squares.append((sign * product[()], square))
+            if self.peek()[:2] not in _SIGNS:
+                return linear, squares
+            op = self.take()[1]
 
     def parse_term(self):
-        """Returns (coefficient, [factor linear dicts], square or None)."""
-        coeff = Fraction(1)
-        factors: list[dict[Monomial, Fraction]] = []
-        square: Optional[dict[Monomial, Fraction]] = None
-        kind, value, pos = self.peek()
-        if kind == "number":
-            coeff = self.parse_number()
-            if self.peek()[:2] == ("op", "*"):
-                self.take()
-            elif self.peek()[0] in ("setting", "sq") or self.peek()[:2] == ("op", "("):
-                pass  # implicit product
-            else:
-                return coeff, factors, None  # bare number term
-        saw_factor = False
+        """One product of factors: (its polynomial, the linear part of its square or None).
+
+            term   := factor { ["*"] factor }
+            factor := number | setting | "(" expr ")" | "sq" "(" expr ")"
+
+        Each factor is a polynomial (monomial -> coefficient) that ``_times``
+        multiplies into the product.  Without ``*``, only a setting, ``(`` or
+        ``sq`` may follow a factor.  A product holding ``sq(...)`` holds only
+        numbers besides it; their product is the square's coefficient.
+        """
+        product, square, non_numbers = {(): Fraction(1)}, None, 0
         while True:
             kind, value, pos = self.peek()
-            if kind == "setting":
+            if kind == "number":
+                factor = {(): self.parse_number()}
+            elif kind == "setting":
                 self.take()
-                factors.append({(parse_setting(value),): Fraction(1)})
-                saw_factor = True
+                factor = {(parse_setting(value),): Fraction(1)}
             elif kind == "sq":
                 self.take()
-                self.take("op", "(")
-                inner = self.parse_expr()
-                self.take("op", ")")
-                if inner.squares:
-                    raise ParseError("nested squares are not allowed", pos)
-                if square is not None or factors:
-                    raise ParseError("sq(...) cannot be multiplied by factors", pos)
-                square = inner.linear
-                saw_factor = True
-            elif kind == "op" and value == "(":
-                self.take()
-                inner = self.parse_expr()
-                self.take("op", ")")
-                if inner.squares:
-                    raise ParseError("squared terms cannot appear inside products", pos)
-                factors.append(inner.linear)
-                saw_factor = True
-            elif kind == "number" and value == "1" and not saw_factor:
-                self.take()  # monomial "1"
-                saw_factor = True
+                square = self.parse_group("nested squares are not allowed", pos)
+                factor = {(): Fraction(1)}
+            elif (kind, value) == ("op", "("):
+                factor = self.parse_group("squared terms cannot appear inside products", pos)
             else:
-                break
-            if self.peek()[:2] == ("op", "*"):
+                raise ParseError("expected a term", pos)
+            non_numbers += kind != "number"
+            if non_numbers > 1 and square is not None:
+                raise ParseError("sq(...) cannot be multiplied by factors", pos)
+            product = _times(product, factor, pos)
+            kind, value, _ = self.peek()
+            if (kind, value) == ("op", "*"):
                 self.take()
-                if square is not None:
-                    raise ParseError("sq(...) cannot be multiplied by factors",
-                                     self.peek()[2])
-                continue
-            # implicit product continues only for adjacent settings/parens
-            if self.peek()[0] in ("setting", "sq") or self.peek()[:2] == ("op", "("):
-                continue
-            break
-        if not saw_factor and square is None:
-            raise ParseError("expected a term", pos)
-        return coeff, factors, square
+            elif kind not in ("setting", "sq") and (kind, value) != ("op", "("):
+                return product, square
+
+    def parse_group(self, squares_message: str, pos: int) -> dict[Monomial, Fraction]:
+        """The linear part of ``( expr )``, refusing square terms inside it."""
+        self.take("op", "(")
+        linear, squares = self.parse_expr()
+        self.take("op", ")")
+        if squares:
+            raise ParseError(squares_message, pos)
+        return linear
 
 
 def parse(text: str, name: str = "", provenance: str = "") -> Inequality:

@@ -1,4 +1,5 @@
 """Fixture catalogue loading and the audit built on it."""
+import json
 from fractions import Fraction
 from random import Random
 
@@ -38,7 +39,7 @@ def test_audit_reuses_each_fixture_parse(monkeypatch):
     monkeypatch.setattr(catalog, "parse", recording)
     catalog.audit_all(fixtures)
     loaded = {fx.raw["inequality"] for fx in fixtures if "inequality" in fx.raw}
-    assert texts, "derivation, alternative and expression-seed strings still parse"
+    assert texts, "derivation expect and expression-seed strings still parse"
     assert not loaded & set(texts)
 
 
@@ -67,6 +68,33 @@ def test_plan_setting_text_parses_like_the_grammar():
     for bad in ("a2", "A", "A2*", "AB2"):
         with pytest.raises(catalog.CatalogError, match="bad setting text"):
             catalog.plan_from_spec(2, enc, {bad: {"letter": "X"}})
+
+
+CHSH_TO_MERMIN = next(fx for fx in CATALOG if fx.name == "chsh-to-mermin")
+
+
+@pytest.mark.parametrize("plan,setting", [
+    ([1], None),
+    ({"X2": 5}, "X2"),
+    ({"X2": {}}, "X2"),
+    ({"X2": {"letter": "XY"}}, "X2"),
+    ({"X2": {"letter": "X"}, "Y2": {"letter": "Y", "sign": "x"}}, "Y2"),
+    ({"X2": {"letter": "X", "sign": 2}}, "X2"),
+    ({"X2": {"letter": "X", "sign": True}}, "X2"),
+    ({"X2": {"letter": "X", "select": "some"}}, "X2"),
+    ({"X2": {"letter": "X", "select": [0.5]}}, "X2"),
+    ({"X2": {"letter": "X", "select": [-1]}}, "X2"),
+    ({"X2": {"letter": "X", "select": [0, 0]}}, "X2"),
+], ids=["list-plan", "int-entry", "no-letter", "two-letters", "text-sign", "sign-2",
+        "bool-sign", "text-select", "float-index", "negative-index", "repeated-index"])
+def test_plan_reader_names_fixture_and_setting(plan, setting):
+    raw = json.loads(json.dumps(CHSH_TO_MERMIN.raw))
+    raw["derivation"]["chain"][0]["plan"] = plan
+    fx = catalog.Fixture(CHSH_TO_MERMIN.name, CHSH_TO_MERMIN.kind, raw)
+    with pytest.raises(catalog.CatalogError, match="^fixture chsh-to-mermin: ") as err:
+        catalog.replay_derivation(fx, CATALOG)
+    want = "plan must be a JSON object" if setting is None else f"plan entry {setting} needs"
+    assert want in str(err.value)
 
 
 def amplitudes_spec(n, nonzero):

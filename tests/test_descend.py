@@ -118,6 +118,11 @@ class TestSubstitute:
         with pytest.raises(SubstitutionError):
             PlanEntry("X", 1, ("occ", 0, 0))
 
+    @pytest.mark.parametrize("letter", ["XY", "YZ", ""])
+    def test_rejects_letter_other_than_x_y_z(self, letter):
+        with pytest.raises(SubstitutionError, match="logical letter must be X/Y/Z"):
+            PlanEntry(letter)
+
     def test_missing_plan_entry(self):
         seed = parse("X1*X2 - Y1*Y2 <= 2")
         plan = SubstitutionPlan(2, BELL, {Setting(2, "X"): PlanEntry("X")})

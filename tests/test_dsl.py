@@ -89,6 +89,99 @@ class TestGrammar:
             parse("0*A1 <= 1")
 
 
+def poly_times(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[tuple(sorted(ma + mb))] = ca * cb
+    return out
+
+
+@st.composite
+def products(draw):
+    """(text, sign, polynomial, polynomial inside its sq(...) or None) of one product.
+
+    The factors are numbers, settings on distinct sites, parenthesised sums and at
+    most one sq(...), which then has only numbers beside it.  They are joined by
+    ``*`` or, before anything but a number, by juxtaposition.
+    """
+    sites = iter(draw(st.permutations(range(1, 10))))
+    numbers = st.sampled_from([("1", Fraction(1)), ("2", Fraction(2)), ("3", Fraction(3)),
+                               ("1/2", Fraction(1, 2)), ("0.25", Fraction(1, 4))])
+
+    def setting():
+        return Setting(next(sites), draw(st.sampled_from("ABXYZ")), draw(st.integers(0, 1)))
+
+    def group():
+        # a sum over fresh sites: distinct monomials with nonzero integer coefficients
+        own = [setting() for _ in range(draw(st.integers(1, 2)))]
+        monos = draw(st.lists(st.lists(st.sampled_from(own), unique=True, max_size=2)
+                              .map(lambda m: tuple(sorted(m))),
+                              min_size=1, max_size=3, unique=True))
+        poly, chunks = {}, []
+        for mono in monos:
+            c = draw(st.integers(-3, 3).filter(bool))
+            body = "*".join(s.text() for s in mono)
+            chunks.append(("- " if c < 0 else "+ ") + (f"{abs(c)}*{body}" if mono else str(abs(c))))
+            poly[mono] = Fraction(c)
+        return "(" + " ".join(chunks) + ")", poly
+
+    square = draw(st.booleans())
+    factors = []  # (text, polynomial, is a number)
+    for _ in range(draw(st.integers(0 if square else 1, 4))):
+        kind = "number" if square else draw(st.sampled_from(["number", "setting", "group"]))
+        if kind == "number":
+            text, value = draw(numbers)
+            factors.append((text, {(): value}, True))
+        elif kind == "setting":
+            s = setting()
+            factors.append((s.text(), {(s,): Fraction(1)}, False))
+        else:
+            factors.append((*group(), False))
+    inner = None
+    if square:
+        text, inner = group()
+        factors.insert(draw(st.integers(0, len(factors))), ("sq" + text, {(): Fraction(1)}, False))
+    text, product = factors[0][0], factors[0][1]
+    for factor_text, poly, is_number in factors[1:]:
+        joins = ["*", " * "] + ([] if is_number else [" ", ""])
+        text += draw(st.sampled_from(joins)) + factor_text
+        product = poly_times(product, poly)
+    return text, draw(st.sampled_from([1, -1])), product, inner
+
+
+class TestFactorRule:
+    """A term is a product of factors: numbers, settings, ``( expr )`` and ``sq( expr )``."""
+
+    @pytest.mark.parametrize("text", [
+        "X1*-Z3", "Y2*-1/2", "A1*+B2", "X1*X2 *", "(B2*)",  # "*" with no factor after it
+        "sq(X1 + X2) X3", "-1/2*sq(X1 + X2) (Y1 + Y2)",  # a factor right after sq(...)
+    ])
+    def test_refuses_dangling_star_and_factor_after_square(self, text):
+        with pytest.raises(ParseError):
+            parse(text + " <= 1")
+
+    @pytest.mark.parametrize("text,same", [
+        ("X1*2", "2*X1"), ("2*3*X1", "6*X1"), ("sq(X1)*1/2", "1/2*sq(X1)"),
+    ])
+    def test_number_after_star(self, text, same):
+        assert parse(text + " <= 1").ast == parse(same + " <= 1").ast
+
+    @given(products())
+    @settings(max_examples=300)
+    def test_random_products_expand_as_built(self, case):
+        text, sign, product, inner = case
+        ast = parse(("-" if sign < 0 else "") + text + " <= 1").ast
+        if inner is None:
+            assert ast.squares == ()
+            assert {m: c for c, m in ast.linear} == {m: sign * c for m, c in product.items()}
+        else:
+            (coeff, sub), = ast.squares
+            assert ast.linear == ()
+            assert coeff == sign * product[()]
+            assert {m: c for c, m in sub} == inner
+
+
 class TestCanonical:
     def test_idempotent(self):
         texts = [
