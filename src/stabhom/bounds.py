@@ -8,11 +8,12 @@ concave square terms the optimum may need a mixture of deterministic
 strategies, so it is computed over probability distributions.  For k
 squares the optimum lies on a face of at most k+1 strategy points of the
 upper concave envelope; ``_face_max`` solves the stationarity system of
-every candidate face in one array pass.  The settings inside
-square terms take the low strategy bits: the square moments are
-transformed over those settings alone, and the linear part's values are
-folded to their maximum over the free settings, one per square
-assignment, before the points are grouped.
+every candidate face in one array pass.  The strategy points split the
+settings into two blocks: the settings inside square terms with every
+setting joined to them through linear terms, transitively, and the
+rest.  No linear term spans both, so the independent block's linear
+maximum is added once to every point: the split is exact.  The
+nonlinear cap counts the settings of both blocks.
 
 Every deterministic value comes from one strategy evaluator,
 ``_chunked_values``, which takes one ``_Stack``: coefficient rows over a
@@ -218,16 +219,28 @@ def _folded_values(stack: _Stack, n_settings: int, low_bits: int) -> np.ndarray:
     return out
 
 
+def _coupled(seeds, monomials) -> set:
+    """``seeds`` and every setting joined to them through ``monomials``, transitively."""
+    reached, pending = set(seeds), [set(m) for m in monomials]
+    while joined := [m for m in pending if m & reached]:
+        pending = [m for m in pending if not m & reached]
+        reached.update(*joined)
+    return reached
+
+
 def _strategy_points(ast: InequalityAST):
     """Distinct (m_1[, m_2], L) strategy values, each moment key with its best L.
 
-    The q settings that appear inside a square take the low strategy bits
-    and the free settings the high bits, so the low q bits of a strategy
-    fix its moments.  The moments are transformed over the 2^q square
-    assignments alone, into one (squares, 2^q) array rounded in place.
-    The linear part is transformed over all 2^S strategies and folded to
-    its maximum over the free bits, one value per square assignment.  The
-    2^q (moments, best L) rows are then grouped once.
+    The coupled block is the q squared settings and every setting joined
+    to them through linear terms, transitively; the independent block is
+    the rest.  No linear term spans both, so the best L at a square
+    assignment is the coupled part's best plus the independent part's
+    maximum, exactly.  The squared settings take the coupled block's low
+    bits, so the moments are transformed over the 2^q square assignments
+    alone, and the coupled linear part, the constant too, is folded to
+    one best value per square assignment.  The 2^q (moments, best L) rows
+    are grouped once.  The nonlinear cap counts the settings of both
+    blocks, before enumerating.
     """
     settings = ast.settings
     if len(settings) > LIMITS.max_nonlinear_settings:
@@ -235,9 +248,14 @@ def _strategy_points(ast: InequalityAST):
             f"{len(settings)} settings exceed nonlinear cap {LIMITS.max_nonlinear_settings}"
         )
     squared = {s for _, sub in ast.squares for _, mono in sub for s in mono}
-    order = sorted(settings, key=lambda s: s not in squared)  # stable: squared first
+    coupled = _coupled(squared, (mono for _, mono in ast.linear))
+    order = sorted((s for s in settings if s in coupled), key=lambda s: s not in squared)
     index = {s: k for k, s in enumerate(order)}
-    (best,) = _folded_values(_stack([ast.linear], index), len(order), len(squared))
+    free_index = {s: k for k, s in enumerate(s for s in settings if s not in coupled)}
+    coupled_terms = [t for t in ast.linear if set(t[1]) <= coupled]
+    free_terms = [t for t in ast.linear if not set(t[1]) <= coupled]
+    (best,) = _folded_values(_stack([coupled_terms], index), len(index), len(squared))
+    best += _folded_values(_stack([free_terms], free_index), len(free_index), 0)[0, 0]
     moments = _folded_values(_stack([sub for _, sub in ast.squares], index),
                              len(squared), len(squared))
     m, v = _group_max(np.round(moments, 12, out=moments).T, best)

@@ -15,8 +15,9 @@ and state specs by ``state_from_spec``.  To add a fixture, write its
 JSON file and give any derivation an ``expect`` text (the canonical
 derived expression without its bound): the audit then replays the
 derivation and reports whether it reproduces that text.  A symbolic
-derivation has no ``expect``; the test suite replays it against the
-fixture's own inequality, so it adds no field to the audit JSON.
+derivation has no ``expect``; the audit replays it only to refuse a
+malformed spec, so it adds no field to the audit JSON, and the test
+suite compares it with the fixture's own inequality.
 """
 from __future__ import annotations
 
@@ -98,18 +99,19 @@ def state_from_spec(spec: dict) -> StateVector:
         raise CatalogError(f"state spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "ghz":
-        return ghz_state(_entry(spec, "n", int), parse_scalar(spec.get("phase", "1")))
+        return ghz_state(_field(spec, "n", "state spec", int), parse_scalar(spec.get("phase", "1")))
     if kind == "pair":
-        amps = [parse_scalar(a) for a in _entry(spec, "amps", list)]
+        amps = [parse_scalar(a) for a in _field(spec, "amps", "state spec", list)]
         if len(amps) != 2:
             raise CatalogError(f"state spec 'amps' must hold two entries, got {len(amps)}")
-        return make_pair_superposition(_entry(spec, "a", str), _entry(spec, "b", str), *amps)
+        a, b = (_field(spec, label, "state spec", str) for label in ("a", "b"))
+        return make_pair_superposition(a, b, *amps)
     if kind == "amplitudes":
-        n = _entry(spec, "n", int)
+        n = _field(spec, "n", "state spec", int)
         if not 1 <= n <= LIMITS.max_width:  # before the 2^n array is allocated
             raise CatalogError(f"state spec 'n' = {n} outside 1..{LIMITS.max_width}")
         vec = np.zeros(2**n, dtype=complex)
-        for bits, amp in _entry(spec, "nonzero", dict).items():
+        for bits, amp in _field(spec, "nonzero", "state spec", dict).items():
             if len(bits) != n or set(bits) - {"0", "1"}:  # int(., 2) also takes "_" and a sign
                 raise CatalogError(f"state spec label {bits!r} is not {n} characters of 0 and 1")
             vec[int(bits, 2)] = parse_scalar(amp)
@@ -117,15 +119,21 @@ def state_from_spec(spec: dict) -> StateVector:
     raise CatalogError(f"unknown state kind {kind!r}")
 
 
-def _entry(spec: dict, key: str, kind: type):
-    value = spec.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise CatalogError(f"state spec {key!r} must be a JSON {kind.__name__}, got {value!r}")
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string"}
+
+
+def _field(spec: dict, key: str, where: str, kind: type = object):
+    """``spec[key]``, refused with ``CatalogError`` when missing or not a ``kind``."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise CatalogError(f"{where} has no {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise CatalogError(f"{where} {key!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _setting_from_text(text: str) -> Setting:
-    setting = parse_setting(text)
+    setting = parse_setting(text) if isinstance(text, str) else None
     if setting is None:
         raise CatalogError(f"bad setting text {text!r}")
     return setting
@@ -217,29 +225,49 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
 # derivation replay
 
 def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
-    """Re-run a fixture's derivation chain; return the canonical result text."""
+    """Re-run a fixture's derivation chain; return the canonical result text.
+
+    The ``symbolic`` form reads ``seed``, ``site``, ``width`` and ``map``;
+    any other derivation reads its ``chain``, a chain step that substitutes
+    its ``encoding`` and ``plan``, and a ``lift`` seed spec its
+    ``encoding``, ``threshold`` and ``letter``.  A missing or mistyped
+    field or a malformed plan raises ``CatalogError`` naming the fixture.
+    """
     spec = fx.raw.get("derivation")
     if not spec:
         return None
+    try:
+        return _replay(spec, catalog)
+    except CatalogError as exc:
+        raise CatalogError(f"fixture {fx.name}: {exc}") from None
+
+
+def _replay(spec: dict, catalog: list[Fixture]) -> str:
     if "symbolic" in spec:
         sym = spec["symbolic"]
-        seed = _resolve_seed(sym["seed"], catalog)
+        seed = _resolve_seed(_field(sym, "seed", "symbolic"), catalog)
+        images = _field(sym, "map", "symbolic", dict)
         mapping = {
-            _setting_from_text(k): tuple(_setting_from_text(t) for t in v)
-            for k, v in sym["map"].items()
+            _setting_from_text(k): tuple(map(_setting_from_text, _field(images, k, "map", list)))
+            for k in images
         }
-        out = substitute_symbolic(seed.ast, sym["site"], sym["width"], mapping)
+        out = substitute_symbolic(seed.ast, _field(sym, "site", "symbolic", int),
+                                  _field(sym, "width", "symbolic", int), mapping)
         return pretty_print(out)
+    chain = _field(spec, "chain", "derivation", list)
+    if not chain:
+        raise CatalogError("derivation 'chain' is empty")
     current = None
-    for step in spec["chain"]:
+    for step in chain:
+        if not isinstance(step, dict):
+            raise CatalogError(f"chain step must be a JSON object, got {step!r}")
         if "seed" in step:
             current = _resolve_seed(step["seed"], catalog)
+        if current is None:
+            raise CatalogError("the first chain step has no 'seed'")
         if "site" in step:
-            enc = LogicalEncoding.from_json(step["encoding"])
-            try:
-                plan = plan_from_spec(step["site"], enc, step["plan"])
-            except CatalogError as exc:
-                raise CatalogError(f"fixture {fx.name}: {exc}") from None
+            enc = LogicalEncoding.from_json(_field(step, "encoding", "chain step"))
+            plan = plan_from_spec(step["site"], enc, _field(step, "plan", "chain step"))
             ast = current.ast if isinstance(current, Inequality) else current
             current = Inequality(substitute(ast, plan))
     ast = current.ast if isinstance(current, Inequality) else current
@@ -252,17 +280,31 @@ def _resolve_seed(spec, catalog: list[Fixture]) -> Inequality:
             if fx.name == spec:
                 return fx.inequality
         raise CatalogError(f"unknown seed fixture {spec!r}")
-    if "lift" in spec:
+    if isinstance(spec, dict) and "lift" in spec:
         return _lift(spec["lift"]).descendant
-    if "expression" in spec:
+    if isinstance(spec, dict) and "expression" in spec:
         return parse(spec["expression"])
     raise CatalogError(f"bad seed spec {spec!r}")
 
 
 def _lift(lift: dict) -> DescendantResult:
     """The coherence-witness lift a ``{"lift": ...}`` seed spec names."""
-    enc = LogicalEncoding.from_json(lift["encoding"])
-    return lift_coherence_witness(float(parse_scalar(lift["threshold"]).real), lift["letter"], enc)
+    enc = LogicalEncoding.from_json(_field(lift, "encoding", "lift"))
+    threshold = float(parse_scalar(_field(lift, "threshold", "lift")).real)
+    return lift_coherence_witness(threshold, _field(lift, "letter", "lift"), enc)
+
+
+def _threshold_lift(fx: Fixture) -> dict:
+    """The lift spec a ``threshold_bound`` claim reads: the first chain step's seed.
+
+    The audit replays the derivation first, so a chain is a list of objects.
+    """
+    spec = fx.raw.get("derivation") or {}
+    seed = spec["chain"][0].get("seed") if "chain" in spec and "symbolic" not in spec else None
+    if not isinstance(seed, dict) or "lift" not in seed:
+        raise CatalogError(f"fixture {fx.name}: a threshold_bound claim needs a lift seed "
+                           "in the first chain step")
+    return seed["lift"]
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +353,10 @@ def audit_fixture(
 
     report.quantum_max = quantum_max(ast, assignment)
 
-    # derivation replay
+    # derivation replay; one without ``expect`` is replayed for its errors alone
     derivation = fx.raw.get("derivation")
+    got = replay_derivation(fx, catalog)
     if derivation and "expect" in derivation:
-        got = replay_derivation(fx, catalog)
         expect_parsed = pretty_print(parse(derivation["expect"] + " <= 0").ast)
         report.claim_match["derivation"] = got == expect_parsed
 
@@ -332,8 +374,7 @@ def audit_fixture(
         computed["violated"] = report.quantum_value > report.lhv + tol.violation
     for key, claim in claims.items():
         if key == "threshold_bound":
-            lift = fx.raw["derivation"]["chain"][0]["seed"]["lift"]
-            computed["threshold_bound"] = _lift(lift).derived_bound
+            computed["threshold_bound"] = _lift(_threshold_lift(fx)).derived_bound
         report.claim_match[key] = _match(computed.get(key), claim["value"], tol.claim)
 
     # verdict

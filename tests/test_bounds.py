@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     column_chunked_values,
@@ -90,6 +92,31 @@ def random_nonlinear_text(rng) -> str:
         text = f"{linear} {squares} <= 1"
         if len(parse(text).ast.settings) >= 2:
             return text
+
+
+def signed_sum(terms) -> str:
+    """Text of a sum of (c, body) terms, where body is the term with |c| as its factor."""
+    text = "".join(f" {'-' if c < 0 else '+'} {body}" for c, body in terms)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+@st.composite
+def envelope_texts(draw):
+    """Up to 8 settings (A or B on sites 1-4), integer coefficients from -3 to 3,
+    constants allowed, and one or two negative squares."""
+    def term(min_sites):
+        c = draw(st.integers(-3, 3).filter(bool))
+        sites = sorted(draw(st.lists(st.integers(1, 4), min_size=min_sites, max_size=3,
+                                     unique=True)))
+        mono = "*".join(f"{draw(st.sampled_from('AB'))}{site}" for site in sites)
+        return c, f"{abs(c)}*{mono}" if mono else str(abs(c))
+
+    terms = [term(0) for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(1, 2))):
+        inner = signed_sum([term(draw(st.integers(0, 1))) for _ in range(draw(st.integers(1, 3)))])
+        k = draw(st.integers(1, 3))
+        terms.insert(draw(st.integers(0, len(terms))), (-k, f"{k}*sq({inner})"))
+    return signed_sum(terms) + " <= 1"
 
 
 class TestLhv:
@@ -256,13 +283,22 @@ class TestNonlinear:
             # 2^1 are narrower than the square assignments
             "A1*A2*A3 + A1'*A2'*A3 + A1*A2'*A3' - A1'*A2*A3' + B1*B3"
             " - 1/2*sq(A1 + A2 + A3') - 1/4*sq(A2 - A1' + A3) <= 4",
+            # C3 is coupled to the squared A1 only through B2
+            "A1*B2 - B2*C3 + C3 - 1/2*sq(A1) <= 2",
+            # two independent components, {B1, B2} and {C1, C3}
+            "A1*A2 + B1*B2 - B1 - C1*C3 + 2*C3 - 1/2*sq(A1 - A2) <= 5",
+            "A1*A2 - 3 + B1 - 1/2*sq(A1 + A2) <= 1",  # a constant term
+            # every free setting is coupled: no independent block
+            "A1*A2 + A1'*A2 - A1'*A2' - 1/2*sq(A1 + A2') <= 2",
         )
         for text in texts:
             ast = parse(text).ast
             assert bounds._strategy_points(ast) == naive_strategy_points(ast), text
 
     def test_nonlinear6_transforms_moments_over_square_settings(self, monkeypatch):
-        """18 settings, 12 inside the squares: the moments take 2^12 values."""
+        """18 settings, 12 inside the squares and 6 sharing no term with them:
+        the coupled linear part and the moments take 2^12 values, the
+        independent linear part 2^6."""
         ast = {f.name: f for f in load_catalog()}["nonlinear6"].inequality.ast
         shapes, grouped = [], []
 
@@ -277,8 +313,14 @@ class TestNonlinear:
         monkeypatch.setattr(bounds, "walsh_hadamard", recording_transform)
         monkeypatch.setattr(bounds, "_group_max", recording_group)
         bounds._strategy_points(ast)
-        assert shapes == [(1, 2**18), (2, 2**12)]
+        assert shapes == [(1, 2**12), (1, 2**6), (2, 2**12)]
         assert grouped == [4096]
+
+    @given(envelope_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_random_strategy_points_equal_naive_oracle(self, text):
+        ast = parse(text).ast
+        assert bounds._strategy_points(ast) == naive_strategy_points(ast), text
 
     def test_settings_cap(self, monkeypatch):
         assert len(parse(xy_chain(10)).ast.settings) == LIMITS.max_nonlinear_settings == 20

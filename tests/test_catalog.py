@@ -1,5 +1,6 @@
 """Fixture catalogue loading and the audit built on it."""
 import json
+import re
 from fractions import Fraction
 from random import Random
 
@@ -18,7 +19,7 @@ DERIVED = [fx for fx in CATALOG if "derivation" in fx.raw]
 
 @pytest.mark.parametrize("fx", DERIVED, ids=[fx.name for fx in DERIVED])
 def test_derivation_replays_to_its_texts(fx):
-    # the audit replays only derivations with an ``expect``; this also covers the symbolic one
+    # the audit checks only derivations with an ``expect``; this also covers the symbolic one
     got = catalog.replay_derivation(fx, CATALOG)
     expect = fx.raw["derivation"].get("expect")
     if expect is not None:
@@ -95,6 +96,56 @@ def test_plan_reader_names_fixture_and_setting(plan, setting):
         catalog.replay_derivation(fx, CATALOG)
     want = "plan must be a JSON object" if setting is None else f"plan entry {setting} needs"
     assert want in str(err.value)
+
+
+FIXTURES = {fx.name: fx for fx in CATALOG}
+MISSING = object()  # delete the field rather than set it
+
+
+@pytest.mark.parametrize("name,path,field,value,message", [
+    ("chsh-to-mermin", ("chain", 0), "encoding", MISSING, "chain step has no 'encoding'"),
+    ("chsh-to-mermin", ("chain", 0), "plan", MISSING, "chain step has no 'plan'"),
+    ("chsh-to-mermin", ("chain", 0, "seed", "lift"), "encoding", MISSING, "lift has no 'encoding'"),
+    ("chsh-to-mermin", ("chain", 0, "seed", "lift"), "threshold", MISSING,
+     "lift has no 'threshold'"),
+    ("chsh-to-mermin", ("chain", 0, "seed", "lift"), "letter", MISSING, "lift has no 'letter'"),
+    ("chsh-to-mermin", ("chain", 0), "seed", MISSING, "the first chain step has no 'seed'"),
+    ("chsh-to-mermin", ("chain", 0), "seed", 5, "bad seed spec 5"),
+    ("chsh-to-mermin", (), "chain", [], "derivation 'chain' is empty"),
+    ("svetlichny-desc-5", ("symbolic",), "seed", MISSING, "symbolic has no 'seed'"),
+    ("svetlichny-desc-5", ("symbolic",), "site", MISSING, "symbolic has no 'site'"),
+    ("svetlichny-desc-5", ("symbolic",), "width", MISSING, "symbolic has no 'width'"),
+    ("svetlichny-desc-5", ("symbolic",), "map", MISSING, "symbolic has no 'map'"),
+    ("svetlichny-desc-5", ("symbolic",), "map", [1], "symbolic 'map' must be a JSON object"),
+    ("svetlichny-desc-5", ("symbolic", "map"), "A3", "A3", "map 'A3' must be a JSON array"),
+    ("svetlichny-desc-5", ("symbolic",), "site", "3", "symbolic 'site' must be a JSON integer"),
+], ids=["step-encoding", "step-plan", "lift-encoding", "lift-threshold", "lift-letter",
+        "step-seed", "int-seed", "empty-chain", "symbolic-seed", "symbolic-site",
+        "symbolic-width", "symbolic-map", "list-map", "text-image", "text-site"])
+def test_derivation_reader_names_fixture_and_field(name, path, field, value, message):
+    raw = json.loads(json.dumps(FIXTURES[name].raw))
+    spec = raw["derivation"]
+    for key in path:
+        spec = spec[key]
+    if value is MISSING:
+        del spec[field]
+    else:
+        spec[field] = value
+    fx = catalog.Fixture(name, FIXTURES[name].kind, raw)
+    with pytest.raises(catalog.CatalogError, match="^fixture " + re.escape(f"{name}: {message}")):
+        catalog.replay_derivation(fx, CATALOG)
+
+
+@pytest.mark.parametrize("derivation", [
+    None,
+    {"chain": [{"seed": {"expression": "X1*X2 - Y1*Y2 <= 1"}}], "expect": "X1*X2 - Y1*Y2"},
+], ids=["no-derivation", "expression-seed"])
+def test_threshold_claim_needs_a_lift_seed(derivation):
+    raw = json.loads(json.dumps(FIXTURES["ent-witness-I"].raw))
+    raw["derivation"] = derivation
+    fx = catalog.Fixture("ent-witness-I", "linear", raw)
+    with pytest.raises(catalog.CatalogError, match="^fixture ent-witness-I: a threshold_bound"):
+        catalog.audit_fixture(fx, CATALOG)
 
 
 def amplitudes_spec(n, nonzero):
