@@ -44,9 +44,16 @@ form.  The quantum maximum is exact (Hermitian eigensolver) for linear
 expressions and a seeded heuristic ascent with square terms.  The
 separable value is a deterministically seeded alternating product-state
 maximisation over the 1 | rest split of a linear operator
-(``separable_terms`` refuses square terms), on four blocks built by
-``assemble_operator``, one per qubit-1 letter; it is a lower bound on the
-separable maximum, attained by the returned product state.  The discord
+(``separable_terms`` refuses square terms), on four rest operators, one
+per qubit-1 letter; it is a lower bound on the separable maximum,
+attained by the returned product state.  Both build their operators as
+block stacks over the x-mask cosets of all their strings
+(``states.x_cosets``, ``states.assemble_blocks``): with V the span of the
+x-masks and r its dimension, 2^(N-r) blocks of 2^r, 2^(N+r) entries.
+Every top eigenpair is one batched solve over the stack; where blocks tie
+at the top the first in coset order wins, and its eigenvector is
+embedded in a dense vector, so every expectation is a dense ``np.vdot``.
+An operator whose x-masks span all N bits stays one dense block.  The discord
 condition check reads the rank of each two-qubit state's 3x4
 correlation matrix [r_A | T]: the adapted-basis correlators are its
 second and third singular values, taken for one state or a stack in one
@@ -74,11 +81,14 @@ from .pauli import _LETTER, _SINGLE, PauliString, walsh_hadamard
 from .states import (
     DensityOperator,
     StateVector,
-    assemble_operator,
+    apply_blocks,
+    assemble_blocks,
     expectation,
     max_eigenpair,
-    max_eigenvalue,
     standard_normals,
+    top_eigenpair,
+    top_eigenvalue,
+    x_cosets,
 )
 
 
@@ -398,7 +408,14 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     Linear expressions use the exact Hermitian eigensolver.  Expressions
     with square terms use a heuristic fixed-point ascent over pure states
     started at the linear part's top eigenvector and at
-    ``_QUANTUM_RESTARTS`` random states (reported best value).  Their
+    ``_QUANTUM_RESTARTS`` random states (reported best value).  The cosets
+    of the span V (dimension r) of every string's x-mask, linear and
+    square parts together, are taken once; each part is a stack of
+    2^(N-r) blocks of 2^r, and each top eigenvalue or eigenpair is one
+    batched solve over a stack.  Where blocks share the top value the
+    first in coset order wins; its eigenvector, embedded in a dense
+    vector, is the ascent's next state.  An operator whose x-masks span
+    all N bits is one dense block.  Their
     amplitudes are standard normals (``states.standard_normals``) from the
     stdlib generator ``random.Random(_QUANTUM_SEED)``, a new instance per
     call, so concurrent calls share no state, and on numpy 2 no path
@@ -407,12 +424,14 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     ast = _ast(expr)
     opex = assign_paulis(ast, assignment)
     width = opex.width
-    lin = assemble_operator(opex.linear, width)
+    parts = [opex.linear, *(terms for _, terms in opex.squares)]
+    cosets = x_cosets((s.x_mask for terms in parts for _, s in terms), width)
+    lin = assemble_blocks(opex.linear, cosets, width)
     if not opex.squares:
-        return max_eigenvalue(lin)
-    subs = [(c, assemble_operator(terms, width)) for c, terms in opex.squares]
+        return top_eigenvalue(lin)
+    subs = [(c, assemble_blocks(terms, cosets, width)) for c, terms in opex.squares]
     draws = Random(_QUANTUM_SEED)
-    _, seed_vec = max_eigenpair(lin)
+    _, seed_vec = top_eigenpair(lin, cosets)
     best = -np.inf
     starts = [seed_vec]
     for _ in range(_QUANTUM_RESTARTS):
@@ -424,10 +443,10 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
         for _ in range(200):
             eff = lin.copy()
             for c, s in subs:
-                eff += 2 * c * np.vdot(psi, s @ psi).real * s
-            _, psi = max_eigenpair(eff)
-            val = np.vdot(psi, lin @ psi).real + sum(
-                c * (np.vdot(psi, s @ psi).real ** 2) for c, s in subs
+                eff += 2 * c * np.vdot(psi, apply_blocks(s, cosets, psi)).real * s
+            _, psi = top_eigenpair(eff, cosets)
+            val = np.vdot(psi, apply_blocks(lin, cosets, psi)).real + sum(
+                c * (np.vdot(psi, apply_blocks(s, cosets, psi)).real ** 2) for c, s in subs
             )
             if val <= prev + TOL.converge:
                 break
@@ -484,10 +503,14 @@ def separable_bound(terms: Sequence[tuple[float, PauliString]]) -> SeparableResu
 
     ``terms`` are the operator's (coefficient, string) pairs, of one width.
     The operator is split once as O = sum_a sigma_a (x) B_a over a in IXYZ,
-    each block B_a assembled over the terms whose qubit-1 letter is a.  An
+    each B_a assembled over the terms whose qubit-1 letter is a.  All four
+    are block stacks over the cosets of V, the span of every rest string's
+    x-mask (dimension r), taken once: 2^(N-1-r) blocks of 2^r each.  An
     iteration takes the top eigenvector of the rest's operator
-    B_I + sum_{a in XYZ} <alpha|sigma_a|alpha> B_a, then of qubit 1's
-    sum_a <beta|B_a|beta> sigma_a.  Qubit 1 starts at each of
+    B_I + sum_{a in XYZ} <alpha|sigma_a|alpha> B_a, one batched ``eigh``
+    over its stack, the first block in coset order winning a tie and its
+    eigenvector embedded in a dense vector; then the top eigenvector of
+    qubit 1's sum_a <beta|B_a|beta> sigma_a.  Qubit 1 starts at each of
     ``_SEPARABLE_RESTARTS`` Fibonacci-sphere Bloch vectors, so the result
     is deterministic and draws no random numbers.  The value is attained
     by the returned product state, so it is a lower bound on the true
@@ -509,7 +532,8 @@ def separable_bound(terms: Sequence[tuple[float, PauliString]]) -> SeparableResu
         x, z = string.x_mask, string.z_mask
         part = (c, PauliString(rest, x & low, z & low, string.phase_exp))
         groups[_LETTER[x >> rest, z >> rest]].append(part)
-    blocks = {a: assemble_operator(g, rest) for a, g in groups.items()}
+    cosets = x_cosets((s.x_mask for g in groups.values() for _, s in g), rest)
+    blocks = {a: assemble_blocks(g, cosets, rest) for a, g in groups.items()}
 
     seeds = []
     for v in _fibonacci_bloch(_SEPARABLE_RESTARTS):
@@ -524,8 +548,9 @@ def separable_bound(terms: Sequence[tuple[float, PauliString]]) -> SeparableResu
             o_right = blocks["I"].copy()
             for a in "XYZ":
                 o_right += np.vdot(alpha, _SINGLE[a] @ alpha).real * blocks[a]
-            _, beta = max_eigenpair(o_right)
-            o_left = sum(np.vdot(beta, b @ beta).real * _SINGLE[a] for a, b in blocks.items())
+            _, beta = top_eigenpair(o_right, cosets)
+            o_left = sum(np.vdot(beta, apply_blocks(b, cosets, beta)).real * _SINGLE[a]
+                         for a, b in blocks.items())
             new_value, alpha = max_eigenpair(o_left)
             if new_value <= value + TOL.converge:
                 value = new_value

@@ -12,7 +12,7 @@ transform of conj(a[k^x]) * b[k], so one O(N 4^N) pass restricts all
 first use and keeps them, each a sorted tuple of signed strings whose
 sign is their phase.  The homomorphism check reads the image sets: a
 product of two members passes when the sets list it, phase included,
-under the product letter.
+under the product letter; the products are taken as mask arithmetic.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import LIMITS, TOL
-from .pauli import _SINGLE, PauliString, multiply, walsh_hadamard
+from .pauli import _SINGLE, PauliString, _parity, multiply, walsh_hadamard
 from .states import StateVector, make_pair_superposition
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
@@ -170,26 +170,43 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
     """Check that image-set products classify as the product letters.
 
     For every P in image(sigma_a) and Q in image(sigma_b), with
-    sigma_a sigma_b = i^k sigma_c, the product i^-k PQ (``multiply``, signs
-    included as phases) must be a member of image(sigma_c), phase and all:
-    then PQ restricts to exactly sigma_a sigma_b.  An odd phase fails, as
-    no member carries one.  The image sets hold every string's
-    restriction, so no spectrum is taken, and every encoding within the
-    image cap is checkable.  Returns (ok, list of violating (P, Q, a, b)).
+    sigma_a sigma_b = i^k sigma_c, the product i^-k PQ (signs included as
+    phases) must be a member of image(sigma_c), phase and all: then PQ
+    restricts to exactly sigma_a sigma_b.  An odd phase fails, as no member
+    carries one.  The image sets hold every string's restriction, so no
+    spectrum is taken, and every encoding within the image cap is
+    checkable.  Returns (ok, list of violating (P, Q, a, b)), ordered by
+    a, b, then P and Q in set order.
+
+    The products of two sets are mask arithmetic over arrays.  Written as
+    i^e X^x Z^z (e = phase_exp + #Y), PQ is
+    i^(e_P + e_Q + 2 |z_P & x_Q|) X^(x_P ^ x_Q) Z^(z_P ^ z_Q), so a product's
+    phase needs only the parity of z_P & x_Q.  One table over every (x, z)
+    holds 4 * letter + e of the member listing it, the last one where
+    several do, and each product is looked up there.
     """
     sets = enc._image_sets
-    entry = {(m.x_mask, m.z_mask): (letter, m.phase_exp)
-             for letter, members in sets.items() for m in members}
+    w = enc.width
+    letters = tuple(_SINGLE)
+    table = np.full(4**w, -1)
+    arrays = {}
+    for k, letter in enumerate(letters):
+        members = sets[letter]
+        x = np.array([m.x_mask for m in members], dtype=np.int64)
+        z = np.array([m.z_mask for m in members], dtype=np.int64)
+        e = np.array([m.phase_exp + m.y_count for m in members], dtype=np.int64)
+        table[x << w | z] = 4 * k + e % 4
+        arrays[letter] = x, z, e
     violations = []
-    for a in "IXYZ":
-        for b in "IXYZ":
+    for a in letters:
+        xa, za, ea = arrays[a]
+        for b in letters:
+            xb, zb, eb = arrays[b]
             ab = multiply(PauliString.from_letters(a), PauliString.from_letters(b))
-            for p in sets[a]:
-                for q in sets[b]:
-                    pq = multiply(p, q)
-                    want = (ab.letters, (pq.phase_exp - ab.phase_exp) % 4)  # i^-k PQ
-                    if entry.get((pq.x_mask, pq.z_mask)) != want:
-                        violations.append((p, q, a, b))
+            e = ea[:, None] + eb + 2 * _parity(za[:, None] & xb, w) - ab.phase_exp
+            found = table[(xa[:, None] ^ xb) << w | (za[:, None] ^ zb)]
+            bad = found != 4 * letters.index(ab.letters) + e % 4
+            violations += [(sets[a][i], sets[b][j], a, b) for i, j in zip(*np.nonzero(bad))]
     return not violations, violations
 
 

@@ -11,8 +11,9 @@ and Y = i * X * Z, which fixes every sign produced by multiplication.
 A signed string, such as a member of an image set, is a PauliString
 whose phase is its sign: ``phase_exp`` 0 for +1, 2 for -1.  A real
 multiple of a string is a (coefficient, PauliString) pair, the form
-``dsl._pauli_sums`` returns; ``states.assemble_operator`` and
-``bounds.separable_bound`` take lists of such pairs, and
+``dsl._pauli_sums`` returns; ``states.assemble_blocks``,
+``states.assemble_operator`` and ``bounds.separable_bound`` take lists
+of such pairs, and
 ``states.expectation`` takes a bare string.
 """
 from __future__ import annotations
@@ -140,14 +141,16 @@ def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _parity(bits: np.ndarray, n: int) -> np.ndarray:
+    """Parity (0 or 1) of the popcount of each n-bit integer entry; folds ``bits`` in place."""
+    for k in reversed(range((n - 1).bit_length())):  # fold by 2^k for every 2^k < n, largest first
+        bits ^= bits >> (1 << k)
+    return bits & 1
+
+
 def _phase_vector(string: PauliString, n: int) -> np.ndarray:
     """Phase of each basis index k under the string: string|k> = phase[k] |k ^ x_mask>."""
-    idx = np.arange(2**n)
-    par = idx & string.z_mask
-    # parity of the n-bit popcount: fold by 2^k for every 2^k < n, largest first
-    for k in reversed(range((n - 1).bit_length())):
-        par ^= par >> (1 << k)
-    sign = 1 - 2 * (par & 1)
+    sign = 1 - 2 * _parity(np.arange(2**n) & string.z_mask, n)
     return string.phase * (1j ** string.y_count) * sign
 
 

@@ -1,16 +1,29 @@
-"""Dense statevector / density-operator engine for up to 12 qubits.
+"""Statevector, density-operator and block-operator engine for up to 12 qubits.
 
 Basis convention: site 1 is the most significant bit of the basis index,
 so |011> on three qubits is amplitude index 0b011 = 3.  All heavy loops
 are numpy bit-twiddling; a Pauli string acts as an index permutation plus
 a per-index phase, so no dense matrix is ever built for expectations.
+
+Operators have one builder, over x-mask cosets.  The x-masks of an
+operator's strings span a GF(2) subspace V of dimension r, and every
+string maps each coset k + V of basis indices into itself, so the operator
+is block-diagonal: 2^(N-r) blocks of 2^r, held as a (2^(N-r), 2^r, 2^r)
+stack of 2^(N+r) entries instead of 4^N (``x_cosets``,
+``assemble_blocks``).  The cosets are ordered by their smallest member.
+Top eigenpairs come from one batched ``eigh`` or ``eigvalsh`` over the
+stack; where several blocks share the top value, the first in coset order
+gives the eigenvector, embedded in a dense vector.  Strings whose x-masks
+span all N bits give one dense block: ``assemble_operator`` is that
+one-coset case, r = N, and ``max_eigenvalue`` / ``max_eigenpair`` take
+one dense matrix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -184,33 +197,104 @@ def expectation(state: StateVector, string: PauliString) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eigen-extremes
+# block operators and their top eigenpairs
 
-def _check_hermitian(op: np.ndarray) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise StateError("operator must be square")
-    if op.shape[0] > 2**LIMITS.max_width:
-        raise StateError("operator dimension exceeds cap")
-    if np.abs(op - op.conj().T).max() > TOL.norm * max(1.0, np.abs(op).max()):
-        raise StateError("operator is not Hermitian")
-    return op
+def x_cosets(masks: Iterable[int], width: int) -> np.ndarray:
+    """Cosets of the GF(2) span V of the x-masks among the 2^width basis indices.
+
+    Returns a (2^(width-r), 2^r) integer array, r = dim V: one row per
+    coset k + V, the rows ordered by their smallest member and each row
+    ascending.  The basis is kept in reduced echelon form (distinct leading
+    bits, each clear in every other basis mask), so a coset's smallest
+    member is the one that is clear on every leading bit, and a row is that
+    member XOR the ascending span: member j of a row XOR member t of the
+    first row (V itself) is member j ^ t of the same row.
+    """
+    basis: list[int] = []
+    for m in masks:
+        for b in basis:  # descending leading bits
+            m = min(m, m ^ b)
+        if m:
+            basis = sorted([min(b, b ^ m) for b in basis] + [m], reverse=True)
+    span = np.zeros(1, dtype=np.int64)
+    for b in reversed(basis):
+        span = np.concatenate([span, span ^ b])
+    leads = sum(1 << (b.bit_length() - 1) for b in basis)
+    idx = np.arange(2**width, dtype=np.int64)
+    return idx[(idx & leads) == 0][:, None] ^ span
 
 
-def max_eigenvalue(op: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_check_hermitian(op))[-1])
+def assemble_blocks(terms: Sequence[tuple[float, PauliString]], cosets: np.ndarray,
+                    width: int) -> np.ndarray:
+    """Restrictions of sum of (coefficient, string) pairs to each coset, (blocks, 2^r, 2^r).
 
-
-def max_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(_check_hermitian(op))
-    return float(vals[-1]), vecs[:, -1]
+    ``cosets`` comes from ``x_cosets`` over masks that span every string's
+    x-mask.  A string maps member j of a coset to member j ^ t, t being its
+    x-mask's place in the first coset, with the phase the string takes at
+    member j; entries add up in term order, so each equals its entry of the
+    dense matrix bit for bit.
+    """
+    span = cosets[0]
+    j = np.arange(span.size)
+    out = np.zeros((len(cosets), span.size, span.size), dtype=complex)
+    for c, string in terms:
+        t = int(np.searchsorted(span, string.x_mask))
+        if t == span.size or span[t] != string.x_mask:
+            raise StateError(f"string {string} leaves the cosets")
+        out[:, j ^ t, j] += c * _phase_vector(string, width)[cosets]
+    return out
 
 
 def assemble_operator(terms: Sequence[tuple[float, PauliString]], width: int) -> np.ndarray:
-    """Dense sum of (coefficient, string) pairs, phases included (column-wise, no kron chains)."""
-    dim = 2**width
-    out = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for c, string in terms:
-        out[idx ^ string.x_mask, idx] += c * _phase_vector(string, width)
+    """Dense sum of (coefficient, string) pairs, phases included: the one-coset case r = width."""
+    return assemble_blocks(terms, np.arange(2**width)[None], width)[0]
+
+
+def apply_blocks(blocks: np.ndarray, cosets: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The block operator applied to a dense amplitude vector, as a dense vector."""
+    out = np.empty_like(amps)
+    out[cosets] = np.einsum("bij,bj->bi", blocks, amps[cosets])
     return out
+
+
+def _check_hermitian(blocks: np.ndarray) -> np.ndarray:
+    """A complex (blocks, d, d) stack within the width cap, Hermitian to ``TOL.norm``."""
+    blocks = np.asarray(blocks, dtype=complex)
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise StateError("operator must be square")
+    if blocks.shape[1] > 2**LIMITS.max_width:
+        raise StateError("operator dimension exceeds cap")
+    scale = max(1.0, np.abs(blocks).max())
+    if np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() > TOL.norm * scale:
+        raise StateError("operator is not Hermitian")
+    return blocks
+
+
+def top_eigenvalue(blocks: np.ndarray) -> float:
+    """Largest eigenvalue of a block-diagonal operator, one batched ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(_check_hermitian(blocks))[:, -1].max())
+
+
+def top_eigenpair(blocks: np.ndarray, cosets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector on one coset, embedded in a dense vector.
+
+    One batched ``eigh``; where blocks share the top value the first block
+    in coset order wins.  The vector is a new array, so it holds no
+    reference to the solver's eigenvector matrices.
+    """
+    vals, vecs = np.linalg.eigh(_check_hermitian(blocks))
+    b = int(vals[:, -1].argmax())
+    vec = np.zeros(cosets.size, dtype=complex)
+    vec[cosets[b]] = vecs[b, :, -1]
+    return float(vals[b, -1]), vec
+
+
+def max_eigenvalue(op: np.ndarray) -> float:
+    """Largest eigenvalue of one dense Hermitian matrix."""
+    return top_eigenvalue(np.asarray(op)[None])
+
+
+def max_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of one dense Hermitian matrix and an owned unit eigenvector."""
+    op = np.asarray(op)[None]
+    return top_eigenpair(op, np.arange(op.shape[-1])[None])

@@ -11,7 +11,8 @@ maximised point by point over hull segments or over every single, pair
 and triple of strategy points in Python loops, the separable optimiser
 re-sums dense per-term factors on every iteration, random
 classical-quantum states and their discord correlators are built one
-state at a time with ``np.kron``, and descendants, from image sets or
+state at a time with ``np.kron``, the homomorphism check multiplies one
+member pair at a time, and descendants, from image sets or
 symbolic maps, are substituted with Fractions term by term and searched
 one plan object at a time,
 each quantum value summed one expectation per assigned term.
@@ -48,7 +49,7 @@ from stabhom.dsl import (
     assign_paulis,
     pretty_print,
 )
-from stabhom.pauli import PauliString
+from stabhom.pauli import PauliString, multiply
 from stabhom.states import DensityOperator, StateVector, expectation, max_eigenpair
 
 I2 = np.eye(2, dtype=complex)
@@ -86,6 +87,29 @@ def brute_force_images(enc: LogicalEncoding, tol: float = 1e-9) -> dict[str, lis
         letter: [str(p) for p in sorted(strings, key=PauliString.sort_key)]
         for letter, strings in found.items()
     }
+
+
+def loop_verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
+    """Homomorphism check with one ``multiply`` per member pair.
+
+    For P in image(a) and Q in image(b), with a*b = i^k c, the product
+    i^-k PQ must be listed in image(c) with its phase; the member table
+    keeps the last listing of each string.
+    """
+    sets = enc._image_sets
+    entry = {(m.x_mask, m.z_mask): (letter, m.phase_exp)
+             for letter, members in sets.items() for m in members}
+    violations = []
+    for a in "IXYZ":
+        for b in "IXYZ":
+            ab = multiply(PauliString.from_letters(a), PauliString.from_letters(b))
+            for p in sets[a]:
+                for q in sets[b]:
+                    pq = multiply(p, q)
+                    want = (ab.letters, (pq.phase_exp - ab.phase_exp) % 4)  # i^-k PQ
+                    if entry.get((pq.x_mask, pq.z_mask)) != want:
+                        violations.append((p, q, a, b))
+    return not violations, violations
 
 
 def loop_quantum_value(

@@ -563,6 +563,28 @@ class TestQuantum:
         fx = cat["nonlinear6"]
         assert quantum_max(fx.inequality.ast, None) == pytest.approx(48.0, abs=1e-6)
 
+    def test_block_max_matches_dense_on_every_linear_fixture(self):
+        for fx in load_catalog():
+            if fx.inequality is None or not fx.inequality.ast.is_linear:
+                continue
+            opex = assign_paulis(fx.inequality.ast, fx.assignment)
+            dense = max_eigenvalue(assemble_operator(opex.linear, opex.width))
+            assert abs(quantum_max(fx.inequality, fx.assignment) - dense) < 1e-12, fx.name
+
+    def test_ascent_starts_at_the_first_top_block(self, monkeypatch):
+        # X1 X2 X3 ties in four 2x2 blocks: the ascent's seeded start is GHZ-3
+        starts = []
+        solve = bounds.top_eigenpair
+
+        def record(blocks, cosets):
+            value, vec = solve(blocks, cosets)
+            starts.append(vec)
+            return value, vec
+
+        monkeypatch.setattr(bounds, "top_eigenpair", record)
+        quantum_max(parse("X1*X2*X3 - 1/2*sq(Z1*Z2) <= 1"))
+        assert np.abs(starts[0] - ghz_state(3).amplitudes).max() < 1e-12
+
     def test_algebraic(self):
         assert algebraic_bound(parse(CHSH)) == 4.0
         assert algebraic_bound(parse("2*X1*X2 - Y1*Y2 <= 1")) == 3.0

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import brute_force_images, kron_chain
+from conftest import brute_force_images, kron_chain, loop_verify_homomorphism
 from stabhom import cli, codespace
 from stabhom.codespace import (
     CodespaceError,
@@ -35,6 +35,32 @@ def texts(enc, letter):
 
 def negated(p):
     return PauliString(p.width, p.x_mask, p.z_mask, p.phase_exp + 2)
+
+
+def planted_encodings():
+    """The failing encodings of ``TestHomomorphism``, each built afresh."""
+    enc = LogicalEncoding.ghz(3)
+    xs = enc._image_sets["X"]
+    enc._image_sets["X"] = (xs[0], negated(xs[1]), *xs[2:])
+    yield enc
+    for letter in "XYZ":
+        other = "XYZI"["XYZ".index(letter) + 1]
+        for k in range(4):
+            for moved in (False, True):
+                enc = LogicalEncoding.ghz(3)
+                sets = enc._image_sets
+                members = sets[letter]
+                if moved:
+                    sets[letter] = (*members[:k], *members[k + 1:])
+                    sets[other] = (members[k], *sets[other])
+                else:
+                    sets[letter] = (*members[:k], negated(members[k]), *members[k + 1:])
+                yield enc
+    enc = LogicalEncoding.ghz(1)
+    sets = enc._image_sets
+    sets["I"] = (*sets["I"], term("Y"))
+    sets["X"] = (*sets["X"], term("Z"))
+    yield enc
 
 
 def complementary_pairs(widths):
@@ -209,6 +235,19 @@ class TestHomomorphism:
         monkeypatch.setattr(codespace, "_spectrum", None)
         ok, violations = verify_homomorphism(enc)
         assert ok, violations[:3]
+
+    @pytest.mark.parametrize("enc_name", [f"ghz{n}" for n in range(1, 9)] + ["cluster"])
+    def test_equals_pairwise_loop_oracle(self, enc_name):
+        enc = (LogicalEncoding.cluster_pair() if enc_name == "cluster"
+               else LogicalEncoding.ghz(int(enc_name[3:])))
+        assert verify_homomorphism(enc) == loop_verify_homomorphism(enc) == (True, [])
+
+    def test_failing_encodings_equal_pairwise_loop_oracle(self):
+        encodings = list(planted_encodings())
+        assert len(encodings) == 26
+        for enc in encodings:
+            ok, violations = verify_homomorphism(enc)
+            assert not ok and (ok, violations) == loop_verify_homomorphism(enc)
 
     def test_reports_planted_violation(self):
         enc = LogicalEncoding.ghz(3)

@@ -1,4 +1,5 @@
 """Statevector / density-operator engine."""
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,12 +13,18 @@ from stabhom.states import (
     DensityOperator,
     StateError,
     StateVector,
+    apply_blocks,
+    assemble_blocks,
     assemble_operator,
     expectation,
     ghz_state,
     make_cq_state,
     make_pair_superposition,
+    max_eigenpair,
     max_eigenvalue,
+    top_eigenpair,
+    top_eigenvalue,
+    x_cosets,
 )
 
 R = 2**-0.5
@@ -140,6 +147,124 @@ class TestMaxEigenvalue:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
             assert np.vdot(v, op @ v).real <= top + 1e-9
+
+
+def random_span_terms(rng, r, width):
+    """Real-signed terms whose x-masks span a random r-dimensional subspace."""
+    while True:
+        basis = [int(m) for m in rng.integers(1, 2**width, size=r)]
+        span = {0}
+        for b in basis:
+            span |= {v ^ b for v in span}
+        if len(span) == 2**r:
+            break
+    x_masks = basis + [int(v) for v in rng.choice(sorted(span), size=int(rng.integers(0, 8)))]
+    return [(float(rng.normal()), PauliString(width, x, int(rng.integers(2**width)),
+                                              2 * int(rng.integers(2))))
+            for x in x_masks]
+
+
+def dense_sum(terms, width):
+    """Sum of per-term dense matrices, in term order from zeros."""
+    out = np.zeros((2**width, 2**width), dtype=complex)
+    for c, string in terms:
+        out += c * to_matrix(string)
+    return out
+
+
+def mermin(parties):
+    return [((-1.0) ** (l.count("Y") // 2), PauliString.from_letters(l))
+            for l in map("".join, itertools.product("XY", repeat=parties))
+            if l.count("Y") % 2 == 0]
+
+
+class TestBlockBuilder:
+    """Block operators over x-mask cosets against dense matrices."""
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_random_spectra_match_dense(self, rng, r):
+        for width in range(max(r, 1), r + 3):
+            terms = random_span_terms(rng, r, width)
+            cosets = x_cosets([s.x_mask for _, s in terms], width)
+            assert cosets.shape == (2 ** (width - r), 2**r)
+            blocks = assemble_blocks(terms, cosets, width)
+            dense = np.linalg.eigvalsh(dense_sum(terms, width))
+            assert np.abs(np.sort(np.linalg.eigvalsh(blocks).ravel()) - dense).max() < 1e-12
+            assert abs(top_eigenvalue(blocks) - dense[-1]) < 1e-12
+
+    def test_cosets_partition_in_order(self, rng):
+        for r in range(5):
+            width = r + 2
+            cosets = x_cosets([s.x_mask for _, s in random_span_terms(rng, r, width)], width)
+            assert sorted(cosets.ravel().tolist()) == list(range(2**width))
+            assert (np.diff(cosets, axis=1) > 0).all() and (np.diff(cosets[:, 0]) > 0).all()
+            # member j of a coset XOR member t of the span is member j ^ t
+            j = np.arange(cosets.shape[1])
+            for t in j:
+                assert (cosets ^ cosets[0, t] == cosets[:, j ^ t]).all()
+
+    @pytest.mark.parametrize("name", ["ghz-x", "ghz-zz", "mermin3", "mermin4", "random"])
+    def test_eigenpair_is_first_top_block(self, rng, name):
+        terms = {
+            "ghz-x": [(1.0, term("XXX"))],  # four 2x2 blocks tie at 1
+            "ghz-zz": [(1.0, term("ZZI")), (1.0, term("IZZ"))],  # |000> and |111> tie at 2
+            "mermin3": mermin(3),
+            "mermin4": mermin(4),
+            "random": random_span_terms(rng, 3, 5),
+        }[name]
+        width = terms[0][1].width
+        cosets = x_cosets([s.x_mask for _, s in terms], width)
+        blocks = assemble_blocks(terms, cosets, width)
+        value, vec = top_eigenpair(blocks, cosets)
+        tops = np.linalg.eigh(blocks)[0][:, -1]
+        first = int(np.flatnonzero(tops == tops.max())[0])
+        assert value == tops[first] and abs(value - top_eigenvalue(blocks)) < 1e-12
+        assert vec.base is None and abs(np.linalg.norm(vec) - 1) < 1e-12
+        assert set(np.flatnonzero(vec)) <= set(cosets[first].tolist())
+        rayleigh = np.vdot(vec, apply_blocks(blocks, cosets, vec))
+        assert abs(rayleigh - value) < 1e-12
+        assert abs(np.vdot(vec, dense_sum(terms, width) @ vec) - value) < 1e-12
+        if name == "ghz-x":
+            assert np.abs(vec - ghz_state(3).amplitudes).max() < 1e-12
+        if name == "ghz-zz":
+            assert np.abs(vec).tolist() == [1.0] + [0.0] * 7
+
+    def test_assemble_operator_is_bitwise_term_sum(self, rng):
+        for r in range(5):
+            width = r + 2
+            terms = random_span_terms(rng, r, width)
+            assert assemble_operator(terms, width).tobytes() == dense_sum(terms, width).tobytes()
+        assert assemble_operator(mermin(4), 4).tobytes() == dense_sum(mermin(4), 4).tobytes()
+
+    def test_apply_blocks_matches_dense_product(self, rng):
+        terms = random_span_terms(rng, 2, 5)
+        cosets = x_cosets([s.x_mask for _, s in terms], 5)
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        got = apply_blocks(assemble_blocks(terms, cosets, 5), cosets, v)
+        assert np.abs(got - dense_sum(terms, 5) @ v).max() < 1e-12
+
+    @pytest.mark.parametrize("phase_exp", [1, 3])
+    def test_imaginary_phase_refused_as_dense(self, phase_exp):
+        terms = [(1.0, term("XX")), (0.5, term("ZY", phase_exp))]
+        with pytest.raises(StateError, match="not Hermitian"):
+            max_eigenvalue(assemble_operator(terms, 2))
+        cosets = x_cosets([s.x_mask for _, s in terms], 2)
+        blocks = assemble_blocks(terms, cosets, 2)
+        for solve in (top_eigenvalue, lambda b: top_eigenpair(b, cosets)):
+            with pytest.raises(StateError, match="not Hermitian"):
+                solve(blocks)
+
+    def test_refuses_string_outside_the_span(self):
+        cosets = x_cosets([term("XI").x_mask], 2)
+        with pytest.raises(StateError, match="leaves the cosets"):
+            assemble_blocks([(1.0, term("IX"))], cosets, 2)
+
+    def test_dense_eigenpair_is_an_owned_copy(self):
+        op = assemble_operator(mermin(3), 3)
+        value, vec = max_eigenpair(op)
+        vals, vecs = np.linalg.eigh(op)
+        assert vec.base is None and value == vals[-1]
+        assert vec.tobytes() == vecs[:, -1].tobytes()
 
 
 class TestCallerArrays:
