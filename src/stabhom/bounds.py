@@ -55,9 +55,9 @@ at the top the first in coset order wins, and its eigenvector is
 embedded in a dense vector, so every expectation is a dense ``np.vdot``.
 An operator whose x-masks span all N bits stays one dense block.  The discord
 condition check reads the rank of each two-qubit state's 3x4
-correlation matrix [r_A | T]: the adapted-basis correlators are its
-second and third singular values, taken for one state or a stack in one
-decomposition.
+correlation matrix M = [r_A | T]: the adapted-basis correlators are its
+second and third singular values, for one state or a stack from one
+``eigvalsh`` of the Hermitian dilations [[0, M], [M^T, 0]].
 Single-qubit matrices come from ``pauli._SINGLE``.
 """
 from __future__ import annotations
@@ -295,17 +295,23 @@ def _face_max(pts: np.ndarray, c: np.ndarray, faces: np.ndarray) -> float:
     face is r + w @ D, with r its last point, D its other points minus r
     and w >= 0, sum w <= 1.  The objective is a concave quadratic in w;
     its stationary point solves H w = b with H = 2 D_m diag(c) D_m^T and
-    b = -(D_L + 2 D_m (c * r_m)), one (s-1)x(s-1) system per face.  Faces
-    whose H is singular or whose stationary point leaves the simplex are
-    skipped: their maximum lies on a smaller face.
+    b = -(D_L + 2 D_m (c * r_m)), one (s-1)x(s-1) system per face, solved
+    in closed form: s - 1 <= 2 (at most two squares), larger is refused.
+    Faces whose |det H| <= 1e-12 or whose stationary point leaves the
+    simplex are skipped: their maximum lies on a smaller face.
     """
     r = pts[faces[:, -1]]
     d = pts[faces[:, :-1]] - r[:, None]
     dm = d[..., :-1]
     h = 2 * np.einsum("fik,k,fjk->fij", dm, c, dm)
     b = -(d[..., -1] + 2 * np.einsum("fik,fk->fi", dm, c * r[:, :-1]))
-    ok = np.abs(np.linalg.det(h)) > 1e-12
-    w = np.linalg.solve(h[ok], b[ok][..., None])[..., 0]
+    if h.shape[-1] > 2:
+        raise BoundError("faces of more than three points are not supported")
+    # Cramer's rule, w = adj(H) b / det H, det H by the first row's cofactors
+    adj = h[:, ::-1, ::-1] * [[1, -1], [-1, 1]] if h.shape[-1] == 2 else np.ones_like(h)
+    det = np.einsum("fj,fj->f", h[:, 0], adj[:, :, 0])
+    ok = np.abs(det) > 1e-12
+    w = np.einsum("fij,fj->fi", adj[ok], b[ok]) / det[ok, None]
     inside = (w >= -1e-12).all(axis=1) & (w.sum(axis=1) <= 1 + 1e-12)
     x = r[ok][inside] + np.einsum("fi,fik->fk", w[inside], d[ok][inside])
     return float(np.max(x[:, -1] + x[:, :-1] ** 2 @ c, initial=-np.inf))
@@ -596,15 +602,18 @@ def discord_condition_check(rho: DensityOperator, epsilon: float) -> DiscordChec
     passes iff sigma_2 <= epsilon.  No eigenvalue gap enters, so
     classical-quantum states with equal weights pass too.  ``rho`` may
     hold one 4x4 matrix or a (..., 4, 4) stack; one einsum and one
-    singular-value decomposition serve both.
+    ``eigvalsh`` of the complex Hermitian dilations [[0, M], [M^T, 0]]
+    serve both: their eigenvalues are +-sigma_i and 0, to eps ||M||.
     """
     if rho.width != 2:
         raise BoundError("discord condition defined for two-qubit states")
     if not 0 < epsilon <= 0.5:
         raise BoundError("epsilon must lie in (0, 1/2]")
     m = np.einsum("...ij,amji->...am", rho.matrix, _CORRELATION_BASIS).real
-    s = np.linalg.svd(m, compute_uv=False)
-    x_corr, y_corr = s[..., 1], s[..., 2]
+    h = np.zeros(m.shape[:-2] + (7, 7), dtype=complex)
+    h[..., :3, 3:], h[..., 3:, :3] = m, m.swapaxes(-1, -2)
+    s = np.abs(np.linalg.eigvalsh(h))
+    x_corr, y_corr = s[..., -2], s[..., -3]
     passed = bool((x_corr <= epsilon).all())
     if m.ndim == 2:
         return DiscordCheck(passed, float(x_corr), float(y_corr))

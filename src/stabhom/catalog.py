@@ -428,21 +428,24 @@ def _random_cq_states(draws: Random, samples: int) -> DensityOperator:
     probabilities as ``betavariate(2, 2)`` and its complement, two
     second-qubit states), so the first n states of a seed do not depend
     on ``samples``; everything after the draws runs on the whole stack.
+    The basis is e_0, the basis draw's normalised first column, and
+    e_1 = (-conj(e_0[1]), conj(e_0[0])): QR's projectors, without a QR.
     """
-    v = np.empty((samples, 2, 2, 2))  # real, imaginary part of each basis draw
+    v = np.empty((samples, 2, 2))  # real, imaginary part of each basis draw's first column
     p = np.empty((samples, 2))
     a = np.empty((samples, 2, 2, 2, 2))  # two second-qubit draws, each real, imaginary
     for i in range(samples):
-        v[i] = standard_normals(draws, (2, 2, 2))
+        v[i] = standard_normals(draws, (2, 2, 2))[..., 0]
         w = draws.betavariate(2.0, 2.0)
         p[i] = w, 1.0 - w
         a[i] = standard_normals(draws, (2, 2, 2, 2))
-    # random orthonormal first-qubit bases, kets as columns
-    q, _ = np.linalg.qr(v[:, 0] + 1j * v[:, 1])
+    e0 = v[:, 0] + 1j * v[:, 1]
+    e0 /= np.linalg.norm(e0, axis=-1, keepdims=True)
+    kets = np.stack([e0, (e0[:, ::-1] * [-1, 1]).conj()], axis=1)
     a = a[:, :, 0] + 1j * a[:, :, 1]
-    m = a @ a.conj().swapaxes(-1, -2)
+    m = np.einsum("...ij,...kj->...ik", a, a.conj())
     rhos = DensityOperator(1, m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
-    return make_cq_state(p, q.swapaxes(-1, -2), rhos)
+    return make_cq_state(p, kets, rhos)
 
 
 @dataclass

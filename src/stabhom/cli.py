@@ -97,20 +97,26 @@ def cmd_images(args) -> int:
 
 
 _JSON_BATCH = 64  # rows per write, about 16 KB of text
+_ENCODE_LINES = json.JSONEncoder(separators=("\n", ": ")).encode  # C encoder, items on lines
 
 
 def _write_json_rows(results) -> None:
     """Print ``json.dumps([r.to_json() for r in results], indent=2)``, batch by batch.
 
-    Each batch is encoded as one indented list and written without its
-    brackets, so only one batch's dicts and text are held at a time.
+    Rows are flat dicts with one key order.  A batch's values are encoded
+    as one list, split at its newlines (an encoded scalar holds none), and
+    laid into a fixed ``indent=2`` row template.
     """
     if not results:
         print("[]")
         return
     for start in range(0, len(results), _JSON_BATCH):
-        text = json.dumps([r.to_json() for r in results[start:start + _JSON_BATCH]], indent=2)
-        sys.stdout.write(("[\n" if start == 0 else ",\n") + text[2:-2])
+        rows = [r.to_json() for r in results[start:start + _JSON_BATCH]]
+        keys = (json.dumps(k).replace("%", "%%") for k in rows[0])
+        row = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+        values = _ENCODE_LINES([v for r in rows for v in r.values()])[1:-1].split("\n")
+        text = ",\n".join([row] * len(rows)) % tuple(values)
+        sys.stdout.write(("[\n" if start == 0 else ",\n") + text)
     sys.stdout.write("\n]\n")
 
 

@@ -211,19 +211,16 @@ def verify_homomorphism(enc: LogicalEncoding) -> tuple[bool, list]:
 
 
 def lift_state(state: StateVector, site: int, enc: LogicalEncoding) -> StateVector:
-    """Replace qubit ``site`` (1-based) by the encoding: |0> -> |0_L>, |1> -> |1_L>."""
+    """Replace qubit ``site`` (1-based) by the encoding: |0> -> |0_L>, |1> -> |1_L>.
+
+    A broadcast two-row contraction: the amplitudes whose site bit is 0
+    times |0_L> plus those whose bit is 1 times |1_L>, in the site's place.
+    """
     n = state.width
     if not 1 <= site <= n:
         raise CodespaceError(f"site {site} outside 1..{n}")
     if n - 1 + enc.width > LIMITS.max_width:
         raise CodespaceError("lifted width exceeds cap")
-    tensor = state.amplitudes.reshape([2] * n)
-    code = np.stack([enc.zero_l.amplitudes, enc.one_l.amplitudes])  # (2, 2^m)
-    lifted = np.tensordot(tensor, code, axes=([site - 1], [0]))
-    # tensordot moved the logical block to the last axis; restore site order
-    lifted = np.moveaxis(
-        lifted.reshape([2] * (n - 1) + [2] * enc.width),
-        list(range(n - 1, n - 1 + enc.width)),
-        list(range(site - 1, site - 1 + enc.width)),
-    )
+    t = state.amplitudes.reshape(2 ** (site - 1), 2, 1, 2 ** (n - site))
+    lifted = t[:, :1] * enc.zero_l.amplitudes[:, None] + t[:, 1:] * enc.one_l.amplitudes[:, None]
     return StateVector(n - 1 + enc.width, lifted.reshape(-1))

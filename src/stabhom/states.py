@@ -16,7 +16,8 @@ stack; where several blocks share the top value, the first in coset order
 gives the eigenvector, embedded in a dense vector.  Strings whose x-masks
 span all N bits give one dense block: ``assemble_operator`` is that
 one-coset case, r = N, and ``max_eigenvalue`` / ``max_eigenpair`` take
-one dense matrix.
+one dense matrix.  Dense solves use the Hermitian eigensolver or a closed
+form; no other LAPACK routine runs on the CLI paths.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@ characteristic polynomial, image sets are enumerated by restricting
 every Pauli string's dense matrix to the code space, nonlinear
 envelopes are bounded from below by sampled strategy mixtures and
 maximised point by point over hull segments or over every single, pair
-and triple of strategy points in Python loops, the separable optimiser
+and triple of strategy points in Python loops, each face's stationarity
+system is solved by ``np.linalg.solve``, the separable optimiser
 re-sums dense per-term factors on every iteration, random
 classical-quantum states and their discord correlators are built one
 state at a time with ``np.kron``, the homomorphism check multiplies one
@@ -405,6 +406,31 @@ def loop_mixture_max(points, coeffs) -> float:
     for p, q in zip(hull, hull[1:]):
         best = max(best, _loop_segment_max(c, p, q))
     return float(best)
+
+
+def solve_face_max(pts: np.ndarray, c: np.ndarray, faces: np.ndarray) -> list[float]:
+    """Each face's interior stationary value, -inf where it is skipped.
+
+    One face at a time: the (s-1)x(s-1) system H w = b of
+    ``bounds._face_max`` built with explicit loops over the face's points
+    and solved by ``np.linalg.solve``; |det H| <= 1e-12 (``np.linalg.det``)
+    or a stationary point outside the simplex skips the face.
+    """
+    out = []
+    for face in faces:
+        r, others = pts[face[-1]], [pts[i] - pts[face[-1]] for i in face[:-1]]
+        h = np.array([[2 * np.sum(c * di[:-1] * dj[:-1]) for dj in others] for di in others])
+        b = np.array([-(di[-1] + 2 * np.sum(di[:-1] * c * r[:-1])) for di in others])
+        if abs(np.linalg.det(h)) <= 1e-12:
+            out.append(-np.inf)
+            continue
+        w = np.linalg.solve(h, b)
+        if (w < -1e-12).any() or w.sum() > 1 + 1e-12:
+            out.append(-np.inf)
+            continue
+        x = r + sum(wi * di for wi, di in zip(w, others))
+        out.append(float(x[-1] + np.sum(c * x[:-1] ** 2)))
+    return out
 
 
 def char_poly_max_eig(op: np.ndarray) -> float:

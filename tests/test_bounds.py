@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SIGMA,
     column_chunked_values,
     loop_cq_states,
     loop_discord_correlators,
@@ -18,9 +19,10 @@ from conftest import (
     naive_strategy_points,
     nonlinear_sampling_lower_bound,
     separable_grid_max,
+    solve_face_max,
     xy_chain,
 )
-from stabhom import bounds
+from stabhom import bounds, catalog
 from stabhom.bounds import (
     BoundError,
     algebraic_bound,
@@ -695,3 +697,65 @@ class TestDiscord:
             assert abs(check.x_correlator[i] - x) < 1e-12
             assert abs(check.y_correlator[i] - y) < 1e-12
         assert discord_condition_check(DensityOperator(2, stack[2:]), 0.5).passed
+
+    @staticmethod
+    def from_correlations(m):
+        """DensityOperator (I + sum_{a, mu} M[a, mu] sigma_a (x) sigma_mu) / 4; needs sum |M| < 1."""
+        basis = np.array([[np.kron(SIGMA[a], SIGMA[mu]) for mu in "IXYZ"] for a in "XYZ"])
+        return DensityOperator(2, np.eye(4) / 4 + np.einsum("...am,amij->...ij", m, basis) / 4)
+
+    @pytest.mark.parametrize("shape", [(), (50,)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_dilation_matches_svd_on_random_correlations(self, rng, shape, rank):
+        m = sum(rng.normal(size=shape + (3, 1)) * rng.normal(size=shape + (1, 4)) for _ in range(rank))
+        m *= 0.9 / np.abs(m).sum(axis=(-2, -1), keepdims=True)
+        check = discord_condition_check(self.from_correlations(m), 0.5)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.shape(check.x_correlator) == np.shape(check.y_correlator) == shape
+        assert np.abs(check.x_correlator - s[..., 1]).max() < 1e-12
+        assert np.abs(check.y_correlator - s[..., 2]).max() < 1e-12
+        if rank == 1:
+            assert np.max(check.x_correlator) <= 1e-12 and check.passed
+
+    def test_dilation_on_sampled_cq_states(self):
+        rhos = catalog._random_cq_states(random.Random(0), 200)
+        check = discord_condition_check(rhos, 0.5)
+        assert check.x_correlator.max() <= 1e-12  # what ``cq_correlators_vanish`` reads
+        for i, m in enumerate(rhos.matrix):
+            x, y = loop_discord_correlators(m)
+            assert abs(check.x_correlator[i] - x) < 1e-12 and abs(check.y_correlator[i] - y) < 1e-12
+
+    def test_dilation_on_bell_correlations(self):
+        bell = make_pair_superposition("00", "11", R, R).amplitudes
+        rho = np.outer(bell, bell.conj())
+        for check in (
+            discord_condition_check(DensityOperator(2, rho), 0.5),
+            discord_condition_check(DensityOperator(2, np.stack([rho] * 3)), 0.5),
+        ):
+            # singular values (1, 1, 1): T = diag(1, -1, 1), r_A = 0
+            assert np.abs(np.subtract(check.x_correlator, 1.0)).max() < 1e-12
+            assert np.abs(np.subtract(check.y_correlator, 1.0)).max() < 1e-12
+            assert not check.passed
+
+
+class TestFaceMax:
+    @pytest.mark.parametrize("squares", [1, 2])
+    def test_closed_form_matches_solve_oracle(self, rng, squares):
+        # small integer points give exactly singular faces (repeated or collinear
+        # moments); copies moved by 1e-8 give |det H| ~ 1e-16, near-singular
+        pts = rng.integers(-2, 3, size=(10, squares + 1)).astype(float)
+        pts = np.concatenate([pts, pts[:4] + 1e-8 * rng.normal(size=(4, squares + 1))])
+        c = -rng.uniform(0.1, 1.0, squares)
+        faces = np.array(list(itertools.combinations(range(len(pts)), squares + 1)))
+        want = solve_face_max(pts, c, faces)
+        got = [bounds._face_max(pts, c, faces[i:i + 1]) for i in range(len(faces))]
+        assert [g == -np.inf for g in got] == [w == -np.inf for w in want]
+        assert np.isfinite(want).any() and np.isneginf(want).sum() > len(faces) // 10
+        finite = np.isfinite(want)
+        assert np.abs(np.array(got)[finite] - np.array(want)[finite]).max() < 1e-9
+        assert bounds._face_max(pts, c, faces) == pytest.approx(max(want), abs=1e-12)
+
+    def test_refuses_three_by_three_systems(self, rng):
+        pts = rng.normal(size=(5, 4))
+        with pytest.raises(BoundError, match="more than three points"):
+            bounds._face_max(pts, -np.ones(3), np.array([[0, 1, 2, 3]]))

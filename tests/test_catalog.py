@@ -2,6 +2,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from conftest import loop_cq_states
 from stabhom import catalog
 from stabhom.bounds import discord_condition_check
-from stabhom.dsl import parse, pretty_print
-from stabhom.states import DensityOperator
+from stabhom.descend import enumerate_descendants
+from stabhom.dsl import load_ineq, parse, pretty_print
+from stabhom.states import DensityOperator, make_pair_superposition
 
 CATALOG = catalog.load_catalog()
 DERIVED = [fx for fx in CATALOG if "derivation" in fx.raw]
@@ -51,6 +53,24 @@ def test_random_cq_states_match_per_state_sampler():
     assert np.abs(rhos.matrix - want).max() < 1e-15
     head = catalog._random_cq_states(Random(0), 7)
     assert np.array_equal(head.matrix, rhos.matrix[:7])
+
+
+def test_cli_paths_solve_only_by_eigensolver_or_closed_form(monkeypatch):
+    # dense solves go through eigvalsh / eigh or a closed form; no other LAPACK routine
+    def refusing(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
+
+    for name in ("qr", "svd", "det", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refusing(f"np.linalg.{name}"))
+    monkeypatch.setattr(np, "tensordot", refusing("np.tensordot"))
+    assert catalog.audit_all().exit_code == 0
+    bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
+    seed = load_ineq(Path(catalog.__file__).parent / "data" / "seeds" / "chsh.ineq")
+    rows = enumerate_descendants(seed, 2, catalog.LogicalEncoding.ghz(3), {"X2": "X", "Y2": "Y"},
+                                 seed_state=bell)
+    assert (len(rows), sum(r.accepted for r in rows)) == (225, 71)
 
 
 def test_audit_sample_stack_matches_per_state_checks():

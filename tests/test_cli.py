@@ -17,6 +17,7 @@ from stabhom import bounds, cli
 from stabhom.catalog import state_from_spec
 from stabhom.codespace import LogicalEncoding, image_set
 from stabhom.config import LIMITS, SearchLimits
+from stabhom.descend import enumerate_descendants
 from stabhom.dsl import load_ineq
 from stabhom.states import make_pair_superposition
 
@@ -69,6 +70,18 @@ def test_descend_json_batches_equal_one_dump(monkeypatch, capsys, count):
     rows = [Row(i) for i in range(count)]
     cli._write_json_rows(rows)
     assert capsys.readouterr().out == json.dumps([r.to_json() for r in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("state", [make_pair_superposition("00", "11", 2**-0.5, 2**-0.5), None])
+def test_descend_json_template_equals_reference_encoder(capsys, state):
+    # without a seed state every row has "quantum_value": null
+    seed = load_ineq(SEEDS / "chsh.ineq")
+    results = enumerate_descendants(seed, 2, LogicalEncoding.ghz(3), {"X2": "X", "Y2": "Y"},
+                                    seed_state=state)
+    assert len(results) == 225 and any(r.quantum_value is None for r in results) == (state is None)
+    for rows in (results, results[:1], []):
+        cli._write_json_rows(rows)
+        assert capsys.readouterr().out == json.dumps([r.to_json() for r in rows], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

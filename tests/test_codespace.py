@@ -344,6 +344,19 @@ class TestJsonAndLift:
         lifted = lift_state(bell, 2, LogicalEncoding.ghz(2))
         assert np.allclose(lifted.amplitudes, ghz_state(3).amplitudes)
 
+    @pytest.mark.parametrize("site", [1, 2, 3])
+    def test_lift_matches_kron_oracle(self, rng, site):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        enc = LogicalEncoding.ghz(3)
+        code, tail = [enc.zero_l.amplitudes, enc.one_l.amplitudes], 3 - site
+        want = 0
+        for i, a in enumerate(state.amplitudes):
+            head, bit, rest = i >> (tail + 1), i >> tail & 1, i & (2**tail - 1)
+            basis = np.kron(np.eye(2 ** (site - 1))[head], code[bit])
+            want = want + a * np.kron(basis, np.eye(2**tail)[rest])
+        assert np.abs(lift_state(state, site, enc).amplitudes - want).max() < 1e-15
+
     def test_lift_middle_site(self):
         s = make_pair_superposition("01", "10", R, -R)
         lifted = lift_state(s, 1, LogicalEncoding.ghz(2))
