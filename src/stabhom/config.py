@@ -31,7 +31,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    max_width: int = 12          # width cap: a 4096 x 4096 block at most
+    max_width: int = 12          # dense amplitudes and operator index spaces only: 2^12 at most
     max_image_width: int = 8     # image-set cap: O(N 4^N) pass, 4*4^N complex (4 MB at 8)
     max_settings: int = 24       # deterministic-strategy enumeration cap
     max_nonlinear_settings: int = 20

@@ -40,7 +40,9 @@ narrower than the descendants is refused there.  Only the emitted rows
 become Python objects, each with its AST, plan and one printed text.
 
 Bounds of descendants are never inherited: the caller re-derives them
-from scratch (``enumerate_descendants`` does this automatically).
+from scratch (``enumerate_descendants`` does this automatically).  The
+search takes every target setting, squared-only ones too, and builds no
+amplitudes, so without a state descendants may pass 12 qubits.
 """
 from __future__ import annotations
 
@@ -300,9 +302,6 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
             if not 0 <= i < len(members):
                 raise SubstitutionError("image index out of range")
         images[setting] = _image_pairs(members, plan.target_site, entry.sign)
-    width = ast.width - 1 + plan.encoding.width
-    if width > LIMITS.max_width:
-        raise SubstitutionError("substituted width exceeds cap")
     table = _Table(ast, plan.target_site, plan.encoding.width, images)
     return _one_plan(table, ast, {s: e.selection for s, e in plan.entries.items()})
 
@@ -427,21 +426,22 @@ def enumerate_descendants(
 ) -> list[DescendantResult]:
     """Search plan selections, re-derive every bound, keep violation order.
 
-    ``letter_map`` sends each target-site setting (or its text) to a
-    logical letter, optionally signed ("-Y").  The first
-    ``max_assignments`` plans of the selection product are searched; a
-    plan that substitution would refuse counts toward that cap.  The
+    ``letter_map`` sends each target-site setting (or its text), squared-
+    only ones too, to a logical letter, optionally signed ("-Y").  The
+    first ``max_assignments`` plans of the selection product are searched;
+    a plan that substitution would refuse counts toward that cap.  The
     quantum value of each candidate is evaluated on the lifted seed state
     (target qubit replaced by the encoding) under the seed assignment for
     the untouched sites; candidates whose value beats their own
-    re-derived bound are accepted.  Deterministic: canonical plan order,
-    the first plan of each distinct descendant kept, stable sort by
-    descending violation ratio.
+    re-derived bound are accepted.  Without a state, widths past 12 need
+    no amplitudes.  Deterministic: canonical plan order, the first plan
+    of each distinct descendant kept, stable sort by descending violation
+    ratio.
     """
     if max_assignments < 1:
         raise SubstitutionError(f"max_assignments must be at least 1, got {max_assignments}")
     ast = seed.ast if isinstance(seed, Inequality) else seed
-    target_settings = sorted({s for _, m in ast.linear for s in m if s.site == target_site})
+    target_settings = [s for s in ast.settings if s.site == target_site]
     if not target_settings:
         raise SubstitutionError(f"seed has no settings on site {target_site}")
     if not isinstance(letter_map, Mapping):
@@ -472,10 +472,6 @@ def enumerate_descendants(
     # built before substitution, as each plan is, so a bad letter or sign raises
     entries = [[PlanEntry(*entries_base[s], sel) for sel in sels]
                for s, sels in zip(target_settings, selections)]
-    square_only = {s for _, sub in ast.squares for _, m in sub for s in m
-                   if s.site == target_site} - set(target_settings)
-    if square_only or ast.width - 1 + encoding.width > LIMITS.max_width:
-        return []  # substitution refuses every plan
     images = {s: _image_pairs(members[s], target_site, sign)
               for s, (_, sign) in entries_base.items()}
     table = _Table(ast, target_site, encoding.width, images)

@@ -1,4 +1,8 @@
-"""Statevector, density-operator and block-operator engine for up to 12 qubits.
+"""Statevector, density-operator and block-operator engine.
+
+Two checks hold the width cap ``LIMITS.max_width`` (12) where 2^N arrays
+are made: ``StateVector`` before it computes 2**width, and ``x_cosets``
+before it allocates the 2^N index space.
 
 Basis convention: site 1 is the most significant bit of the basis index,
 so |011> on three qubits is amplitude index 0b011 = 3.  All heavy loops
@@ -44,6 +48,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        if self.width > LIMITS.max_width:  # before 2**width is computed
+            raise StateError(f"width {self.width} exceeds width cap {LIMITS.max_width}")
         amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writable
         if amps.shape != (2**self.width,):
             raise StateError(f"expected {2**self.width} amplitudes, got {amps.shape}")
@@ -211,6 +217,8 @@ def x_cosets(masks: Iterable[int], width: int) -> np.ndarray:
     member XOR the ascending span: member j of a row XOR member t of the
     first row (V itself) is member j ^ t of the same row.
     """
+    if width > LIMITS.max_width:  # before the 2^width index space or span is allocated
+        raise StateError(f"operator width {width} exceeds width cap {LIMITS.max_width}")
     basis: list[int] = []
     for m in masks:
         for b in basis:  # descending leading bits
@@ -259,12 +267,10 @@ def apply_blocks(blocks: np.ndarray, cosets: np.ndarray, amps: np.ndarray) -> np
 
 
 def _check_hermitian(blocks: np.ndarray) -> np.ndarray:
-    """A complex (blocks, d, d) stack within the width cap, Hermitian to ``TOL.norm``."""
+    """A complex (blocks, d, d) stack, Hermitian to ``TOL.norm``."""
     blocks = np.asarray(blocks, dtype=complex)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
         raise StateError("operator must be square")
-    if blocks.shape[1] > 2**LIMITS.max_width:
-        raise StateError("operator dimension exceeds cap")
     scale = max(1.0, np.abs(blocks).max())
     if np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() > TOL.norm * scale:
         raise StateError("operator is not Hermitian")

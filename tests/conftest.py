@@ -616,8 +616,6 @@ def loop_substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) ->
             if not 0 <= i < len(members):
                 raise SubstitutionError("image index out of range")
         images[setting] = members
-    if ast.width - 1 + plan.encoding.width > LIMITS.max_width:
-        raise SubstitutionError("substituted width exceeds cap")
     counter: dict = {}
     linear = _canon_linear(_loop_substitute_terms(ast.linear, plan, images, counter))
     squares = tuple(
@@ -647,6 +645,16 @@ def loop_substitute_symbolic(seed, target_site, block_width, mapping) -> Inequal
     return InequalityAST(_canon_linear(out), (), ast.relation, Fraction(0))
 
 
+def _lazy_product(factors):
+    """``itertools.product`` order over re-made generators, so no factor is materialised."""
+    if not factors:
+        yield ()
+        return
+    for head in factors[0]():
+        for tail in _lazy_product(factors[1:]):
+            yield (head, *tail)
+
+
 def loop_enumerate_descendants(
     seed: Inequality | InequalityAST,
     target_site: int,
@@ -663,7 +671,7 @@ def loop_enumerate_descendants(
     ``lhv_bound_nonlinear``) and ``quantum_value`` on its own.
     """
     ast = seed.ast if isinstance(seed, Inequality) else seed
-    target_settings = sorted({s for _, m in ast.linear for s in m if s.site == target_site})
+    target_settings = [s for s in ast.settings if s.site == target_site]
     entries_base = {}
     for s in target_settings:
         raw = letter_map.get(s, letter_map.get(s.text()))
@@ -672,16 +680,16 @@ def loop_enumerate_descendants(
         else:
             entries_base[s] = (raw[1], raw[0])
     per_setting = [
-        list(_plan_selections(
+        lambda s=s: _plan_selections(
             len(image_set(encoding, entries_base[s][0])),
             sum(1 for _, m in ast.linear for x in m if x == s),
-        ))
+        )
         for s in target_settings
     ]
     lifted = lift_state(seed_state, target_site, encoding) if seed_state is not None else None
     results = {}
     truncated = False
-    for count, combo in enumerate(itertools.product(*per_setting), start=1):
+    for count, combo in enumerate(_lazy_product(per_setting), start=1):
         if count > max_assignments:
             truncated = True
             break

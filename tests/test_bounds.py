@@ -501,6 +501,10 @@ class TestSeparableBlocks:
             assert res.value == pytest.approx(oracle, abs=1e-9), [(c, str(s)) for c, s in terms]
             assert attained(res, terms) == pytest.approx(res.value, abs=1e-9)
 
+    def test_mermin_13_party_past_the_dense_cap(self):
+        # 13 qubits need no 2^13 array: the optimiser's blocks live on the 12-qubit rest
+        assert separable_bound(mermin_terms(13)).value == pytest.approx(2048.0, abs=1e-9)
+
     def test_refuses_mixed_widths(self):
         with pytest.raises(BoundError, match="width"):
             separable_bound([term("XX"), term("XXX")])

@@ -93,6 +93,17 @@ def test_descend_cap_below_one_is_a_usage_error(capsys, cap):
     assert captured.out == "" and "max_assignments" in captured.err
 
 
+def test_descend_searches_a_setting_only_in_a_square(tmp_path, capsys):
+    path = tmp_path / "sqonly.ineq"
+    path.write_text("X1*X2 + Y1*X2 - 1/2*sq(X1*X2 - Y1*Y2) <= 2\n", encoding="utf-8")
+    argv = ["descend", str(path), "--site", "2", "--ghz", "2", "--json"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 9
+    assert cli.main([*argv, "--map", '{"X2": "X"}']) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "misses Y2" in captured.err
+
+
 def test_qvalue_refuses_sites_past_state_width(tmp_path, capsys):
     path = tmp_path / "x3.ineq"
     path.write_text("X1*X2*X3 <= 1\n", encoding="utf-8")

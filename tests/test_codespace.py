@@ -1,5 +1,6 @@
 """Image sets, action classification, and the homomorphism check."""
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -324,6 +325,14 @@ class TestJsonAndLift:
     def test_basis_pair_width_cap(self):
         with pytest.raises(StateError, match="width cap 12"):
             LogicalEncoding.from_json({"n": 40, "zero": "0" * 40, "one": "1" * 40})
+
+    def test_amplitude_width_cap_refused_at_once(self):
+        # 2**n is neither computed nor formatted before the cap check
+        spec = {"n": 1_000_000_000, "zero": [[1, 0]], "one": [[0, 0], [1, 0]]}
+        start = time.perf_counter()
+        with pytest.raises(StateError, match="width cap 12"):
+            LogicalEncoding.from_json(spec)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("zero,one", [("00", "11"), ("0000", "1111"), ("000", "11")])
     def test_from_json_basis_refuses_labels_off_width(self, zero, one):

@@ -1,4 +1,7 @@
 """Descendant generation: substitution plans, enumeration, witness lifts."""
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from conftest import (
     loop_substitute_symbolic,
     per_image_transport_check,
 )
-from stabhom.bounds import lhv_bound, quantum_value
-from stabhom.codespace import LogicalEncoding, image_set, lift_state
+from stabhom.bounds import lhv_bound, lhv_bound_nonlinear, quantum_value
+from stabhom.codespace import CodespaceError, LogicalEncoding, image_set, lift_state
 from stabhom.descend import (
     DescendantResult,
     PlanEntry,
@@ -27,6 +30,9 @@ from stabhom.states import ghz_state, make_pair_superposition
 R = 2**-0.5
 BELL = LogicalEncoding.ghz(2)
 GHZ3 = LogicalEncoding.ghz(3)
+GHZ8 = LogicalEncoding.ghz(8)
+# a GHZ-8 code at site 6 gives 13-qubit descendants, past the dense cap
+SIX_SITE = "X1*X2*X3*X4*X5*X6 - Y1*Y2*X3*X4*X5*X6 <= 2"
 
 MERMIN_PAULI = "X1*X2*X3 - X1*Y2*Y3 - Y1*X2*Y3 - Y1*Y2*X3"
 SVETLICHNY3 = (
@@ -41,8 +47,6 @@ SVETLICHNY_MAP = {
 
 
 def expr_text(ast):
-    from fractions import Fraction
-
     return pretty_print(ast.with_bound(Fraction(0)))[: -len(" <= 0")]
 
 
@@ -270,6 +274,8 @@ ORACLE_CASES = {
     "symbolic": (CHSH_SYMBOLIC, 2, BELL, {"A2": "X", "A2'": "Z"}, BELL_STATE,
                  {"A1": "(X1+Z1)/sqrt2", "A1'": "(X1-Z1)/sqrt2"}),
     "no-state": ("X1*X2 - Y1*Y2 <= 2", 2, GHZ3, {"X2": "X", "Y2": "Y"}, None, None),
+    "square-only": ("X1*X2 + Y1*X2 - 1/2*sq(X1*X2 - Y1*Y2) <= 2", 2, BELL,
+                    {"X2": "X", "Y2": "Y"}, BELL_STATE, None),
 }
 
 
@@ -309,13 +315,16 @@ class TestSearchOracle:
         # all but the zero vector and the four single-image vectors
         assert len(got) == 3**4 - 1 - 4
 
-    @pytest.mark.parametrize("cap", [3, 100])
-    def test_truncation_inside_the_product(self, cap):
-        seed = parse(f"{MERMIN_PAULI} <= 2")
-        letters = {"X3": "X", "Y3": "Y"}
-        got = enumerate_descendants(seed, 3, GHZ3, letters, seed_state=ghz_state(3),
+    @pytest.mark.parametrize("text,site,enc,letters,state,cap", [
+        (f"{MERMIN_PAULI} <= 2", 3, GHZ3, {"X3": "X", "Y3": "Y"}, ghz_state(3), 3),
+        (f"{MERMIN_PAULI} <= 2", 3, GHZ3, {"X3": "X", "Y3": "Y"}, ghz_state(3), 100),
+        (SIX_SITE, 6, GHZ8, {"X6": "X"}, None, 50),
+    ], ids=["3", "100", "six-site-ghz8"])
+    def test_truncation_inside_the_product(self, text, site, enc, letters, state, cap):
+        seed = parse(text)
+        got = enumerate_descendants(seed, site, enc, letters, seed_state=state,
                                     max_assignments=cap)
-        want = loop_enumerate_descendants(seed, 3, GHZ3, letters, seed_state=ghz_state(3),
+        want = loop_enumerate_descendants(seed, site, enc, letters, seed_state=state,
                                           max_assignments=cap)
         assert got and all(r.truncated for r in got)
         assert_same_search(got, want)
@@ -346,10 +355,32 @@ class TestSearchOracle:
         assert len(got) == 3
         assert_same_search(got, want)
 
-    def test_setting_only_in_a_square_refuses_every_plan(self):
-        seed = parse("X1*X2 + Y1*X2 - 1/2*sq(X1*X2 - Y1*Y2) <= 2")
-        assert loop_enumerate_descendants(seed, 2, BELL, {"X2": "X"}) == []
-        assert enumerate_descendants(seed, 2, BELL, {"X2": "X"}) == []
+    def test_setting_only_in_a_square_is_searched(self):
+        text, site, enc, letters, state, _ = ORACLE_CASES["square-only"]
+        seed = parse(text)
+        got = enumerate_descendants(seed, site, enc, letters, seed_state=state)
+        # 3 subsets of X2's images times 3 of Y2's; X2's per-occurrence plans are unusable
+        assert len(got) == 9
+        for r in got:
+            assert r.descendant.ast.with_bound(Fraction(0)) == substitute(seed, r.plan)
+            assert r.lhv_bound == lhv_bound_nonlinear(r.descendant)
+        with pytest.raises(SubstitutionError, match="misses Y2"):
+            enumerate_descendants(seed, site, enc, {"X2": "X"})
+
+    def test_substitute_past_twelve_qubits_matches_fraction_loop(self):
+        seed = parse(SIX_SITE)
+        selections = [*itertools.islice(_plan_selections(len(image_set(GHZ8, "X")), 2), 40),
+                      ("all",), ("occ", 0, 1), ("occ", 127, 5)]
+        for sign in (1, -1):
+            for sel in selections:
+                plan = SubstitutionPlan(6, GHZ8, {Setting(6, "X"): PlanEntry("X", sign, sel)})
+                got = substitute(seed, plan)
+                assert got.width == 13 and got == loop_substitute(seed, plan)
+
+    def test_search_past_twelve_qubits_refuses_a_lifted_state(self):
+        with pytest.raises(CodespaceError, match="lifted width exceeds cap"):
+            enumerate_descendants(parse(SIX_SITE), 6, GHZ8, {"X6": "X"},
+                                  seed_state=ghz_state(6), max_assignments=50)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_refused(self, cap):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_chain
+from conftest import SIGMA, kron_chain
 from stabhom.pauli import (
     PauliError,
     PauliString,
@@ -63,6 +63,21 @@ class TestMultiply:
             a = PauliString.from_letters(la, int(rng.integers(0, 4)))
             b = PauliString.from_letters(lb, int(rng.integers(0, 4)))
             assert np.abs(dense(multiply(a, b)) - dense(a) @ dense(b)).max() < 1e-12
+
+    def test_random_width_20_letter_by_letter(self, rng):
+        # past the 12-qubit dense cap: each site's 2x2 product gives its letter and phase
+        for _ in range(200):
+            la = "".join(rng.choice(list(LETTERS), 20))
+            lb = "".join(rng.choice(list(LETTERS), 20))
+            ea, eb = (int(e) for e in rng.integers(0, 4, size=2))
+            e, letters = ea + eb, ""
+            for x, y in zip(la, lb):
+                m = SIGMA[x] @ SIGMA[y]
+                c, k = next((c, k) for c in LETTERS for k in range(4)
+                            if np.array_equal(m, 1j**k * SIGMA[c]))
+                e, letters = e + k, letters + c
+            got = multiply(PauliString.from_letters(la, ea), PauliString.from_letters(lb, eb))
+            assert got == PauliString.from_letters(letters, e)
 
     def test_width_mismatch(self):
         with pytest.raises(PauliError):

@@ -1,6 +1,5 @@
 """Statevector / density-operator engine."""
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +253,16 @@ class TestBlockBuilder:
             with pytest.raises(StateError, match="not Hermitian"):
                 solve(blocks)
 
+    @pytest.mark.parametrize("width", [13, 40])
+    def test_refuses_widths_past_the_cap_before_allocating(self, monkeypatch, width):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        monkeypatch.setattr(np, "arange", no_arrays)
+        monkeypatch.setattr(np, "zeros", no_arrays)
+        with pytest.raises(StateError, match="width cap 12"):
+            x_cosets([1 << k for k in range(width)], width)
+
     def test_refuses_string_outside_the_span(self):
         cosets = x_cosets([term("XI").x_mask], 2)
         with pytest.raises(StateError, match="leaves the cosets"):
@@ -388,9 +397,8 @@ class TestCqState:
 
 @pytest.mark.parametrize("n", [12, 17])
 def test_phase_vector_parity_covers_every_bit(n):
-    # width 17 lies past the 12-qubit cap, so a bare namespace stands in for the string
     z = (1 << n) - 1
-    string = SimpleNamespace(z_mask=z, phase=1, y_count=0)
+    string = PauliString(n, 0, z, 0)
     want = [1 - 2 * (bin(k & z).count("1") & 1) for k in range(1 << n)]
     assert _phase_vector(string, n).tolist() == want
 
