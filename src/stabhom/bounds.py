@@ -21,16 +21,15 @@ shared list of setting masks.  A term's value under strategy k is its
 coefficient times (-1)^popcount(k & mask), so a row's values over all
 2^S strategies are one Walsh-Hadamard transform
 (``pauli.walsh_hadamard``) of its coefficients scattered by setting mask,
-taken in chunks of 2^20 values, rows times strategies.  One expression is
-a stack of one row (``_stack``); the nonlinear bound stacks its square
-parts, one row each; the descendant search stacks thousands of rows over
-one setting index.  Two reducers read the evaluator: ``_lhv_max`` keeps
-one expression's maximum and its first maximising strategy, and
-``_folded_values`` keeps each row's maximum over the strategies that
-share their low bits, in blocks of rows that keep the chunk size (the
-envelope's folds, and with no low bits the descendant search's row
-maxima).  Linear bounds refuse square terms and more than
-``LIMITS.max_settings`` settings before enumerating.
+taken in chunks of 2^20 values, rows times strategies.  Two reducers
+read it.  ``_row_maxima`` is the one entry point for linear maxima: it
+indexes the settings of float rows over a universe of monomials, groups
+the rows by the settings they use, holds the one ``LIMITS.max_settings``
+check and returns each row's maximum and first maximising strategy.
+``lhv_bound`` and ``lhv_strategy`` are its one-row call; the descendant
+search passes all its linear rows and the envelope its independent block.
+``_folded_values`` serves the envelope only: each row's maximum over the
+strategies that share their low bits.  Linear bounds refuse square terms.
 
 Quantum values come from one kernel, ``_quantum_values``, over parts of
 (coefficient column, monomial) terms with one entry per row:
@@ -72,6 +71,7 @@ from .config import LIMITS, TOL
 from .dsl import (
     Inequality,
     InequalityAST,
+    Monomial,
     Setting,
     _pauli_sums,
     _resolve_assignment,
@@ -137,9 +137,8 @@ def _chunked_values(stack: _Stack, n_settings: int):
     is worth c * (-1)^popcount(k & m): over all k, a row's values are the
     Walsh-Hadamard transform of its coefficients scattered by mask.  A
     chunk fixes the high bits of k; each coefficient is scattered by its low
-    mask bits with the sign its high mask bits take under them.  A stack of
-    many rows comes through ``_folded_values``, which keeps rows x step
-    within 2^_CHUNK_BITS.
+    mask bits with the sign its high mask bits take under them.  Both
+    reducers keep rows x step within 2^_CHUNK_BITS.
     """
     bits = min(n_settings, _CHUNK_BITS)
     step = 1 << bits
@@ -154,35 +153,65 @@ def _chunked_values(stack: _Stack, n_settings: int):
         yield high << bits, walsh_hadamard(values)
 
 
-def _lhv_max(expr) -> tuple[float, int, dict[Setting, int]]:
-    """Deterministic maximum of a linear expression within the cap, its first
-    maximising strategy and the setting index that strategy's bits follow."""
+def _row_maxima(coeffs: np.ndarray, universe: Sequence[Monomial]):
+    """Each linear row's maximum and first maximising strategy, and the sorted settings.
+
+    ``coeffs`` has one float column per monomial of ``universe``.  A row
+    uses the settings of its nonzero columns, in sorted order, as its own
+    expression would: its strategy k sets its j-th to (-1)^(bit j of k).
+    Rows that use the same settings share a stack over the columns any of
+    them uses, in blocks of at most 2^_CHUNK_BITS values; zero columns add
+    nothing, so each maximum has the bits of the row's own one-row call.
+    """
+    settings = sorted({s for mono in universe for s in mono})
+    at = {s: k for k, s in enumerate(settings)}
+    columns = [[at[s] for s in mono] for mono in universe]  # each setting hashed once here
+    incidence = np.zeros((len(universe), len(settings)), dtype=np.int64)
+    incidence[[u for u, cols in enumerate(columns) for _ in cols],
+              [k for cols in columns for k in cols]] = 1
+    present = coeffs != 0
+    used = (present.astype(np.int64) @ incidence) > 0
+    counts = used.sum(axis=1)
+    if (over := counts[counts > LIMITS.max_settings]).size:
+        raise BoundError(f"{over[0]} settings exceed cap {LIMITS.max_settings}")
+    groups: dict[tuple, list[int]] = {}
+    for r, key in enumerate(np.packbits(used, axis=1).tolist()):
+        groups.setdefault(tuple(key), []).append(r)
+    best, arg = np.full(len(coeffs), -np.inf), np.zeros(len(coeffs), dtype=np.int64)
+    for members in map(np.array, groups.values()):
+        local = {k: j for j, k in enumerate(np.flatnonzero(used[members[0]]).tolist())}
+        cols = np.flatnonzero(present[members].any(axis=0))
+        masks = [sum(1 << local[k] for k in columns[u]) for u in cols.tolist()]
+        block = max(1, (1 << _CHUNK_BITS) >> len(local))
+        for rows in np.split(members, range(block, len(members), block)):
+            for start, values in _chunked_values(_Stack(coeffs[rows][:, cols], masks), len(local)):
+                k = values.argmax(axis=1)
+                top = values[np.arange(len(rows)), k]
+                better = top > best[rows]
+                best[rows[better]], arg[rows[better]] = top[better], start + k[better]
+    return best, arg, settings
+
+
+def _one_row(terms) -> tuple[np.ndarray, list]:
+    """``_row_maxima``'s input for one expression's nonzero (coefficient, monomial) terms."""
+    terms = [(c, mono) for c, mono in ((float(c), mono) for c, mono in terms) if c]
+    return np.array([[c for c, _ in terms]]), [mono for _, mono in terms]
+
+
+def lhv_bound(expr: Inequality | InequalityAST) -> float:
+    """Exact maximum over all deterministic strategies (linear expressions)."""
+    return lhv_strategy(expr)[0]
+
+
+def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting, int]]:
+    """As lhv_bound, but also return the first maximising assignment (one ``_row_maxima`` row)."""
     ast = _ast(expr)
     if not ast.is_linear:
         raise BoundError(
             "expression has square terms; use lhv_bound_nonlinear (bound --kind nonlinear)"
         )
-    settings = ast.settings
-    if len(settings) > LIMITS.max_settings:
-        raise BoundError(f"{len(settings)} settings exceed cap {LIMITS.max_settings}")
-    index = {s: k for k, s in enumerate(settings)}
-    best, arg = -np.inf, 0
-    for start, (vals,) in _chunked_values(_stack([ast.linear], index), len(index)):
-        k = int(vals.argmax())
-        if vals[k] > best:
-            best, arg = float(vals[k]), start + k
-    return best, arg, index
-
-
-def lhv_bound(expr: Inequality | InequalityAST) -> float:
-    """Exact maximum over all deterministic strategies (linear expressions)."""
-    return _lhv_max(expr)[0]
-
-
-def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting, int]]:
-    """As lhv_bound, but also return one maximising assignment."""
-    best, arg, index = _lhv_max(expr)
-    return best, {s: 1 - 2 * ((arg >> k) & 1) for s, k in index.items()}
+    (best,), (arg,), settings = _row_maxima(*_one_row(ast.linear))
+    return float(best), {s: 1 - 2 * ((int(arg) >> k) & 1) for k, s in enumerate(settings)}
 
 
 def hybrid_bound(expr: Inequality | InequalityAST) -> float:
@@ -214,8 +243,7 @@ def _folded_values(stack: _Stack, n_settings: int, low_bits: int) -> np.ndarray:
     The rows go through ``_chunked_values`` in blocks of at most
     2^_CHUNK_BITS values, rows times strategies.  A chunk narrower than
     2^low_bits fills the slice of low assignments at its offset; a wider
-    one is folded to one value per low assignment.  With ``low_bits`` 0
-    this is each row's deterministic maximum.
+    one is folded to one value per low assignment.
     """
     out = np.full((len(stack.coeffs), 1 << low_bits), -np.inf)
     per_block = max(1, (1 << _CHUNK_BITS) >> n_settings)
@@ -261,11 +289,9 @@ def _strategy_points(ast: InequalityAST):
     coupled = _coupled(squared, (mono for _, mono in ast.linear))
     order = sorted((s for s in settings if s in coupled), key=lambda s: s not in squared)
     index = {s: k for k, s in enumerate(order)}
-    free_index = {s: k for k, s in enumerate(s for s in settings if s not in coupled)}
     coupled_terms = [t for t in ast.linear if set(t[1]) <= coupled]
-    free_terms = [t for t in ast.linear if not set(t[1]) <= coupled]
     (best,) = _folded_values(_stack([coupled_terms], index), len(index), len(squared))
-    best += _folded_values(_stack([free_terms], free_index), len(free_index), 0)[0, 0]
+    best += _row_maxima(*_one_row(t for t in ast.linear if not set(t[1]) <= coupled))[0][0]
     moments = _folded_values(_stack([sub for _, sub in ast.squares], index),
                              len(squared), len(squared))
     m, v = _group_max(np.round(moments, 12, out=moments).T, best)

@@ -119,7 +119,8 @@ def state_from_spec(spec: dict) -> StateVector:
     raise CatalogError(f"unknown state kind {kind!r}")
 
 
-_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string",
+               (int, float): "number or boolean"}
 
 
 def _field(spec: dict, key: str, where: str, kind: type = object):
@@ -192,7 +193,7 @@ class Fixture:
 
     @property
     def claims(self) -> dict:
-        return self.raw.get("claims", {})
+        return self.raw["claims"]
 
     @property
     def expected_mismatch(self) -> list:
@@ -211,8 +212,11 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
                 raise CatalogError("unsupported schema version")
             fx = Fixture(raw["name"], raw["kind"], raw)
             fx.inequality  # parse now, so a corrupt expression fails at load time
-        except CatalogError:
-            raise
+            claims = _field(raw, "claims", "top level", dict)
+            for key in claims:
+                _field(_field(claims, key, "claims", dict), "value", f"claim {key!r}", (int, float))
+        except CatalogError as exc:
+            raise CatalogError(f"fixture {path.name}: {exc}") from None
         except Exception as exc:
             raise CatalogError(f"fixture {path.name} failed to load: {exc}") from exc
         fixtures.append(fx)
@@ -267,7 +271,8 @@ def _replay(spec: dict, catalog: list[Fixture]) -> str:
             raise CatalogError("the first chain step has no 'seed'")
         if "site" in step:
             enc = LogicalEncoding.from_json(_field(step, "encoding", "chain step"))
-            plan = plan_from_spec(step["site"], enc, _field(step, "plan", "chain step"))
+            plan = plan_from_spec(_field(step, "site", "chain step", int), enc,
+                                  _field(step, "plan", "chain step"))
             ast = current.ast if isinstance(current, Inequality) else current
             current = Inequality(substitute(ast, plan))
     ast = current.ast if isinstance(current, Inequality) else current
@@ -398,10 +403,13 @@ def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundRe
 
     The fixture's ``rng_seed`` (0 when absent) seeds the stdlib generator
     ``random.Random`` that ``_random_cq_states`` draws its ``samples``
-    states from, so the audit's samples do not depend on any CLI option.
+    states from (200 when absent; a positive integer, else ``CatalogError``),
+    so the audit's samples do not depend on any CLI option.
     """
     draws = Random(fx.raw.get("rng_seed", 0))
-    samples = int(fx.raw.get("samples", 200))
+    samples = fx.raw.get("samples", 200)
+    if type(samples) is not int or samples < 1:
+        raise CatalogError(f"fixture {fx.name}: 'samples' {samples!r} is not a positive integer")
     epsilon = float(fx.raw.get("epsilon", 0.5))
     cq = discord_condition_check(_random_cq_states(draws, samples), epsilon)
     cq_max = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))

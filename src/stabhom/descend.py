@@ -31,13 +31,14 @@ of the selection product (``itertools.product`` order) takes selection
 Their rows come in chunks of integer arrays and are deduplicated on row
 bytes, the first plan winning.  Bounds and values are then computed for
 all kept rows at once, by the kernels that also serve one expression:
-deterministic bounds of linear rows through ``bounds``' strategy
-evaluator, one stack per setting set, and quantum values through
-``bounds``' quantum-value kernel, which takes each present universe
-monomial with its coefficient column; ``quantum_value`` is its one-row
-call, so each row's value is its own expression's, and a lifted state
-narrower than the descendants is refused there.  Only the emitted rows
-become Python objects, each with its AST, plan and one printed text.
+``bounds._row_maxima``, the one entry point for linear maxima (the
+envelope's ``_folded_values`` serves nothing else), and ``bounds``'
+quantum-value kernel, which takes each present universe monomial with
+its coefficient column.  ``lhv_bound`` and ``quantum_value`` are their
+one-row calls, so each row's bound and value are its own expression's,
+and a lifted state narrower than the descendants is refused there.  Only
+the emitted rows become Python objects, each with its AST, plan and one
+printed text.
 
 Bounds of descendants are never inherited: the caller re-derives them
 from scratch (``enumerate_descendants`` does this automatically).  The
@@ -55,14 +56,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundError,
-    _folded_values,
-    _quantum_values,
-    _Stack,
-    lhv_bound,
-    lhv_bound_nonlinear,
-)
+from .bounds import _quantum_values, _row_maxima, lhv_bound, lhv_bound_nonlinear
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
 from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, pretty_print
@@ -353,36 +347,6 @@ def _selection_count(n_images: int, occurrences: int) -> int:
     return 2**n_images - 1 + (math.perm(n_images, occurrences) if occurrences >= 2 else 0)
 
 
-def _lhv_bounds(table: _Table, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Deterministic bound of every linear row, one strategy stack per setting set.
-
-    Rows that use the same settings share a setting index, the one their
-    own expression would get, so each value equals ``lhv_bound`` of the row.
-    """
-    settings = sorted({s for mono in table.universe for s in mono})
-    at = {s: k for k, s in enumerate(settings)}
-    incidence = np.zeros((len(table.universe), len(settings)), dtype=np.int64)
-    for u, mono in enumerate(table.universe):
-        incidence[u, [at[s] for s in mono]] = 1
-    present = rows != 0
-    used = (present.astype(np.int64) @ incidence) > 0
-    counts = used.sum(axis=1)
-    over = np.flatnonzero(counts > LIMITS.max_settings)
-    if over.size:
-        raise BoundError(f"{counts[over[0]]} settings exceed cap {LIMITS.max_settings}")
-    patterns, group = np.unique(used, axis=0, return_inverse=True)
-    group = group.ravel()
-    order = np.argsort(group, kind="stable")
-    bounds = np.empty(len(rows))
-    for pattern, members in zip(patterns, np.split(order, np.cumsum(np.bincount(group))[:-1])):
-        index = {settings[k]: i for i, k in enumerate(np.flatnonzero(pattern))}
-        cols = np.flatnonzero(present[members].any(axis=0))
-        masks = [sum(1 << index[s] for s in table.universe[u]) for u in cols]
-        stack = _Stack(coeffs[np.ix_(members, cols)], masks)
-        bounds[members] = _folded_values(stack, len(index), 0)[:, 0]
-    return bounds
-
-
 @dataclass
 class DescendantResult:
     descendant: Inequality
@@ -427,7 +391,8 @@ def enumerate_descendants(
     """Search plan selections, re-derive every bound, keep violation order.
 
     ``letter_map`` sends each target-site setting (or its text), squared-
-    only ones too, to a logical letter, optionally signed ("-Y").  The
+    only ones too, to a logical letter: "X", "+X" or "-X", or a (+-1,
+    letter) pair; anything else raises ``SubstitutionError``.  The
     first ``max_assignments`` plans of the selection product are searched;
     a plan that substitution would refuse counts toward that cap.  The
     quantum value of each candidate is evaluated on the lifted seed state
@@ -451,11 +416,11 @@ def enumerate_descendants(
         raw = letter_map.get(s, letter_map.get(s.text()))
         if raw is None:
             raise SubstitutionError(f"letter map misses {s.text()}")
-        if isinstance(raw, str):
-            raw = (-1 if raw.startswith("-") else 1, raw.lstrip("+-"))
-        if not (isinstance(raw, (tuple, list)) and len(raw) == 2 and raw[1] in ("X", "Y", "Z")):
+        pair = ({"": 1, "+": 1, "-": -1}.get(raw[:-1]), raw[-1:]) if isinstance(raw, str) else raw
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and type(pair[0]) is int and pair[0] in (1, -1) and pair[1] in ("X", "Y", "Z")):
             raise SubstitutionError(f"letter map entry {s.text()}: {raw!r} is not a signed letter")
-        entries_base[s] = (raw[1], raw[0])
+        entries_base[s] = (pair[1], pair[0])
     members = {s: image_set(encoding, letter) for s, (letter, _) in entries_base.items()}
     occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
     counts = [_selection_count(len(members[s]), k) for s, k in zip(target_settings, occurrences)]
@@ -491,7 +456,7 @@ def enumerate_descendants(
         qvs = _quantum_values(parts, [float(c) for c in square_coeffs],
                               seed_assignment, lifted, len(coeffs)).tolist()
         del parts  # its columns are views of coeffs, freed below
-    bounds = _lhv_bounds(table, rows, coeffs) if table.parts == 1 else None
+    bounds = _row_maxima(coeffs, table.universe)[0] if table.parts == 1 else None
     del coeffs
     results = []
     for i, (row, plan_row) in enumerate(zip(rows, plans.tolist())):

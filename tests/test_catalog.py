@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import loop_cq_states
-from stabhom import catalog
+from stabhom import catalog, cli
 from stabhom.bounds import discord_condition_check
 from stabhom.descend import enumerate_descendants
 from stabhom.dsl import load_ineq, parse, pretty_print
@@ -139,9 +139,11 @@ MISSING = object()  # delete the field rather than set it
     ("svetlichny-desc-5", ("symbolic",), "map", [1], "symbolic 'map' must be a JSON object"),
     ("svetlichny-desc-5", ("symbolic", "map"), "A3", "A3", "map 'A3' must be a JSON array"),
     ("svetlichny-desc-5", ("symbolic",), "site", "3", "symbolic 'site' must be a JSON integer"),
+    ("chsh-to-mermin", ("chain", 0), "site", "2", "chain step 'site' must be a JSON integer"),
 ], ids=["step-encoding", "step-plan", "lift-encoding", "lift-threshold", "lift-letter",
         "step-seed", "int-seed", "empty-chain", "symbolic-seed", "symbolic-site",
-        "symbolic-width", "symbolic-map", "list-map", "text-image", "text-site"])
+        "symbolic-width", "symbolic-map", "list-map", "text-image", "text-site",
+        "text-step-site"])
 def test_derivation_reader_names_fixture_and_field(name, path, field, value, message):
     raw = json.loads(json.dumps(FIXTURES[name].raw))
     spec = raw["derivation"]
@@ -165,6 +167,48 @@ def test_threshold_claim_needs_a_lift_seed(derivation):
     raw["derivation"] = derivation
     fx = catalog.Fixture("ent-witness-I", "linear", raw)
     with pytest.raises(catalog.CatalogError, match="^fixture ent-witness-I: a threshold_bound"):
+        catalog.audit_fixture(fx, CATALOG)
+
+
+def edited_fixtures(tmp_path, name, edit) -> Path:
+    """A copy of the bundled fixtures with ``edit`` applied to fixture ``name``'s JSON."""
+    directory = tmp_path / "fixtures"
+    directory.mkdir()
+    for fx in CATALOG:
+        raw = json.loads(json.dumps(fx.raw))
+        if fx.name == name:
+            edit(raw)
+        (directory / f"{fx.name}.json").write_text(json.dumps(raw), encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw["claims"]["lhv"].pop("value"), "claim 'lhv' has no 'value'"),
+    (lambda raw: raw.update(claims=[{"lhv": {"value": 2}}]),
+     "top level 'claims' must be a JSON object"),
+    (lambda raw: raw.pop("claims"), "top level has no 'claims'"),
+    (lambda raw: raw["claims"].update(lhv=2), "claims 'lhv' must be a JSON object"),
+    (lambda raw: raw["claims"]["lhv"].update(value="2"),
+     "claim 'lhv' 'value' must be a JSON number or boolean, got '2'"),
+    (lambda raw: raw["claims"]["lhv"].update(value=None),
+     "claim 'lhv' 'value' must be a JSON number or boolean, got None"),
+], ids=["no-value", "list-claims", "no-claims", "number-claim", "text-value", "null-value"])
+def test_malformed_claim_is_refused_at_load(tmp_path, capsys, edit, message):
+    directory = edited_fixtures(tmp_path, "chsh", edit)
+    with pytest.raises(catalog.CatalogError, match="^fixture chsh.json: " + re.escape(message)):
+        catalog.load_catalog(directory)
+    assert cli.main(["audit", "--fixtures", str(directory)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: fixture chsh.json: ")
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.7, True, "200", None],
+                         ids=["zero", "negative", "float", "bool", "text", "null"])
+def test_discord_samples_must_be_a_positive_integer(samples):
+    raw = json.loads(json.dumps(FIXTURES["discord-condition"].raw))
+    raw["samples"] = samples
+    fx = catalog.Fixture("discord-condition", "discord", raw)
+    message = f"fixture discord-condition: 'samples' {samples!r} is not a positive integer"
+    with pytest.raises(catalog.CatalogError, match="^" + re.escape(message)):
         catalog.audit_fixture(fx, CATALOG)
 
 

@@ -304,6 +304,8 @@ SYMBOLIC = str(SEEDS / "chsh-symbolic.ineq")
     (["images", "--encoding"], "[1]"),
     (["images", "--encoding"], "{}"),
     (["images", "--encoding"], None),  # a directory
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", '{"X2": "X", "Y2": "+-Y"}'], None),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", '{"X2": "--X", "Y2": "Y"}'], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, code_spec):
     """Each reader refuses a value of the wrong shape: one ``error:`` line, exit 2."""

@@ -11,7 +11,8 @@ from conftest import (
     loop_substitute_symbolic,
     per_image_transport_check,
 )
-from stabhom.bounds import lhv_bound, lhv_bound_nonlinear, quantum_value
+from stabhom import bounds
+from stabhom.bounds import BoundError, lhv_bound, lhv_bound_nonlinear, quantum_value
 from stabhom.codespace import CodespaceError, LogicalEncoding, image_set, lift_state
 from stabhom.descend import (
     DescendantResult,
@@ -276,7 +277,12 @@ ORACLE_CASES = {
     "no-state": ("X1*X2 - Y1*Y2 <= 2", 2, GHZ3, {"X2": "X", "Y2": "Y"}, None, None),
     "square-only": ("X1*X2 + Y1*X2 - 1/2*sq(X1*X2 - Y1*Y2) <= 2", 2, BELL,
                     {"X2": "X", "Y2": "Y"}, BELL_STATE, None),
+    # every row's bound has the float bits of lhv_bound of its own expression
+    "non-dyadic": ("1/3*X1*X2 - 2/3*Y1*Y2 + 1/3*Z1 <= 1", 2, GHZ3, {"X2": "X", "Y2": "Y"},
+                   BELL_STATE, None),
 }
+# X11's two-image rows use 25 settings, one past the cap
+PAST_CAP = " - ".join("*".join(f"{b}{i}" for i in range(1, 11)) + "*X11" for b in "XY") + " <= 2"
 
 
 def assert_same_search(got, want, exact=True):
@@ -381,6 +387,46 @@ class TestSearchOracle:
         with pytest.raises(CodespaceError, match="lifted width exceeds cap"):
             enumerate_descendants(parse(SIX_SITE), 6, GHZ8, {"X6": "X"},
                                   seed_state=ghz_state(6), max_assignments=50)
+
+    def test_row_blocks_and_chunks_keep_the_bits(self, monkeypatch):
+        """Rows of up to eight settings in chunks of 2^3 values: up to 32 chunks a row."""
+        text, site, enc, letters, state, _ = ORACLE_CASES["chsh-ghz3"]
+        whole = enumerate_descendants(parse(text), site, enc, letters, seed_state=state)
+        sizes = []
+
+        def recording_transform(a, transform=bounds.walsh_hadamard):
+            sizes.append(a.size)
+            return transform(a)
+
+        monkeypatch.setattr(bounds, "walsh_hadamard", recording_transform)
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", 3)
+        got = enumerate_descendants(parse(text), site, enc, letters, seed_state=state)
+        assert len(got) == 225 and max(sizes) == 2**3
+        assert_same_search(got, whole)
+
+    def test_rows_past_the_settings_cap_are_refused_as_by_lhv_bound(self):
+        seed = parse(PAST_CAP)
+        with pytest.raises(BoundError, match="^25 settings exceed cap 24$"):
+            enumerate_descendants(seed, 11, GHZ3, {"X11": "X"})
+        plan = SubstitutionPlan(11, GHZ3, {Setting(11, "X"): PlanEntry("X", 1, ("subset", 0, 1))})
+        with pytest.raises(BoundError, match="^25 settings exceed cap 24$"):
+            lhv_bound(substitute(seed, plan))
+
+    @pytest.mark.parametrize("value,sign", [
+        ("Y", 1), ("+Y", 1), ("-Y", -1), ((1, "Y"), 1), ([-1, "Y"], -1),
+    ])
+    def test_letter_map_signs(self, value, sign):
+        got = enumerate_descendants(parse("X1*X2 - Y1*Y2 <= 2"), 2, BELL, {"X2": "X", "Y2": value})
+        assert {r.plan.entries[Setting(2, "Y")].sign for r in got} == {sign}
+
+    @pytest.mark.parametrize("value", [
+        "+-Y", "--Y", "-+Y", "++Y", "y", "", "YY", " Y", "-",
+        [2, "Y"], [True, "Y"], [-1.0, "Y"], ["-", "Y"], [-1, "W"], [-1], 5,
+    ])
+    def test_letter_map_refuses_other_values(self, value):
+        with pytest.raises(SubstitutionError, match="^letter map entry Y2: .* not a signed letter"):
+            enumerate_descendants(parse("X1*X2 - Y1*Y2 <= 2"), 2, BELL,
+                                  {"X2": "X", "Y2": value})
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_refused(self, cap):
