@@ -215,6 +215,10 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
             claims = _field(raw, "claims", "top level", dict)
             for key in claims:
                 _field(_field(claims, key, "claims", dict), "value", f"claim {key!r}", (int, float))
+            names = raw.get("expected_mismatch", [])
+            if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
+                raise CatalogError(f"'expected_mismatch' must be a JSON array of claim names, "
+                                   f"got {names!r}")
         except CatalogError as exc:
             raise CatalogError(f"fixture {path.name}: {exc}") from None
         except Exception as exc:
@@ -401,17 +405,23 @@ def audit_fixture(
 def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundReport:
     """Check the discord condition on sampled classical-quantum states and a Bell state.
 
-    The fixture's ``rng_seed`` (0 when absent) seeds the stdlib generator
-    ``random.Random`` that ``_random_cq_states`` draws its ``samples``
-    states from (200 when absent; a positive integer, else ``CatalogError``),
-    so the audit's samples do not depend on any CLI option.
+    The fixture's ``rng_seed`` (an integer, 0 when absent) seeds the stdlib
+    generator ``random.Random`` that ``_random_cq_states`` draws its
+    ``samples`` states from (a positive integer, 200 when absent), so the
+    audit's samples do not depend on any CLI option.  ``epsilon`` (a
+    number, 0.5 when absent) is the check's threshold.  A field of another
+    type raises ``CatalogError``.
     """
-    draws = Random(fx.raw.get("rng_seed", 0))
+    seed = fx.raw.get("rng_seed", 0)
     samples = fx.raw.get("samples", 200)
+    epsilon = fx.raw.get("epsilon", 0.5)
+    if type(seed) is not int:
+        raise CatalogError(f"fixture {fx.name}: 'rng_seed' {seed!r} is not an integer")
     if type(samples) is not int or samples < 1:
         raise CatalogError(f"fixture {fx.name}: 'samples' {samples!r} is not a positive integer")
-    epsilon = float(fx.raw.get("epsilon", 0.5))
-    cq = discord_condition_check(_random_cq_states(draws, samples), epsilon)
+    if type(epsilon) not in (int, float):  # before discord_condition_check's range check
+        raise CatalogError(f"fixture {fx.name}: 'epsilon' {epsilon!r} is not a number")
+    cq = discord_condition_check(_random_cq_states(Random(seed), samples), epsilon)
     cq_max = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
     bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
     bell_rho = DensityOperator(2, np.outer(bell.amplitudes, bell.amplitudes.conj()))
@@ -477,26 +487,10 @@ class AuditResult:
         }
 
 
-def audit_all(
-    fixtures: Optional[list[Fixture]] = None,
-    tol: Tolerances = TOL,
-    workers: int = 1,
-) -> AuditResult:
-    """One report per fixture; exit code 0 unless an unexpected mismatch."""
+def audit_all(fixtures: Optional[list[Fixture]] = None, tol: Tolerances = TOL) -> AuditResult:
+    """One report per fixture, in name order; exit code 0 unless an unexpected mismatch."""
     catalog = fixtures if fixtures is not None else load_catalog()
-    items = sorted(catalog, key=lambda f: f.name)
-
-    def run(fx: Fixture) -> BoundReport:
-        return audit_fixture(fx, catalog, tol)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, items))
-    else:
-        reports = [run(fx) for fx in items]
-
+    reports = [audit_fixture(fx, catalog, tol) for fx in sorted(catalog, key=lambda f: f.name)]
     expected = list(dict.fromkeys(r.name for r in reports if r.known_mismatch))
     unexpected = list(dict.fromkeys(r.name for r in reports if r.unexpected_mismatch))
     code = 1 if unexpected else 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -208,7 +207,7 @@ def cmd_audit(args) -> int:
         raise CliError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     catalog = load_catalog(args.fixtures)
     tol = TOL.with_claim(args.tolerance)
-    result = audit_all(catalog, tol, workers=args.workers)
+    result = audit_all(catalog, tol)
     if args.json:
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -252,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stabhom",
         description="image sets, descendant inequalities, and bound audits",
     )
-    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                    help="worker count for parallel sections (1 = serial)")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; selects nothing (every run is serial)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("images", help="print image sets of a logical letter")

@@ -392,7 +392,8 @@ def enumerate_descendants(
 
     ``letter_map`` sends each target-site setting (or its text), squared-
     only ones too, to a logical letter: "X", "+X" or "-X", or a (+-1,
-    letter) pair; anything else raises ``SubstitutionError``.  The
+    letter) pair; any other value, or a key that names no target-site
+    setting, raises ``SubstitutionError``.  The
     first ``max_assignments`` plans of the selection product are searched;
     a plan that substitution would refuse counts toward that cap.  The
     quantum value of each candidate is evaluated on the lifted seed state
@@ -411,6 +412,11 @@ def enumerate_descendants(
         raise SubstitutionError(f"seed has no settings on site {target_site}")
     if not isinstance(letter_map, Mapping):
         raise SubstitutionError(f"letter map must be a JSON object, got {letter_map!r}")
+    named = {*target_settings, *(s.text() for s in target_settings)}
+    for key in letter_map:
+        if key not in named:
+            raise SubstitutionError(f"letter map key {key!r} names no seed setting on site "
+                                    f"{target_site}")
     entries_base: dict[Setting, tuple[str, int]] = {}
     for s in target_settings:
         raw = letter_map.get(s, letter_map.get(s.text()))

@@ -1,6 +1,7 @@
 """Fixture catalogue loading and the audit built on it."""
 import json
 import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -199,6 +200,37 @@ def test_malformed_claim_is_refused_at_load(tmp_path, capsys, edit, message):
         catalog.load_catalog(directory)
     assert cli.main(["audit", "--fixtures", str(directory)]) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: fixture chsh.json: ")
+
+
+@pytest.mark.parametrize("name,field,value,message", [
+    ("chsh", "expected_mismatch", 5, "chsh.json: 'expected_mismatch' must be a JSON array"),
+    ("chsh", "expected_mismatch", "lhv", "chsh.json: 'expected_mismatch' must be a JSON array"),
+    ("chsh", "expected_mismatch", [1], "chsh.json: 'expected_mismatch' must be a JSON array"),
+    ("discord-condition", "epsilon", None, "discord-condition: 'epsilon' None is not a number"),
+    ("discord-condition", "epsilon", "0.5", "discord-condition: 'epsilon' '0.5' is not a number"),
+    ("discord-condition", "epsilon", True, "discord-condition: 'epsilon' True is not a number"),
+    ("discord-condition", "rng_seed", [1], "discord-condition: 'rng_seed' [1] is not an integer"),
+    ("discord-condition", "rng_seed", True, "discord-condition: 'rng_seed' True is not an integer"),
+    ("discord-condition", "rng_seed", 1.5, "discord-condition: 'rng_seed' 1.5 is not an integer"),
+], ids=["int-mismatch", "text-mismatch", "int-list-mismatch", "null-epsilon", "text-epsilon",
+        "bool-epsilon", "list-seed", "bool-seed", "float-seed"])
+def test_mistyped_fixture_field_is_a_usage_error(tmp_path, capsys, name, field, value, message):
+    directory = edited_fixtures(tmp_path, name, lambda raw: raw.update({field: value}))
+    assert cli.main(["audit", "--fixtures", str(directory)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith("error: fixture " + message)
+
+
+def test_audit_starts_no_thread(monkeypatch, capsys):
+    def refused(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    assert catalog.audit_all().exit_code == 0
+    assert cli.main(["audit", "--json"]) == 0
+    assert cli.main(["--workers", "2", "audit", "--json"]) == 0
 
 
 @pytest.mark.parametrize("samples", [0, -3, 2.7, True, "200", None],

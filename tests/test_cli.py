@@ -225,9 +225,20 @@ def test_audit_json_schema(capsys):
 
 
 def test_audit_output_independent_of_workers(capsys):
+    # --workers is accepted for compatibility and selects nothing
+    outs = []
+    for prefix in ([], ["--workers", "1"], ["--workers", "2"]):
+        assert cli.main([*prefix, "audit", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_descend_output_independent_of_workers(capsys):
     outs = []
     for workers in ("1", "2"):
-        assert cli.main(["--workers", workers, "audit", "--json"]) == 0
+        argv = ["--workers", workers, "descend", str(SEEDS / "chsh.ineq"), "--site", "2",
+                "--ghz", "3", "--state", "bell", "--json"]
+        assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
@@ -306,6 +317,10 @@ SYMBOLIC = str(SEEDS / "chsh-symbolic.ineq")
     (["images", "--encoding"], None),  # a directory
     (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", '{"X2": "X", "Y2": "+-Y"}'], None),
     (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", '{"X2": "--X", "Y2": "Y"}'], None),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map",
+      '{"X2": "X", "Y2": "Y", "Z7": "+-Q"}'], None),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map",
+      '{"X2": "X", "Y2": "Y", "X1": "Z"}'], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, code_spec):
     """Each reader refuses a value of the wrong shape: one ``error:`` line, exit 2."""

@@ -1,5 +1,6 @@
 """Descendant generation: substitution plans, enumeration, witness lifts."""
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -427,6 +428,12 @@ class TestSearchOracle:
         with pytest.raises(SubstitutionError, match="^letter map entry Y2: .* not a signed letter"):
             enumerate_descendants(parse("X1*X2 - Y1*Y2 <= 2"), 2, BELL,
                                   {"X2": "X", "Y2": value})
+
+    @pytest.mark.parametrize("key", ["Z7", "X1", Setting(1, "X"), "Z2"])
+    def test_letter_map_refuses_keys_off_the_target_settings(self, key):
+        with pytest.raises(SubstitutionError, match=re.escape(f"letter map key {key!r} names no")):
+            enumerate_descendants(parse("X1*X2 - Y1*Y2 <= 2"), 2, BELL,
+                                  {"X2": "X", "Y2": "Y", key: "Z"})
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_refused(self, cap):
