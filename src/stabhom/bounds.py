@@ -15,28 +15,25 @@ rest.  No linear term spans both, so the independent block's linear
 maximum is added once to every point: the split is exact.  The
 nonlinear cap counts the settings of both blocks.
 
-Every deterministic value comes from one strategy evaluator,
-``_chunked_values``, which takes one ``_Stack``: coefficient rows over a
-shared list of setting masks.  A term's value under strategy k is its
-coefficient times (-1)^popcount(k & mask), so a row's values over all
-2^S strategies are one Walsh-Hadamard transform
-(``pauli.walsh_hadamard``) of its coefficients scattered by setting mask,
-taken in chunks of 2^20 values, rows times strategies.  Two reducers
-read it.  ``_row_maxima`` is the one entry point for linear maxima: it
-indexes the settings of float rows over a universe of monomials, groups
+Every evaluator reads one input form: float coefficient rows over one
+list of monomials, the universe.  ``_rows`` builds it from term lists,
+the universe in ``_mono_key`` order, that of canonical terms, so each
+row keeps its own term order; the descendant search passes its table's
+rows.  Every deterministic value comes from ``_chunked_values``: a term's
+value under strategy k is its coefficient times (-1)^popcount(k & mask),
+so a row's values over all 2^S strategies are one Walsh-Hadamard
+transform (``pauli.walsh_hadamard``) of its coefficients scattered by
+setting mask; it alone blocks rows and strategies, 2^20 values at a
+time.  ``_row_maxima``, the one entry point for linear maxima, groups
 the rows by the settings they use, holds the one ``LIMITS.max_settings``
-check and returns each row's maximum and first maximising strategy.
-``lhv_bound`` and ``lhv_strategy`` are its one-row call; the descendant
-search passes all its linear rows and the envelope its independent block.
+check and returns each row's maximum and first maximising strategy;
+``lhv_bound`` and ``lhv_strategy`` are its one-row call.
 ``_folded_values`` serves the envelope only: each row's maximum over the
 strategies that share their low bits.  Linear bounds refuse square terms.
-
-Quantum values come from one kernel, ``_quantum_values``, over parts of
-(coefficient column, monomial) terms with one entry per row:
-``quantum_value`` is its one-row call, and the descendant search passes
-its table columns.  It holds the width contract: a setting on a site past
-the state's width raises ``BoundError``, and a wider state pads with
-identities.
+Quantum values come from one kernel, ``_quantum_values``, over (rows,
+parts, monomials) arrays; ``quantum_value`` is its one-row call.  It
+holds the width contract: a setting on a site past the state's width
+raises ``BoundError``, and a wider state pads with identities.
 
 The hybrid bound is the deterministic bound of a pre-expanded grouping
 form.  The quantum maximum is exact (Hermitian eigensolver) for linear
@@ -63,18 +60,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .config import LIMITS, TOL
 from .dsl import (
+    ABSENT_SUM,
     Inequality,
     InequalityAST,
     Monomial,
     Setting,
+    _mono_key,
     _pauli_sums,
     _resolve_assignment,
+    as_ast,
     assign_paulis,
 )
 from .pauli import _LETTER, _SINGLE, PauliString, walsh_hadamard
@@ -99,58 +99,56 @@ class BoundError(ValueError):
 # ---------------------------------------------------------------------------
 # deterministic strategy enumeration
 
-def _ast(expr) -> InequalityAST:
-    return expr.ast if isinstance(expr, Inequality) else expr
-
-
 _CHUNK_BITS = 20  # values evaluated per chunk, rows x strategies: 2^20
 _QUANTUM_RESTARTS = 8  # random starts of the square-term ascent, after the seeded one
 _QUANTUM_SEED = 0  # seed of those random starts
 _SEPARABLE_RESTARTS = 64  # Fibonacci-sphere starts of the separable maximisation
 
 
-class _Stack(NamedTuple):
-    """Coefficient rows over one shared list of monomials (setting bitmasks)."""
+def _rows(term_lists) -> tuple[np.ndarray, list]:
+    """One float row per term list over the union of their monomials, in ``_mono_key`` order.
 
-    coeffs: np.ndarray  # (rows, terms) floats
-    masks: Sequence[int]
-
-
-def _stack(term_lists, index: Mapping[Setting, int]) -> _Stack:
-    """One row per term list, each row on its own columns.
-
-    A row is zero outside its own columns, and zeros add nothing to a sum,
-    so every row keeps its own term order and the float bits of its values.
+    Canonical terms are in that order, so each row keeps its own term
+    order.  Terms whose float is zero are left out.
     """
-    coeffs = np.zeros((len(term_lists), sum(map(len, term_lists))))
-    masks: list[int] = []
-    for row, terms in zip(coeffs, term_lists):
-        row[len(masks):len(masks) + len(terms)] = [float(c) for c, _ in terms]
-        masks += [sum(1 << index[s] for s in mono) for _, mono in terms]
-    return _Stack(coeffs, masks)
+    lists = [[t for t in ((float(c), mono) for c, mono in terms) if t[0]] for terms in term_lists]
+    universe = sorted({mono for terms in lists for _, mono in terms}, key=_mono_key)
+    at = {mono: u for u, mono in enumerate(universe)}
+    coeffs = np.zeros((len(lists), len(universe)))
+    for row, terms in zip(coeffs, lists):
+        for c, mono in terms:
+            row[at[mono]] += c
+    return coeffs, universe
 
 
-def _chunked_values(stack: _Stack, n_settings: int):
-    """Yield (strategy_offset, (rows, step) values) over all 2^S strategies.
+def _chunked_values(coeffs: np.ndarray, masks: Sequence[int], n_settings: int,
+                    rows: np.ndarray | None = None, cols: np.ndarray | None = None):
+    """Yield (row_offset, strategy_offset, values) over all 2^S strategies.
 
-    Strategy k sets setting j to (-1)^(bit j of k), so a term c * prod_{j in m}
-    is worth c * (-1)^popcount(k & m): over all k, a row's values are the
-    Walsh-Hadamard transform of its coefficients scattered by mask.  A
-    chunk fixes the high bits of k; each coefficient is scattered by its low
-    mask bits with the sign its high mask bits take under them.  Both
-    reducers keep rows x step within 2^_CHUNK_BITS.
+    Reads ``coeffs[rows][:, cols]`` (all by default) one block of rows at
+    a time, with a setting bitmask per column in ``masks``.  Under
+    strategy k, setting j is (-1)^(bit j of k) and a term c * prod_{j in m}
+    is worth c * (-1)^popcount(k & m), so a row's values are the
+    Walsh-Hadamard transform of its coefficients scattered by mask.  Each
+    ``values`` holds at most 2^_CHUNK_BITS entries, block rows times chunk
+    strategies: a chunk fixes the high bits of k, and each coefficient is
+    scattered by its low mask bits with the sign its high ones give.
     """
+    rows = np.arange(len(coeffs)) if rows is None else rows
+    cols = np.arange(coeffs.shape[1]) if cols is None else cols
     bits = min(n_settings, _CHUNK_BITS)
     step = 1 << bits
-    rows = len(stack.coeffs)
-    lows = np.array(stack.masks, dtype=np.int64) & (step - 1)
-    lows = (np.arange(rows)[:, None] * step + lows).ravel()
-    highs = [m >> bits for m in stack.masks]
-    for high in range(1 << (n_settings - bits)):
-        signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
-        values = np.bincount(lows, weights=(stack.coeffs * signs).ravel(),
-                             minlength=rows * step).reshape(rows, step)
-        yield high << bits, walsh_hadamard(values)
+    low_masks = np.array(masks, dtype=np.int64) & (step - 1)
+    highs = [m >> bits for m in masks]
+    per_block = max(1, (1 << _CHUNK_BITS) >> n_settings)
+    for r in range(0, len(rows), per_block):
+        block = coeffs[np.ix_(rows[r:r + per_block], cols)]
+        lows = (np.arange(len(block))[:, None] * step + low_masks).ravel()
+        for high in range(1 << (n_settings - bits)):
+            signs = np.array([1 - 2 * ((high & h).bit_count() & 1) for h in highs])
+            values = np.bincount(lows, weights=(block * signs).ravel(),
+                                 minlength=len(block) * step).reshape(len(block), step)
+            yield r, high << bits, walsh_hadamard(values)
 
 
 def _row_maxima(coeffs: np.ndarray, universe: Sequence[Monomial]):
@@ -159,9 +157,9 @@ def _row_maxima(coeffs: np.ndarray, universe: Sequence[Monomial]):
     ``coeffs`` has one float column per monomial of ``universe``.  A row
     uses the settings of its nonzero columns, in sorted order, as its own
     expression would: its strategy k sets its j-th to (-1)^(bit j of k).
-    Rows that use the same settings share a stack over the columns any of
-    them uses, in blocks of at most 2^_CHUNK_BITS values; zero columns add
-    nothing, so each maximum has the bits of the row's own one-row call.
+    Rows that use the same settings share one ``_chunked_values`` pass over
+    the columns any of them uses; zero columns add nothing, so each maximum
+    has the bits of the row's own one-row call.
     """
     settings = sorted({s for mono in universe for s in mono})
     at = {s: k for k, s in enumerate(settings)}
@@ -182,20 +180,13 @@ def _row_maxima(coeffs: np.ndarray, universe: Sequence[Monomial]):
         local = {k: j for j, k in enumerate(np.flatnonzero(used[members[0]]).tolist())}
         cols = np.flatnonzero(present[members].any(axis=0))
         masks = [sum(1 << local[k] for k in columns[u]) for u in cols.tolist()]
-        block = max(1, (1 << _CHUNK_BITS) >> len(local))
-        for rows in np.split(members, range(block, len(members), block)):
-            for start, values in _chunked_values(_Stack(coeffs[rows][:, cols], masks), len(local)):
-                k = values.argmax(axis=1)
-                top = values[np.arange(len(rows)), k]
-                better = top > best[rows]
-                best[rows[better]], arg[rows[better]] = top[better], start + k[better]
+        for r, start, values in _chunked_values(coeffs, masks, len(local), members, cols):
+            rows = members[r:r + len(values)]
+            k = values.argmax(axis=1)
+            top = values[np.arange(len(rows)), k]
+            better = top > best[rows]
+            best[rows[better]], arg[rows[better]] = top[better], start + k[better]
     return best, arg, settings
-
-
-def _one_row(terms) -> tuple[np.ndarray, list]:
-    """``_row_maxima``'s input for one expression's nonzero (coefficient, monomial) terms."""
-    terms = [(c, mono) for c, mono in ((float(c), mono) for c, mono in terms) if c]
-    return np.array([[c for c, _ in terms]]), [mono for _, mono in terms]
 
 
 def lhv_bound(expr: Inequality | InequalityAST) -> float:
@@ -205,12 +196,12 @@ def lhv_bound(expr: Inequality | InequalityAST) -> float:
 
 def lhv_strategy(expr: Inequality | InequalityAST) -> tuple[float, dict[Setting, int]]:
     """As lhv_bound, but also return the first maximising assignment (one ``_row_maxima`` row)."""
-    ast = _ast(expr)
+    ast = as_ast(expr)
     if not ast.is_linear:
         raise BoundError(
             "expression has square terms; use lhv_bound_nonlinear (bound --kind nonlinear)"
         )
-    (best,), (arg,), settings = _row_maxima(*_one_row(ast.linear))
+    (best,), (arg,), settings = _row_maxima(*_rows([ast.linear]))
     return float(best), {s: 1 - 2 * ((int(arg) >> k) & 1) for k, s in enumerate(settings)}
 
 
@@ -236,24 +227,22 @@ def _group_max(moments: np.ndarray, values: np.ndarray):
     return moments[last], values[last]
 
 
-def _folded_values(stack: _Stack, n_settings: int, low_bits: int) -> np.ndarray:
+def _folded_values(coeffs: np.ndarray, universe: Sequence[Monomial], index: Mapping[Setting, int],
+                   n_settings: int, low_bits: int) -> np.ndarray:
     """(rows, 2^low_bits) array: each row's largest value over the
     strategies that share their low ``low_bits`` bits.
 
-    The rows go through ``_chunked_values`` in blocks of at most
-    2^_CHUNK_BITS values, rows times strategies.  A chunk narrower than
-    2^low_bits fills the slice of low assignments at its offset; a wider
-    one is folded to one value per low assignment.
+    ``index`` gives each setting its bit.  A ``_chunked_values`` chunk
+    narrower than 2^low_bits fills the slice of low assignments at its
+    offset; a wider one is folded to one value per low assignment.
     """
-    out = np.full((len(stack.coeffs), 1 << low_bits), -np.inf)
-    per_block = max(1, (1 << _CHUNK_BITS) >> n_settings)
-    for r in range(0, len(out), per_block):
-        block = out[r:r + per_block]
-        rows = _Stack(stack.coeffs[r:r + per_block], stack.masks)
-        for start, values in _chunked_values(rows, n_settings):
-            width = min(values.shape[1], block.shape[1])
-            at = block[:, start & (block.shape[1] - 1):][:, :width]
-            np.maximum(at, values.reshape(len(values), -1, width).max(axis=1), out=at)
+    masks = [sum(1 << index[s] for s in mono) for mono in universe]
+    out = np.full((len(coeffs), 1 << low_bits), -np.inf)
+    for r, start, values in _chunked_values(coeffs, masks, n_settings):
+        block = out[r:r + len(values)]
+        width = min(values.shape[1], block.shape[1])
+        at = block[:, start & (block.shape[1] - 1):][:, :width]
+        np.maximum(at, values.reshape(len(values), -1, width).max(axis=1), out=at)
     return out
 
 
@@ -288,12 +277,11 @@ def _strategy_points(ast: InequalityAST):
     squared = {s for _, sub in ast.squares for _, mono in sub for s in mono}
     coupled = _coupled(squared, (mono for _, mono in ast.linear))
     order = sorted((s for s in settings if s in coupled), key=lambda s: s not in squared)
-    index = {s: k for k, s in enumerate(order)}
-    coupled_terms = [t for t in ast.linear if set(t[1]) <= coupled]
-    (best,) = _folded_values(_stack([coupled_terms], index), len(index), len(squared))
-    best += _row_maxima(*_one_row(t for t in ast.linear if not set(t[1]) <= coupled))[0][0]
-    moments = _folded_values(_stack([sub for _, sub in ast.squares], index),
-                             len(squared), len(squared))
+    index, q = {s: k for k, s in enumerate(order)}, len(squared)
+    coupled_rows = _rows([[t for t in ast.linear if set(t[1]) <= coupled]])
+    (best,) = _folded_values(*coupled_rows, index, len(index), q)
+    best += _row_maxima(*_rows([[t for t in ast.linear if not set(t[1]) <= coupled]]))[0][0]
+    moments = _folded_values(*_rows([sub for _, sub in ast.squares]), index, q, q)
     m, v = _group_max(np.round(moments, 12, out=moments).T, best)
     return [(tuple(k), val) for k, val in zip(m.tolist(), v.tolist())]
 
@@ -354,7 +342,7 @@ def lhv_bound_nonlinear(expr: Inequality | InequalityAST) -> float:
     with two, every pair and every triple of points, one first index at a
     time.  Supports at most two square terms.
     """
-    ast = _ast(expr)
+    ast = as_ast(expr)
     if ast.is_linear:
         return lhv_bound(ast)
     if len(ast.squares) > 2:
@@ -380,31 +368,35 @@ def lhv_bound_nonlinear(expr: Inequality | InequalityAST) -> float:
 # ---------------------------------------------------------------------------
 # quantum values
 
-def _quantum_values(parts, square_coeffs: Sequence[float], assignment: Mapping | None,
-                    state: StateVector, rows: int) -> np.ndarray:
-    """Quantum value of each of ``rows`` expressions on one state.
+def _quantum_values(coeffs: np.ndarray, universe: Sequence[Monomial],
+                    square_coeffs: Sequence[float], assignment: Mapping | None,
+                    state: StateVector) -> np.ndarray:
+    """Quantum value of each row of ``coeffs`` on one state.
 
-    ``parts`` holds the linear part, then each square part (its
-    coefficient in ``square_coeffs``), as (coefficient column, monomial)
-    terms with one column entry per row.  Each part goes once through
-    ``_pauli_sums`` and each string's expectation is taken once.  A row's
-    string sums carry the bits of its own expansion and add up in
+    ``coeffs`` is a (rows, parts, monomials) float array over ``universe``:
+    the linear part, then each square part (its coefficient in
+    ``square_coeffs``).  Each part's present columns, nonzero in some row,
+    go once through ``_pauli_sums`` and each string's expectation is taken
+    once; a sum within ``dsl.ABSENT_SUM`` of zero is absent from its row.
+    A row's string sums carry the bits of its own expansion and add up in
     ``PauliString.sort_key`` order from +0.0, and absent terms add zeros,
     so each row's value is, by construction, the one ``quantum_value``
-    (the one-row call) gives its own expression.  A setting on a site
-    past the state's width is refused; a wider state pads with identities.
+    (the one-row call) gives its own expression.  A setting on a site past
+    the state's width is refused; a wider state pads with identities.
     """
-    settings = sorted({s for terms in parts for _, mono in terms for s in mono})
+    columns = [np.flatnonzero(p).tolist() for p in (coeffs != 0).any(axis=0)]  # per part
+    settings = sorted({s for cols in columns for u in cols for s in universe[u]})
     width = max((s.site for s in settings), default=1)
     if width > state.width:
         raise BoundError(f"expression width {width} exceeds state width {state.width}")
     observables = _resolve_assignment(settings, assignment or {})
     expectations: dict[PauliString, float] = {}
     sums = []
-    for terms in parts:
-        total = np.zeros(rows)
+    for part, cols in enumerate(columns):
+        total = np.zeros(len(coeffs))
+        terms = [(coeffs[:, part, u], universe[u]) for u in cols]
         for acc, string in _pauli_sums(terms, observables, state.width):
-            kept = np.abs(acc) > 1e-14
+            kept = np.abs(acc) > ABSENT_SUM
             if not kept.any():
                 continue
             if string not in expectations:
@@ -427,11 +419,10 @@ def quantum_value(
     Square terms contribute coefficient * (expectation of sub-expression)^2.
     The expression is a one-row call of ``_quantum_values``.
     """
-    ast = _ast(expr)
-    parts = [[(np.array([float(c)]), mono) for c, mono in terms]
-             for terms in (ast.linear, *(sub for _, sub in ast.squares))]
+    ast = as_ast(expr)
+    coeffs, universe = _rows([ast.linear, *(sub for _, sub in ast.squares)])
     square_coeffs = [float(c) for c, _ in ast.squares]
-    return float(_quantum_values(parts, square_coeffs, assignment, state, 1)[0])
+    return float(_quantum_values(coeffs[None], universe, square_coeffs, assignment, state)[0])
 
 
 def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = None) -> float:
@@ -453,7 +444,7 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
     call, so concurrent calls share no state, and on numpy 2 no path
     loads ``numpy.random``.
     """
-    ast = _ast(expr)
+    ast = as_ast(expr)
     opex = assign_paulis(ast, assignment)
     width = opex.width
     parts = [opex.linear, *(terms for _, terms in opex.squares)]
@@ -489,7 +480,7 @@ def quantum_max(expr: Inequality | InequalityAST, assignment: Mapping | None = N
 
 def algebraic_bound(expr: Inequality | InequalityAST) -> float:
     """Sum of absolute linear coefficients; negative squares cannot add."""
-    ast = _ast(expr)
+    ast = as_ast(expr)
     total = float(sum(abs(c) for c, _ in ast.linear))
     for c, sub in ast.squares:
         if c > 0:
@@ -517,7 +508,7 @@ def separable_terms(
     The optimiser maximises one operator, so square terms are refused
     rather than dropped.
     """
-    ast = _ast(expr)
+    ast = as_ast(expr)
     if not ast.is_linear:
         raise BoundError("separable bound supports linear expressions only")
     return assign_paulis(ast, assignment).linear

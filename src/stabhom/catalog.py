@@ -277,10 +277,8 @@ def _replay(spec: dict, catalog: list[Fixture]) -> str:
             enc = LogicalEncoding.from_json(_field(step, "encoding", "chain step"))
             plan = plan_from_spec(_field(step, "site", "chain step", int), enc,
                                   _field(step, "plan", "chain step"))
-            ast = current.ast if isinstance(current, Inequality) else current
-            current = Inequality(substitute(ast, plan))
-    ast = current.ast if isinstance(current, Inequality) else current
-    return pretty_print(ast.with_bound(Fraction(0)))
+            current = Inequality(substitute(current, plan))
+    return pretty_print(current.ast.with_bound(Fraction(0)))
 
 
 def _resolve_seed(spec, catalog: list[Fixture]) -> Inequality:

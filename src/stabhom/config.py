@@ -1,8 +1,11 @@
 """Central numeric tolerances and search limits.
 
-Every module pulls its comparison thresholds and caps from here.  Each
+The comparison thresholds and caps shared across modules live here.  Each
 field is read by the code; the audit's claim tolerance is the only value
 a caller changes (``audit --tolerance``, via ``Tolerances.with_claim``).
+Literals stay with their kernel: ``dsl.ABSENT_SUM``, ``bounds._face_max``'s
+1e-12, the envelope's ``np.round(moments, 12)``, and the 1e-9 of
+``dsl._check_observable`` and ``catalog._audit_discord``.
 No field seeds a random generator: every random draw comes from the
 stdlib ``random.Random``, seeded with ``bounds._QUANTUM_SEED`` (0) for
 the quantum ascent's restarts and with a discord fixture's ``rng_seed``

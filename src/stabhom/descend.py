@@ -30,15 +30,13 @@ of the selection product (``itertools.product`` order) takes selection
 ``max_assignments`` plans and the selections they reach are ever made.
 Their rows come in chunks of integer arrays and are deduplicated on row
 bytes, the first plan winning.  Bounds and values are then computed for
-all kept rows at once, by the kernels that also serve one expression:
-``bounds._row_maxima``, the one entry point for linear maxima (the
-envelope's ``_folded_values`` serves nothing else), and ``bounds``'
-quantum-value kernel, which takes each present universe monomial with
-its coefficient column.  ``lhv_bound`` and ``quantum_value`` are their
-one-row calls, so each row's bound and value are its own expression's,
-and a lifted state narrower than the descendants is refused there.  Only
-the emitted rows become Python objects, each with its AST, plan and one
-printed text.
+all kept rows at once, as float rows over the table's universe, by the
+kernels that also serve one expression: ``bounds._row_maxima`` and
+``bounds._quantum_values`` (the rows reshaped to (rows, parts,
+monomials)).  ``lhv_bound`` and ``quantum_value`` are their one-row
+calls, so each row's bound and value are its own expression's, and a
+lifted state narrower than the descendants is refused there.  Only the
+emitted rows become Python objects, each with its AST, plan and text.
 
 Bounds of descendants are never inherited: the caller re-derives them
 from scratch (``enumerate_descendants`` does this automatically).  The
@@ -59,7 +57,8 @@ import numpy as np
 from .bounds import _quantum_values, _row_maxima, lhv_bound, lhv_bound_nonlinear
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
-from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, pretty_print
+from .dsl import (Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, as_ast,
+                  pretty_print)
 from .pauli import PauliString
 from .states import StateVector
 from . import bounds as _bounds
@@ -279,7 +278,7 @@ def substitute(seed: Inequality | InequalityAST, plan: SubstitutionPlan) -> Ineq
     caller re-derives the bound).  The plan is one row of the seed's
     contribution table, the kernel the descendant search also uses.
     """
-    ast = seed.ast if isinstance(seed, Inequality) else seed
+    ast = as_ast(seed)
     images: dict[Setting, tuple[_Image, ...]] = {}
     for setting, entry in plan.entries.items():
         if setting.site != plan.target_site:
@@ -314,7 +313,7 @@ def substitute_symbolic(
     one image, its mapped product, so this is a one-plan call of the
     contribution table.
     """
-    ast = seed.ast if isinstance(seed, Inequality) else seed
+    ast = as_ast(seed)
     for _, mono in ast.linear:
         for s in mono:
             if s.site == target_site and mapping.get(s) is None:
@@ -406,7 +405,7 @@ def enumerate_descendants(
     """
     if max_assignments < 1:
         raise SubstitutionError(f"max_assignments must be at least 1, got {max_assignments}")
-    ast = seed.ast if isinstance(seed, Inequality) else seed
+    ast = as_ast(seed)
     target_settings = [s for s in ast.settings if s.site == target_site]
     if not target_settings:
         raise SubstitutionError(f"seed has no settings on site {target_site}")
@@ -450,18 +449,11 @@ def enumerate_descendants(
     rows, plans = table.distinct_rows(picks, usable, counts, inner, n_plans)
     square_coeffs = [c for c, _ in ast.squares]
     coeffs = table.floats(rows)
-    lifted = (
-        lift_state(seed_state, target_site, encoding) if seed_state is not None else None
-    )
     qvs = None
-    if lifted is not None:  # before the bounds, so a refused state costs no enumeration
-        u_count = len(table.universe)
-        present = (coeffs != 0).reshape(len(coeffs), table.parts, u_count).any(axis=0)
-        parts = [[(coeffs[:, part * u_count + u], table.universe[u])
-                  for u in np.flatnonzero(present[part])] for part in range(table.parts)]
-        qvs = _quantum_values(parts, [float(c) for c in square_coeffs],
-                              seed_assignment, lifted, len(coeffs)).tolist()
-        del parts  # its columns are views of coeffs, freed below
+    if seed_state is not None:  # before the bounds, so a refused state costs no enumeration
+        lifted = lift_state(seed_state, target_site, encoding)
+        qvs = _quantum_values(coeffs.reshape(len(coeffs), table.parts, -1), table.universe,
+                              [float(c) for c in square_coeffs], seed_assignment, lifted).tolist()
     bounds = _row_maxima(coeffs, table.universe)[0] if table.parts == 1 else None
     del coeffs
     results = []

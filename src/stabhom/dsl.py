@@ -12,6 +12,7 @@ Grammar (one inequality per ``.ineq`` file, ``#`` comments allowed):
 
 A term is a product: without ``*``, only a setting, ``(`` or ``sq`` may
 follow a factor, and settings in one product sit on distinct sites.
+Every canonical coefficient and the bound must be finite as floats.
 Settings named X/Y/Z with no primes are fixed Pauli measurements; any
 other (letter, primes) combination is a free dichotomic setting.  The
 canonical form is fully expanded and like-term collected; ``sq(...)``
@@ -25,7 +26,8 @@ turns (coefficient, monomial) pairs into string sums in
 ``assign_paulis``, or an array with one entry per row in ``bounds``'
 quantum-value kernel, which expands one expression or a stack of
 descendant rows over one universe of monomials; each row then carries
-the float bits of its own expression's expansion.
+the float bits of its own expression's expansion.  Both treat a sum
+within ``ABSENT_SUM`` of zero as absent.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import numpy as np
 from .pauli import PauliString
 
 Number = Union[Fraction, float]
+ABSENT_SUM = 1e-14  # a Pauli-string sum no larger in magnitude is absent from the operator
 
 
 class ParseError(ValueError):
@@ -132,6 +135,11 @@ class Inequality:
     provenance: str = ""
 
 
+def as_ast(expr: Inequality | InequalityAST) -> InequalityAST:
+    """The AST of an inequality, or the AST itself."""
+    return expr.ast if isinstance(expr, Inequality) else expr
+
+
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
@@ -203,7 +211,14 @@ class _Parser:
         bound = self.parse_number()
         self.take("end")
         squares = tuple((c, _canon_linear(sub)) for c, sub in squares)
-        return InequalityAST(_canon_linear(linear), squares, value, bound)
+        ast = InequalityAST(_canon_linear(linear), squares, value, bound)
+        parts = (ast.linear, *(sub for _, sub in squares))
+        try:
+            for c in (bound, *(c for c, _ in squares), *(c for p in parts for c, _ in p)):
+                float(c)
+        except OverflowError:
+            raise ParseError("a coefficient or the bound is too large for a float", 0) from None
+        return ast
 
     def parse_number(self) -> Fraction:
         neg = False
@@ -316,7 +331,7 @@ def _format_linear(terms: LinearTerms) -> str:
 
 
 def pretty_print(ineq: Inequality | InequalityAST) -> str:
-    ast = ineq.ast if isinstance(ineq, Inequality) else ineq
+    ast = as_ast(ineq)
     chunks = []
     if ast.linear:
         chunks.append(_format_linear(ast.linear))
@@ -462,7 +477,7 @@ def _expand_terms(
     terms: LinearTerms, table: dict[Setting, Observable], width: int
 ) -> tuple[tuple[float, PauliString], ...]:
     sums = _pauli_sums([(float(c), mono) for c, mono in terms], table, width)
-    return tuple((c, s) for c, s in sums if abs(c) > 1e-14)
+    return tuple((c, s) for c, s in sums if abs(c) > ABSENT_SUM)
 
 
 @dataclass(frozen=True)
@@ -484,7 +499,7 @@ def assign_paulis(
     that is a single Pauli letter or a normalised two-letter combination.
     The strings span the expression's own width, sites 1 to its largest.
     """
-    ast = ineq.ast if isinstance(ineq, Inequality) else ineq
+    ast = as_ast(ineq)
     width = ast.width
     table = _resolve_assignment(ast.settings, assignment or {})
     squares = tuple((float(c), _expand_terms(sub, table, width)) for c, sub in ast.squares)

@@ -1,6 +1,7 @@
 """Classical, separable, hybrid, and quantum bound re-derivation."""
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,10 +39,11 @@ from stabhom.bounds import (
 )
 from stabhom.catalog import load_catalog
 from stabhom.config import LIMITS
-from stabhom.dsl import assign_paulis, parse, pretty_print
+from stabhom.dsl import InequalityAST, Setting, _mono_key, assign_paulis, parse, pretty_print
 from stabhom.pauli import PauliString, walsh_hadamard
 from stabhom.states import (
     DensityOperator,
+    StateVector,
     assemble_operator,
     ghz_state,
     make_cq_state,
@@ -206,9 +208,20 @@ def random_lists(rng, n_settings, coefficients, count=2):
 
 
 def chunk_pairs(lists, n_settings):
-    """(kernel row, oracle values) per term list and chunk; the kernel takes one stack."""
-    stack = bounds._stack(lists, {k: k for k in range(n_settings)})
-    got = list(bounds._chunked_values(stack, n_settings))
+    """(kernel row, oracle values) per term list and chunk.
+
+    The kernel takes every list at once, each term on its own column, and
+    its row blocks are joined per chunk.
+    """
+    coeffs = np.zeros((len(lists), sum(map(len, lists))))
+    masks = []
+    for row, terms in zip(coeffs, lists):
+        row[len(masks):len(masks) + len(terms)] = [c for c, _ in terms]
+        masks += [sum(1 << k for k in sel) for _, sel in terms]
+    chunks = {}
+    for _, start, values in bounds._chunked_values(coeffs, masks, n_settings):
+        chunks.setdefault(start, []).extend(values)
+    got = list(chunks.items())
     want = list(column_chunked_values(lists, n_settings))
     assert [start for start, _ in got] == [start for start, _ in want]
     return [(g, w) for (_, gs), (_, ws) in zip(got, want) for g, w in zip(gs, ws)]
@@ -255,6 +268,55 @@ class TestStrategyKernel:
             k = int(values.argmax())
             want = {s: 1 - 2 * ((k >> j) & 1) for j, s in enumerate(ast.settings)}
             assert lhv_strategy(ast) == (values[k], want), fx.name
+
+
+class TestRowBlocks:
+    """Rows split into blocks and strategies into chunks keep each row's own bits."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        seen = []
+
+        def recording(*args, chunked=bounds._chunked_values):
+            for r, start, values in chunked(*args):
+                seen.append((r, start))
+                yield r, start, values
+
+        monkeypatch.setattr(bounds, "_chunked_values", recording)
+        return seen
+
+    def test_row_maxima_equal_one_row_strategies(self, monkeypatch):
+        rng = np.random.default_rng(2611)
+        universe = sorted((tuple(Setting(site, base) for site, base in enumerate(bases, 1) if base)
+                           for bases in itertools.product(("", "A", "B"), repeat=3)),
+                          key=_mono_key)[1:]  # every monomial on A or B at sites 1-3
+        exact = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                  * bool(rng.random() < 0.4) for _ in universe] for _ in range(9)]
+        for row in exact[:5]:  # five rows on all six settings, the rest on what they draw
+            for mono in ((Setting(1, "A"), Setting(2, "A"), Setting(3, "A")),
+                         (Setting(1, "B"), Setting(2, "B"), Setting(3, "B"))):
+                row[universe.index(mono)] = Fraction(1, 3)
+        coeffs = np.array([[float(c) for c in row] for row in exact])
+        seen = self.record_blocks(monkeypatch)
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", 3)
+        best, arg, _ = bounds._row_maxima(coeffs, universe)
+        assert len({r for r, _ in seen}) >= 3 and len({start for _, start in seen}) >= 2
+        for row, top, k in zip(exact, best.tolist(), arg.tolist()):
+            ast = InequalityAST(tuple((c, m) for c, m in zip(row, universe) if c), (), "<=", 0)
+            value, strategy = lhv_strategy(ast)
+            assert top.hex() == value.hex()
+            assert {s: 1 - 2 * ((k >> j) & 1) for j, s in enumerate(ast.settings)} == strategy
+
+    def test_folded_values_equal_naive_points(self, monkeypatch):
+        text = ("A1*A2 - A1'*A2' + 1/3*A1*A3 - 1/2*sq(A1 + A2') - 1/3*sq(A1' - A2)"
+                " - 1/4*sq(A1 + A1' + 2/3*A2) <= 1")
+        ast = parse(text).ast
+        seen = self.record_blocks(monkeypatch)
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", 3)
+        assert bounds._strategy_points(ast) == naive_strategy_points(ast)
+        moments = seen[-6:]  # three square rows of 2^4 values, one row a block, two chunks
+        assert [r for r, _ in moments] == [0, 0, 1, 1, 2, 2]
+        assert [start for _, start in moments] == [0, 8] * 3
 
 
 class TestNonlinear:
@@ -546,6 +608,17 @@ class TestQuantum:
                 continue
             got = quantum_value(fx.inequality, fx.assignment, fx.state)
             assert got.hex() == loop_quantum_value(fx.inequality, fx.assignment, fx.state).hex()
+
+    def test_value_with_shared_linear_and_square_monomials(self):
+        # A1'' sits in both parts: the square's three X1 shares must still add in
+        # its own term order, A1 then A1' then A1'', not in the linear part's
+        text = "A1''*B2 + 1/5*A1'' - 1/2*sq(1/3*A1 + 1/7*A1' - 1/13*A1'') <= 2"
+        assignment = {"A1": "X1", "A1'": "(X1+Z1)/sqrt2", "A1''": "(X1-Y1)/sqrt2",
+                      "B2": "(X2-Z2)/sqrt2"}
+        amps = np.random.default_rng(7).normal(size=(4, 2)) @ [1, 1j]
+        state = StateVector(2, amps / np.linalg.norm(amps))
+        got = quantum_value(parse(text), assignment, state)
+        assert got.hex() == loop_quantum_value(parse(text), assignment, state).hex()
 
     def test_mermin_operator_max(self):
         assert quantum_max(

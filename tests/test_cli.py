@@ -303,6 +303,7 @@ def test_qvalue_json(capsys):
 
 CHSH = str(SEEDS / "chsh.ineq")
 SYMBOLIC = str(SEEDS / "chsh-symbolic.ineq")
+HUGE = "huge.ineq"  # written per test: a coefficient past the float range
 
 
 @pytest.mark.parametrize("argv,code_spec", [
@@ -321,9 +322,16 @@ SYMBOLIC = str(SEEDS / "chsh-symbolic.ineq")
       '{"X2": "X", "Y2": "Y", "Z7": "+-Q"}'], None),
     (["descend", CHSH, "--site", "2", "--ghz", "2", "--map",
       '{"X2": "X", "Y2": "Y", "X1": "Z"}'], None),
+    *[(["bound", HUGE, "--kind", kind], None)
+      for kind in ("lhv", "nonlinear", "hybrid", "separable", "quantum")],
+    (["qvalue", "--file", HUGE, "--state", "bell"], None),
+    (["parse", HUGE], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, code_spec):
     """Each reader refuses a value of the wrong shape: one ``error:`` line, exit 2."""
+    huge = tmp_path / HUGE
+    huge.write_text("1" + "0" * 400 + "*X1*X2 + Y1*Y2 <= 1\n", encoding="utf-8")
+    argv = [str(huge) if a == HUGE else a for a in argv]
     if argv[-1] == "--encoding":
         path = tmp_path / "code.json"
         if code_spec is not None:

@@ -23,6 +23,8 @@ from stabhom.dsl import (
 )
 from stabhom.states import assemble_operator
 
+BIG = "1" + "0" * 400  # past the largest float, about 1.8e308
+
 
 class TestGrammar:
     def test_chsh(self):
@@ -48,6 +50,21 @@ class TestGrammar:
     def test_square_cannot_multiply(self):
         with pytest.raises(ParseError):
             parse("A1*sq(A2) <= 1")
+
+    @pytest.mark.parametrize("text", [
+        f"{BIG}*X1*X2 + Y1*Y2 <= 1",  # a coefficient
+        f"X1 - {BIG}*sq(X2) <= 1",  # a square coefficient
+        f"X1 - sq({BIG}*X2) <= 1",  # a coefficient inside a square
+        f"X1 <= {BIG}",  # the bound
+        f"10{'0' * 200}*X1*10{'0' * 200} <= 1",  # a product of two finite numbers
+    ], ids=["coefficient", "square-coefficient", "inside-square", "bound", "product"])
+    def test_refuses_numbers_past_the_float_range(self, text):
+        with pytest.raises(ParseError, match="too large for a float"):
+            parse(text)
+
+    def test_keeps_numbers_that_cancel_or_underflow(self):
+        assert parse(f"{BIG}*X1 - {BIG}*X1 + X2 <= 1") == parse("X2 <= 1")
+        assert float(parse(f"1/{BIG}*X1 <= 1").ast.linear[0][0]) == 0.0
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
