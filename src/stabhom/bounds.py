@@ -17,7 +17,7 @@ nonlinear cap counts the settings of both blocks.
 
 Every evaluator reads one input form: float coefficient rows over one
 list of monomials, the universe.  ``_rows`` builds it from term lists,
-the universe in ``_mono_key`` order, that of canonical terms, so each
+the universe in native monomial order, that of canonical terms, so each
 row keeps its own term order; the descendant search passes its table's
 rows.  Every deterministic value comes from ``_chunked_values``: a term's
 value under strategy k is its coefficient times (-1)^popcount(k & mask),
@@ -71,7 +71,6 @@ from .dsl import (
     InequalityAST,
     Monomial,
     Setting,
-    _mono_key,
     _pauli_sums,
     _resolve_assignment,
     as_ast,
@@ -106,13 +105,13 @@ _SEPARABLE_RESTARTS = 64  # Fibonacci-sphere starts of the separable maximisatio
 
 
 def _rows(term_lists) -> tuple[np.ndarray, list]:
-    """One float row per term list over the union of their monomials, in ``_mono_key`` order.
+    """One float row per term list over the union of their monomials, in sorted order.
 
     Canonical terms are in that order, so each row keeps its own term
     order.  Terms whose float is zero are left out.
     """
     lists = [[t for t in ((float(c), mono) for c, mono in terms) if t[0]] for terms in term_lists]
-    universe = sorted({mono for terms in lists for _, mono in terms}, key=_mono_key)
+    universe = sorted({mono for terms in lists for _, mono in terms})
     at = {mono: u for u, mono in enumerate(universe)}
     coeffs = np.zeros((len(lists), len(universe)))
     for row, terms in zip(coeffs, lists):
@@ -163,7 +162,7 @@ def _row_maxima(coeffs: np.ndarray, universe: Sequence[Monomial]):
     """
     settings = sorted({s for mono in universe for s in mono})
     at = {s: k for k, s in enumerate(settings)}
-    columns = [[at[s] for s in mono] for mono in universe]  # each setting hashed once here
+    columns = [[at[s] for s in mono] for mono in universe]
     incidence = np.zeros((len(universe), len(settings)), dtype=np.int64)
     incidence[[u for u, cols in enumerate(columns) for _ in cols],
               [k for cols in columns for k in cols]] = 1
@@ -276,7 +275,7 @@ def _strategy_points(ast: InequalityAST):
         )
     squared = {s for _, sub in ast.squares for _, mono in sub for s in mono}
     coupled = _coupled(squared, (mono for _, mono in ast.linear))
-    order = sorted((s for s in settings if s in coupled), key=lambda s: s not in squared)
+    order = sorted(squared) + sorted(coupled - squared)
     index, q = {s: k for k, s in enumerate(order)}, len(squared)
     coupled_rows = _rows([[t for t in ast.linear if set(t[1]) <= coupled]])
     (best,) = _folded_values(*coupled_rows, index, len(index), q)
@@ -420,7 +419,7 @@ def quantum_value(
     The expression is a one-row call of ``_quantum_values``.
     """
     ast = as_ast(expr)
-    coeffs, universe = _rows([ast.linear, *(sub for _, sub in ast.squares)])
+    coeffs, universe = _rows(ast.parts)
     square_coeffs = [float(c) for c, _ in ast.squares]
     return float(_quantum_values(coeffs[None], universe, square_coeffs, assignment, state)[0])
 

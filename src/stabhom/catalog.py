@@ -285,6 +285,8 @@ def _resolve_seed(spec, catalog: list[Fixture]) -> Inequality:
     if isinstance(spec, str):
         for fx in catalog:
             if fx.name == spec:
+                if fx.inequality is None:
+                    raise CatalogError(f"seed fixture {spec!r} has no inequality")
                 return fx.inequality
         raise CatalogError(f"unknown seed fixture {spec!r}")
     if isinstance(spec, dict) and "lift" in spec:

@@ -57,8 +57,7 @@ import numpy as np
 from .bounds import _quantum_values, _row_maxima, lhv_bound, lhv_bound_nonlinear
 from .codespace import LogicalEncoding, image_set, lift_state
 from .config import LIMITS, TOL
-from .dsl import (Inequality, InequalityAST, LinearTerms, Monomial, Setting, _mono_key, as_ast,
-                  pretty_print)
+from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, as_ast, pretty_print
 from .pauli import PauliString
 from .states import StateVector
 from . import bounds as _bounds
@@ -130,7 +129,7 @@ class _Table:
     monomial) pairs, the monomials on the block's sites.  Every seed term
     is paired with every image of its target setting (a term without a
     target setting stands alone); each pair is a column of the universe,
-    the distinct result monomials sorted by ``_mono_key``, and an exact
+    the distinct result monomials in sorted order, and an exact
     coefficient, stored as an integer over one common denominator.  A row
     is one integer vector per part (the linear part, then each square
     part), laid end to end.
@@ -149,7 +148,7 @@ class _Table:
         raw = []  # (part, setting or None, occurrence, image, monomial, value)
         occurrences: dict[Setting, int] = {}
         self.n_linear: dict[Setting, int] = {}
-        for part, terms in enumerate([ast.linear] + [sub for _, sub in ast.squares]):
+        for part, terms in enumerate(ast.parts):
             for coeff, mono in terms:
                 rest = tuple(_shift_setting(s, target, block) for s in mono if s.site != target)
                 on_target = [s for s in mono if s.site == target]
@@ -164,7 +163,7 @@ class _Table:
                     self.n_linear[s] = o
                 for j, (c, img_mono) in enumerate(images[s]):
                     raw.append((part, s, o - 1, j, tuple(sorted(rest + img_mono)), coeff * c))
-        self.universe = sorted({r[4] for r in raw}, key=_mono_key)
+        self.universe = sorted({r[4] for r in raw})
         column = {mono: u for u, mono in enumerate(self.universe)}
         self.denominator = math.lcm(*(r[5].denominator for r in raw))
         nums = [r[5].numerator * (self.denominator // r[5].denominator) for r in raw]

@@ -8,13 +8,15 @@ Grammar (one inequality per ``.ineq`` file, ``#`` comments allowed):
     term       := factor { ["*"] factor }
     factor     := number | setting | "(" expr ")" | "sq" "(" expr ")"
     number     := INT ["/" INT] | DECIMAL
-    setting    := LETTER INT { "'" }
+    setting    := LETTER INT { "'" }          (INT >= 1, the site)
 
 A term is a product: without ``*``, only a setting, ``(`` or ``sq`` may
 follow a factor, and settings in one product sit on distinct sites.
 Every canonical coefficient and the bound must be finite as floats.
 Settings named X/Y/Z with no primes are fixed Pauli measurements; any
-other (letter, primes) combination is a free dichotomic setting.  The
+other (letter, primes) combination is a free dichotomic setting.  A
+``Setting`` is the tuple (site, base, primes) and a monomial a sorted
+tuple of settings, so both hash, compare and sort natively.  The
 canonical form is fully expanded and like-term collected; ``sq(...)``
 marks a squared sub-expression: it does not nest, appear inside
 parentheses or share a product with anything but numbers.
@@ -32,6 +34,7 @@ within ``ABSENT_SUM`` of zero as absent.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -50,19 +53,17 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class Setting:
+class Setting(namedtuple("Setting", "site base primes", defaults=[0])):
     """One measurement choice at one site, e.g. A2' = Setting(2, 'A', 1)."""
 
-    site: int
-    base: str
-    primes: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.site < 1:
+    def __new__(cls, site: int, base: str, primes: int = 0):
+        if site < 1:
             raise ValueError("site must be >= 1")
-        if len(self.base) != 1 or not self.base.isupper():
+        if len(base) != 1 or not base.isupper():
             raise ValueError("base must be a single uppercase letter")
+        return super().__new__(cls, site, base, primes)
 
     @property
     def is_fixed_pauli(self) -> bool:
@@ -85,12 +86,7 @@ def _merge(counter: dict, key, value):
 
 
 def _canon_linear(d: dict[Monomial, Fraction]) -> LinearTerms:
-    return tuple(sorted(((c, m) for m, c in d.items() if c != 0),
-                        key=lambda t: _mono_key(t[1])))
-
-
-def _mono_key(m: Monomial):
-    return tuple((s.site, s.base, s.primes) for s in m)
+    return tuple((c, m) for m, c in sorted(d.items()))
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,13 @@ class InequalityAST:
             raise ValueError("inequality must have at least one term")
 
     @property
+    def parts(self) -> tuple[LinearTerms, ...]:
+        """The linear part, then the inner terms of each square."""
+        return (self.linear, *(sub for _, sub in self.squares))
+
+    @property
     def settings(self) -> tuple[Setting, ...]:
-        seen = set()
-        for _, mono in self.linear:
-            seen.update(mono)
-        for _, sub in self.squares:
-            for _, mono in sub:
-                seen.update(mono)
-        return tuple(sorted(seen))
+        return tuple(sorted({s for part in self.parts for _, mono in part for s in mono}))
 
     @property
     def width(self) -> int:
@@ -143,8 +138,9 @@ def as_ast(expr: Inequality | InequalityAST) -> InequalityAST:
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+_SETTING = re.compile(r"(?P<base>[A-Z])(?P<site>\d+)(?P<primes>'*)")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<sq>sq\b)|(?P<setting>[A-Z]\d+'*)|(?P<number>\d+\.\d+|\d+)"
+    rf"\s*(?:(?P<sq>sq\b)|(?P<setting>{_SETTING.pattern})|(?P<number>\d+\.\d+|\d+)"
     r"|(?P<op><=|<|[-+*/()]))"
 )
 _SIGNS = (("op", "+"), ("op", "-"))
@@ -160,16 +156,23 @@ def _tokenize(text: str):
         if not m or m.end() == m.start():
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind)))
+        try:
+            out.append((kind, _setting(m) if kind == "setting" else m.group(kind), pos))
+        except ValueError as exc:  # a setting on site 0
+            raise ParseError(str(exc), pos) from None
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
 
 
+def _setting(m: re.Match) -> Setting:
+    return Setting(int(m["site"]), m["base"], len(m["primes"]))
+
+
 def parse_setting(text: str) -> Optional[Setting]:
     """The setting a text such as ``A2'`` names (letter, site, primes), or None."""
-    m = re.fullmatch(r"([A-Z])(\d+)('*)", text)
-    return Setting(int(m.group(2)), m.group(1), len(m.group(3))) if m else None
+    m = _SETTING.fullmatch(text)
+    return _setting(m) if m else None
 
 
 def _times(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction], pos: int):
@@ -197,7 +200,8 @@ class _Parser:
     def take(self, kind=None, value=None):
         tok = self.tokens[self.i]
         if kind and tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, found {tok[1]!r}", tok[2])
+            found = tok[1].text() if tok[0] == "setting" else tok[1]
+            raise ParseError(f"expected {value or kind}, found {found!r}", tok[2])
         self.i += 1
         return tok
 
@@ -212,9 +216,8 @@ class _Parser:
         self.take("end")
         squares = tuple((c, _canon_linear(sub)) for c, sub in squares)
         ast = InequalityAST(_canon_linear(linear), squares, value, bound)
-        parts = (ast.linear, *(sub for _, sub in squares))
         try:
-            for c in (bound, *(c for c, _ in squares), *(c for p in parts for c, _ in p)):
+            for c in (bound, *(c for c, _ in squares), *(c for p in ast.parts for c, _ in p)):
                 float(c)
         except OverflowError:
             raise ParseError("a coefficient or the bound is too large for a float", 0) from None
@@ -235,6 +238,8 @@ class _Parser:
                 _, den, dpos = self.take("number")
                 if "." in den:
                     raise ParseError("fraction denominator must be integer", dpos)
+                if not int(den):
+                    raise ParseError("fraction denominator must not be zero", dpos)
                 num /= int(den)
         return -num if neg else num
 
@@ -272,7 +277,7 @@ class _Parser:
                 factor = {(): self.parse_number()}
             elif kind == "setting":
                 self.take()
-                factor = {(parse_setting(value),): Fraction(1)}
+                factor = {(value,): Fraction(1)}
             elif kind == "sq":
                 self.take()
                 square = self.parse_group("nested squares are not allowed", pos)
@@ -423,25 +428,17 @@ def _resolve_assignment(
 ) -> dict[Setting, Observable]:
     if not isinstance(assignment, Mapping):
         raise AssignmentError(f"assignment must be a JSON object, got {assignment!r}")
-    table: dict[Setting, Observable] = {}
-    by_text = {}
+    given = {}  # a Setting key never equals a text key
     for key, value in assignment.items():
         try:
             value = _check_observable(parse_observable(value) if isinstance(value, str) else value)
         except AssignmentError as exc:
             raise AssignmentError(f"assignment for {key}: {exc}") from None
-        if isinstance(key, Setting):
-            table[key] = value
-        else:
-            by_text[str(key)] = value
+        given[key if isinstance(key, Setting) else str(key)] = value
+    table: dict[Setting, Observable] = {}
     for s in settings:
-        if s in table:
-            continue
-        if s.text() in by_text:
-            table[s] = by_text[s.text()]
-        elif s.is_fixed_pauli:
-            table[s] = ((1.0, s.base),)
-        else:
+        table[s] = given.get(s, given.get(s.text(), ((1.0, s.base),) if s.is_fixed_pauli else None))
+        if table[s] is None:
             raise AssignmentError(f"no assignment for setting {s.text()}")
     return table
 

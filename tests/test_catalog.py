@@ -141,10 +141,14 @@ MISSING = object()  # delete the field rather than set it
     ("svetlichny-desc-5", ("symbolic", "map"), "A3", "A3", "map 'A3' must be a JSON array"),
     ("svetlichny-desc-5", ("symbolic",), "site", "3", "symbolic 'site' must be a JSON integer"),
     ("chsh-to-mermin", ("chain", 0), "site", "2", "chain step 'site' must be a JSON integer"),
+    ("chsh-to-mermin", ("chain", 0), "seed", "discord-condition",
+     "seed fixture 'discord-condition' has no inequality"),
+    ("svetlichny-desc-5", ("symbolic",), "seed", "discord-condition",
+     "seed fixture 'discord-condition' has no inequality"),
 ], ids=["step-encoding", "step-plan", "lift-encoding", "lift-threshold", "lift-letter",
         "step-seed", "int-seed", "empty-chain", "symbolic-seed", "symbolic-site",
         "symbolic-width", "symbolic-map", "list-map", "text-image", "text-site",
-        "text-step-site"])
+        "text-step-site", "step-seed-without-inequality", "symbolic-seed-without-inequality"])
 def test_derivation_reader_names_fixture_and_field(name, path, field, value, message):
     raw = json.loads(json.dumps(FIXTURES[name].raw))
     spec = raw["derivation"]

@@ -26,6 +26,11 @@ from stabhom.states import assemble_operator
 BIG = "1" + "0" * 400  # past the largest float, about 1.8e308
 
 
+def field_key(mono):
+    """A monomial's order spelled out field by field: the oracle for native tuple order."""
+    return tuple((s.site, s.base, s.primes) for s in mono)
+
+
 class TestGrammar:
     def test_chsh(self):
         ineq = parse("A1*(A2+A2') + A1'*(A2-A2') <= 2")
@@ -70,6 +75,18 @@ class TestGrammar:
         with pytest.raises(ParseError) as err:
             parse("A1*A2 + % <= 1")
         assert err.value.position == 8
+
+    @pytest.mark.parametrize("text,position,message", [
+        ("X0*Y1 <= 1", 0, "site must be >= 1"),
+        ("X1*X2 <= 1/0", 11, "fraction denominator must not be zero"),
+        ("1/0*X1 <= 1", 2, "fraction denominator must not be zero"),
+        ("X1*X2 <= 1/0.5", 11, "fraction denominator must be integer"),
+    ], ids=["site-zero", "zero-bound-denominator", "zero-coefficient-denominator",
+            "decimal-denominator"])
+    def test_refusal_carries_position(self, text, position, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert err.value.position == position
 
     def test_identity_witness_term(self):
         ineq = parse("1 <= 1")
@@ -232,14 +249,41 @@ class TestCanonical:
                                for site, base, primes in mono))
             linear[key] = linear.get(key, Fraction(0)) + Fraction(coeff)
         terms = tuple(sorted(
-            ((c, m) for m, c in linear.items() if c != 0),
-            key=lambda t: tuple((s.site, s.base, s.primes) for s in t[1]),
-        ))
+            ((c, m) for m, c in linear.items() if c != 0), key=lambda t: field_key(t[1])))
         if not terms:
             return
         ast = InequalityAST(terms, (), "<=", Fraction(1))
         text = pretty_print(ast)
         assert pretty_print(parse(text).ast) == text
+
+
+any_setting = st.builds(Setting, st.integers(1, 12), st.sampled_from("ABXYZ"), st.integers(0, 2))
+
+
+class TestSetting:
+    """A setting is the tuple of its fields; a monomial is a tuple of settings."""
+
+    @given(st.lists(st.lists(any_setting, max_size=4).map(tuple), min_size=2, max_size=12))
+    @settings(max_examples=200)
+    def test_native_order_hash_and_equality_follow_the_fields(self, monos):
+        assert sorted(monos) == sorted(monos, key=field_key)
+        for mono in monos:
+            assert hash(mono) == hash(field_key(mono)) and mono == field_key(mono)
+        a, b = monos[0], monos[1]
+        assert (a == b) == (field_key(a) == field_key(b))
+
+    @pytest.mark.parametrize("site,base,message", [
+        (0, "X", "site must be >= 1"),
+        (1, "x", "base must be a single uppercase letter"),
+        (1, "XY", "base must be a single uppercase letter"),
+    ])
+    def test_constructor_refuses_bad_fields(self, site, base, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Setting(site, base)
+
+    @given(any_setting)
+    def test_never_equals_its_text(self, s):
+        assert s != s.text() and s.text() not in {s}
 
 
 class TestIneqFiles:
