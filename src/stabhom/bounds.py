@@ -95,6 +95,11 @@ class BoundError(ValueError):
     pass
 
 
+def violates(value: float, bound: float) -> bool:
+    """Whether a quantum value beats a bound by more than ``TOL.violation``."""
+    return value > bound + TOL.violation
+
+
 # ---------------------------------------------------------------------------
 # deterministic strategy enumeration
 

@@ -43,12 +43,13 @@ from .bounds import (
     quantum_max,
     separable_bound,
     separable_terms,
+    violates,
 )
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
-from .config import LIMITS, TOL, Tolerances
-from .descend import (DescendantResult, PlanEntry, SubstitutionPlan, lift_coherence_witness,
-                      substitute, substitute_symbolic)
+from .config import LIMITS, TOL
+from .descend import (DescendantResult, PlanEntry, SubstitutionError, SubstitutionPlan,
+                      lift_coherence_witness, substitute, substitute_symbolic)
 from .dsl import Inequality, Setting, parse, parse_setting, pretty_print
 from .states import (
     DensityOperator,
@@ -134,36 +135,34 @@ def _field(spec: dict, key: str, where: str, kind: type = object):
 
 
 def _setting_from_text(text: str) -> Setting:
-    setting = parse_setting(text) if isinstance(text, str) else None
+    try:
+        setting = parse_setting(text) if isinstance(text, str) else None
+    except ValueError as exc:  # a valid shape that ``Setting`` refuses, e.g. site 0
+        raise CatalogError(f"bad setting text {text!r}: {exc}") from None
     if setting is None:
         raise CatalogError(f"bad setting text {text!r}")
     return setting
 
 
 def plan_from_spec(site: int, encoding: LogicalEncoding, spec: dict) -> SubstitutionPlan:
-    """Read a plan: an object from setting text to an object with a ``letter``
-    X, Y or Z, an optional ``sign`` 1 or -1 and an optional ``select``, either
-    ``"all"`` or a list of distinct non-negative integers."""
+    """Read a plan: setting text to an object with a ``letter``, an optional ``sign``
+    and ``select`` (``"all"`` or an array of image indices).  Only this JSON shape is
+    checked here; ``PlanEntry`` checks the values, its refusal re-raised as ``CatalogError``."""
     if not isinstance(spec, dict):
         raise CatalogError(f"plan must be a JSON object, got {spec!r}")
     entries = {}
     for text, entry in spec.items():
-        if not _is_plan_entry(entry):
-            raise CatalogError(f"plan entry {text} needs a letter X, Y or Z, a sign 1 or -1 "
-                               f"and select \"all\" or distinct indices >= 0, got {entry!r}")
-        select = entry.get("select", "all")
+        select = entry.get("select", "all") if isinstance(entry, dict) else None
+        if not (select == "all" or isinstance(select, list)):
+            raise CatalogError(f"plan entry {text}: {entry!r} is not an object whose select "
+                               "is \"all\" or an array")
         selection = ("all",) if select == "all" else ("subset", *select)
-        sign = entry.get("sign", 1)
-        entries[_setting_from_text(text)] = PlanEntry(entry["letter"], sign, selection)
+        try:
+            plan_entry = PlanEntry(entry.get("letter"), entry.get("sign", 1), selection)
+        except SubstitutionError as exc:
+            raise CatalogError(f"plan entry {text}: {exc}") from None
+        entries[_setting_from_text(text)] = plan_entry
     return SubstitutionPlan(site, encoding, entries)
-
-
-def _is_plan_entry(entry) -> bool:
-    fields = entry if isinstance(entry, dict) else {}
-    sign, select = fields.get("sign", 1), fields.get("select", "all")
-    indices = isinstance(select, list) and all(type(i) is int and i >= 0 for i in select)
-    return (fields.get("letter") in ("X", "Y", "Z") and type(sign) is int and sign in (1, -1)
-            and (select == "all" or indices and len(set(select)) == len(select)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +203,15 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
     base = Path(directory or str(resources.files("stabhom") / "fixtures"))
     if not base.is_dir():
         raise CatalogError(f"fixtures directory not found: {base}")
-    fixtures = []
+    fixtures, files = [], {}
     for path in sorted(base.glob("*.json")):
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
             if raw.get("schema") != 1:
                 raise CatalogError("unsupported schema version")
             fx = Fixture(raw["name"], raw["kind"], raw)
+            if fx.name in files:
+                raise CatalogError(f"name {fx.name!r} is taken by {files[fx.name]}")
             fx.inequality  # parse now, so a corrupt expression fails at load time
             claims = _field(raw, "claims", "top level", dict)
             for key in claims:
@@ -223,6 +224,7 @@ def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
             raise CatalogError(f"fixture {path.name}: {exc}") from None
         except Exception as exc:
             raise CatalogError(f"fixture {path.name} failed to load: {exc}") from exc
+        files[fx.name] = path.name
         fixtures.append(fx)
     if not fixtures:
         raise CatalogError(f"no fixtures found in {base}")
@@ -238,15 +240,15 @@ def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
     The ``symbolic`` form reads ``seed``, ``site``, ``width`` and ``map``;
     any other derivation reads its ``chain``, a chain step that substitutes
     its ``encoding`` and ``plan``, and a ``lift`` seed spec its
-    ``encoding``, ``threshold`` and ``letter``.  A missing or mistyped
-    field or a malformed plan raises ``CatalogError`` naming the fixture.
+    ``encoding``, ``threshold`` and ``letter``.  A missing or mistyped field,
+    a bad plan or a refused substitution raises ``CatalogError`` naming the fixture.
     """
     spec = fx.raw.get("derivation")
     if not spec:
         return None
     try:
         return _replay(spec, catalog)
-    except CatalogError as exc:
+    except (CatalogError, SubstitutionError) as exc:
         raise CatalogError(f"fixture {fx.name}: {exc}") from None
 
 
@@ -327,9 +329,7 @@ def _match(computed, claimed, tol: float) -> bool:
     return abs(float(computed) - float(claimed)) <= tol
 
 
-def audit_fixture(
-    fx: Fixture, catalog: list[Fixture], tol: Tolerances = TOL
-) -> BoundReport:
+def audit_fixture(fx: Fixture, catalog: list[Fixture], claim_tol: float = TOL.claim) -> BoundReport:
     report = BoundReport(name=fx.name, expected_mismatch=fx.expected_mismatch)
     claims = fx.claims
     report.paper_claim = {k: v.get("value") for k, v in claims.items()}
@@ -339,7 +339,7 @@ def audit_fixture(
     assignment = fx.assignment
 
     if fx.kind == "discord":
-        return _audit_discord(fx, report, tol)
+        return _audit_discord(fx, report)
 
     ast = ineq.ast
     # classical bounds
@@ -380,29 +380,26 @@ def audit_fixture(
         "violated": None,
     }
     if report.quantum_value is not None and report.lhv is not None:
-        computed["violated"] = report.quantum_value > report.lhv + tol.violation
+        computed["violated"] = violates(report.quantum_value, report.lhv)
     for key, claim in claims.items():
         if key == "threshold_bound":
             computed["threshold_bound"] = _lift(_threshold_lift(fx)).derived_bound
-        report.claim_match[key] = _match(computed.get(key), claim["value"], tol.claim)
+        report.claim_match[key] = _match(computed.get(key), claim["value"], claim_tol)
 
     # verdict
     if any(not ok for ok in report.claim_match.values()):
         report.verdict = "audit-mismatch"
     elif computed["violated"]:
         report.verdict = "nonlocality"
-    elif (
-        report.separable is not None
-        and report.quantum_value is not None
-        and report.quantum_value > report.separable + tol.violation
-    ):
+    elif (report.separable is not None and report.quantum_value is not None
+          and violates(report.quantum_value, report.separable)):
         report.verdict = "entanglement-only"
     else:
         report.verdict = "no-violation"
     return report
 
 
-def _audit_discord(fx: Fixture, report: BoundReport, tol: Tolerances) -> BoundReport:
+def _audit_discord(fx: Fixture, report: BoundReport) -> BoundReport:
     """Check the discord condition on sampled classical-quantum states and a Bell state.
 
     The fixture's ``rng_seed`` (an integer, 0 when absent) seeds the stdlib
@@ -487,11 +484,14 @@ class AuditResult:
         }
 
 
-def audit_all(fixtures: Optional[list[Fixture]] = None, tol: Tolerances = TOL) -> AuditResult:
-    """One report per fixture, in name order; exit code 0 unless an unexpected mismatch."""
+def audit_all(fixtures: Optional[list[Fixture]] = None,
+              claim_tol: float = TOL.claim) -> AuditResult:
+    """One report per fixture in name order, each claim matched within ``claim_tol``;
+    exit code 0 unless an unexpected mismatch."""
     catalog = fixtures if fixtures is not None else load_catalog()
-    reports = [audit_fixture(fx, catalog, tol) for fx in sorted(catalog, key=lambda f: f.name)]
+    reports = [audit_fixture(fx, catalog, claim_tol)
+               for fx in sorted(catalog, key=lambda f: f.name)]
     expected = list(dict.fromkeys(r.name for r in reports if r.known_mismatch))
     unexpected = list(dict.fromkeys(r.name for r in reports if r.unexpected_mismatch))
     code = 1 if unexpected else 0
-    return AuditResult(reports, code, expected, unexpected, tol.claim)
+    return AuditResult(reports, code, expected, unexpected, claim_tol)

@@ -206,8 +206,7 @@ def cmd_audit(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise CliError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     catalog = load_catalog(args.fixtures)
-    tol = TOL.with_claim(args.tolerance)
-    result = audit_all(catalog, tol)
+    result = audit_all(catalog, args.tolerance)
     if args.json:
         print(json.dumps(result.to_json(), indent=2))
     else:

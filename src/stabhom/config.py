@@ -2,7 +2,7 @@
 
 The comparison thresholds and caps shared across modules live here.  Each
 field is read by the code; the audit's claim tolerance is the only value
-a caller changes (``audit --tolerance``, via ``Tolerances.with_claim``).
+a caller changes (``audit --tolerance``, the ``claim_tol`` of ``audit_all``).
 Literals stay with their kernel: ``dsl.ABSENT_SUM``, ``bounds._face_max``'s
 1e-12, the envelope's ``np.round(moments, 12)``, and the 1e-9 of
 ``dsl._check_observable`` and ``catalog._audit_discord``.
@@ -16,7 +16,7 @@ so ``max_image_width`` bounds it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Tolerances:
     claim: float = 1e-6          # catalogued-value comparisons in the audit
     violation: float = 1e-9      # strictness margin for "quantum beats classical"
     converge: float = 1e-10      # alternating-optimisation fixed points
-
-    def with_claim(self, claim: float) -> "Tolerances":
-        return replace(self, claim=claim)
 
 
 @dataclass(frozen=True)

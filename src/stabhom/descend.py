@@ -54,9 +54,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _quantum_values, _row_maxima, lhv_bound, lhv_bound_nonlinear
+from .bounds import _quantum_values, _row_maxima, lhv_bound, lhv_bound_nonlinear, violates
 from .codespace import LogicalEncoding, image_set, lift_state
-from .config import LIMITS, TOL
+from .config import LIMITS
 from .dsl import Inequality, InequalityAST, LinearTerms, Monomial, Setting, as_ast, pretty_print
 from .pauli import PauliString
 from .states import StateVector
@@ -69,7 +69,9 @@ class SubstitutionError(ValueError):
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """How one target-site setting maps into the code space."""
+    """How one target-site setting maps into the code space, and the one check of it:
+    a letter X, Y or Z, an ``int`` sign 1 or -1, and distinct ``int`` indices >= 0
+    for ``occ`` and a non-empty ``subset``."""
 
     letter: str                      # logical letter X, Y or Z
     sign: int = 1                    # observable identified with +-letter
@@ -78,13 +80,16 @@ class PlanEntry:
     def __post_init__(self):
         if self.letter not in ("X", "Y", "Z"):
             raise SubstitutionError(f"logical letter must be X/Y/Z, got {self.letter!r}")
-        if self.sign not in (1, -1):
-            raise SubstitutionError("sign must be +-1")
-        mode = self.selection[0]
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise SubstitutionError(f"sign must be 1 or -1, got {self.sign!r}")
+        mode, *indices = self.selection
         if mode not in ("all", "subset", "occ"):
             raise SubstitutionError(f"unknown selection mode {mode!r}")
-        if mode == "occ" and len(set(self.selection[1:])) != len(self.selection) - 1:
-            raise SubstitutionError("occurrence assignment must be injective")
+        if mode == "subset" and not indices:
+            raise SubstitutionError("empty image selection")
+        if mode != "all" and not (all(type(i) is int and i >= 0 for i in indices)
+                                  and len(set(indices)) == len(indices)):
+            raise SubstitutionError(f"image indices must be distinct integers >= 0, got {indices}")
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,7 @@ def _one_plan(table: _Table, ast: InequalityAST,
     """The one plan that takes ``selections[s]`` for each target setting s, with bound 0."""
     picks = []
     for s in table.settings:
-        selection = selections[s]
-        if len(selection) == 1 and selection[0] == "subset":
-            raise SubstitutionError(f"empty image selection for {s.text()}")
-        p, usable = table.picks(s, [selection])
+        p, usable = table.picks(s, [selections[s]])
         if not usable[0]:
             raise SubstitutionError("per-occurrence selection is only supported in the linear part")
         picks.append(p)
@@ -415,17 +417,19 @@ def enumerate_descendants(
         if key not in named:
             raise SubstitutionError(f"letter map key {key!r} names no seed setting on site "
                                     f"{target_site}")
-    entries_base: dict[Setting, tuple[str, int]] = {}
+    entries_base: dict[Setting, PlanEntry] = {}
     for s in target_settings:
         raw = letter_map.get(s, letter_map.get(s.text()))
         if raw is None:
             raise SubstitutionError(f"letter map misses {s.text()}")
         pair = ({"": 1, "+": 1, "-": -1}.get(raw[:-1]), raw[-1:]) if isinstance(raw, str) else raw
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                and type(pair[0]) is int and pair[0] in (1, -1) and pair[1] in ("X", "Y", "Z")):
-            raise SubstitutionError(f"letter map entry {s.text()}: {raw!r} is not a signed letter")
-        entries_base[s] = (pair[1], pair[0])
-    members = {s: image_set(encoding, letter) for s, (letter, _) in entries_base.items()}
+        try:
+            sign, letter = pair if isinstance(pair, (tuple, list)) else ()
+            entries_base[s] = PlanEntry(letter, sign)
+        except ValueError:  # not a pair, or PlanEntry refuses it
+            raise SubstitutionError(
+                f"letter map entry {s.text()}: {raw!r} is not a signed letter") from None
+    members = {s: image_set(encoding, e.letter) for s, e in entries_base.items()}
     occurrences = [sum(1 for _, m in ast.linear for x in m if x == s) for s in target_settings]
     counts = [_selection_count(len(members[s]), k) for s, k in zip(target_settings, occurrences)]
     total = math.prod(counts)
@@ -438,11 +442,9 @@ def enumerate_descendants(
         list(itertools.islice(_plan_selections(len(members[s]), k), min(c, (n_plans - 1) // d + 1)))
         for s, k, c, d in zip(target_settings, occurrences, counts, inner)
     ]
-    # built before substitution, as each plan is, so a bad letter or sign raises
-    entries = [[PlanEntry(*entries_base[s], sel) for sel in sels]
-               for s, sels in zip(target_settings, selections)]
-    images = {s: _image_pairs(members[s], target_site, sign)
-              for s, (_, sign) in entries_base.items()}
+    entries = [[PlanEntry(e.letter, e.sign, sel) for sel in sels]
+               for e, sels in zip(entries_base.values(), selections)]
+    images = {s: _image_pairs(members[s], target_site, e.sign) for s, e in entries_base.items()}
     table = _Table(ast, target_site, encoding.width, images)
     picks, usable = zip(*(table.picks(s, sel) for s, sel in zip(target_settings, selections)))
     rows, plans = table.distinct_rows(picks, usable, counts, inner, n_plans)
@@ -472,7 +474,7 @@ def enumerate_descendants(
             descendant=Inequality(InequalityAST(linear, squares, "<=", derived)),
             lhv_bound=bound,
             quantum_value=qv,
-            accepted=qv is not None and qv > bound + TOL.violation,
+            accepted=qv is not None and violates(qv, bound),
             plan=plan,
             truncated=truncated,
         ))
@@ -509,15 +511,12 @@ def lift_coherence_witness(
     bound = lhv_bound(ast)
     amp = 1 / np.sqrt(2)
     phase = 1.0 if letter == "X" else 1.0j
-    plus = StateVector(
-        encoding.width,
-        amp * encoding.zero_l.amplitudes + amp * phase * encoding.one_l.amplitudes,
-    )
+    plus = lift_state(StateVector(1, [amp, amp * phase]), 1, encoding)
     qv = _bounds.quantum_value(ast, None, plus)
     return DescendantResult(
         descendant=Inequality(ast, name=f"lift-{letter.lower()}-{threshold:g}"),
         lhv_bound=bound,
         quantum_value=qv,
-        accepted=qv > bound + TOL.violation,
+        accepted=violates(qv, bound),
         derived_bound=derived,
     )

@@ -5,14 +5,15 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import loop_cq_states
-from stabhom import catalog, cli
+from stabhom import bounds, catalog, cli, descend
 from stabhom.bounds import discord_condition_check
-from stabhom.descend import enumerate_descendants
+from stabhom.descend import enumerate_descendants, lift_coherence_witness
 from stabhom.dsl import load_ineq, parse, pretty_print
 from stabhom.states import DensityOperator, make_pair_superposition
 
@@ -95,28 +96,34 @@ def test_plan_setting_text_parses_like_the_grammar():
 CHSH_TO_MERMIN = next(fx for fx in CATALOG if fx.name == "chsh-to-mermin")
 
 
-@pytest.mark.parametrize("plan,setting", [
-    ([1], None),
-    ({"X2": 5}, "X2"),
-    ({"X2": {}}, "X2"),
-    ({"X2": {"letter": "XY"}}, "X2"),
-    ({"X2": {"letter": "X"}, "Y2": {"letter": "Y", "sign": "x"}}, "Y2"),
-    ({"X2": {"letter": "X", "sign": 2}}, "X2"),
-    ({"X2": {"letter": "X", "sign": True}}, "X2"),
-    ({"X2": {"letter": "X", "select": "some"}}, "X2"),
-    ({"X2": {"letter": "X", "select": [0.5]}}, "X2"),
-    ({"X2": {"letter": "X", "select": [-1]}}, "X2"),
-    ({"X2": {"letter": "X", "select": [0, 0]}}, "X2"),
+@pytest.mark.parametrize("plan,message", [
+    ([1], "plan must be a JSON object, got [1]"),
+    ({"X2": 5}, 'plan entry X2: 5 is not an object whose select is "all" or an array'),
+    ({"X2": {}}, "plan entry X2: logical letter must be X/Y/Z, got None"),
+    ({"X2": {"letter": "XY"}}, "plan entry X2: logical letter must be X/Y/Z, got 'XY'"),
+    ({"X2": {"letter": "X"}, "Y2": {"letter": "Y", "sign": "x"}},
+     "plan entry Y2: sign must be 1 or -1, got 'x'"),
+    ({"X2": {"letter": "X", "sign": 2}}, "plan entry X2: sign must be 1 or -1, got 2"),
+    ({"X2": {"letter": "X", "sign": True}}, "plan entry X2: sign must be 1 or -1, got True"),
+    ({"X2": {"letter": "X", "select": "some"}},
+     "plan entry X2: {'letter': 'X', 'select': 'some'} is not an object whose select is "
+     '"all" or an array'),
+    ({"X2": {"letter": "X", "select": [0.5]}},
+     "plan entry X2: image indices must be distinct integers >= 0, got [0.5]"),
+    ({"X2": {"letter": "X", "select": [-1]}},
+     "plan entry X2: image indices must be distinct integers >= 0, got [-1]"),
+    ({"X2": {"letter": "X", "select": [0, 0]}},
+     "plan entry X2: image indices must be distinct integers >= 0, got [0, 0]"),
 ], ids=["list-plan", "int-entry", "no-letter", "two-letters", "text-sign", "sign-2",
         "bool-sign", "text-select", "float-index", "negative-index", "repeated-index"])
-def test_plan_reader_names_fixture_and_setting(plan, setting):
+def test_plan_reader_names_fixture_and_setting(plan, message):
+    # the JSON shape is checked by the reader, the values by PlanEntry alone
     raw = json.loads(json.dumps(CHSH_TO_MERMIN.raw))
     raw["derivation"]["chain"][0]["plan"] = plan
     fx = catalog.Fixture(CHSH_TO_MERMIN.name, CHSH_TO_MERMIN.kind, raw)
-    with pytest.raises(catalog.CatalogError, match="^fixture chsh-to-mermin: ") as err:
+    with pytest.raises(catalog.CatalogError) as err:
         catalog.replay_derivation(fx, CATALOG)
-    want = "plan must be a JSON object" if setting is None else f"plan entry {setting} needs"
-    assert want in str(err.value)
+    assert str(err.value) == f"fixture chsh-to-mermin: {message}"
 
 
 FIXTURES = {fx.name: fx for fx in CATALOG}
@@ -145,10 +152,17 @@ MISSING = object()  # delete the field rather than set it
      "seed fixture 'discord-condition' has no inequality"),
     ("svetlichny-desc-5", ("symbolic",), "seed", "discord-condition",
      "seed fixture 'discord-condition' has no inequality"),
+    ("svetlichny-desc-5", ("symbolic", "map"), "X0", ["X3"],
+     "bad setting text 'X0': site must be >= 1"),
+    ("chsh-to-mermin", ("chain", 0, "plan"), "X2", {"letter": "X", "select": [9]},
+     "image index out of range"),
+    ("chsh-to-mermin", ("chain", 0, "plan"), "X2", {"letter": "X", "select": []},
+     "plan entry X2: empty image selection"),
 ], ids=["step-encoding", "step-plan", "lift-encoding", "lift-threshold", "lift-letter",
         "step-seed", "int-seed", "empty-chain", "symbolic-seed", "symbolic-site",
         "symbolic-width", "symbolic-map", "list-map", "text-image", "text-site",
-        "text-step-site", "step-seed-without-inequality", "symbolic-seed-without-inequality"])
+        "text-step-site", "step-seed-without-inequality", "symbolic-seed-without-inequality",
+        "site-zero-map-key", "index-out-of-range", "empty-select"])
 def test_derivation_reader_names_fixture_and_field(name, path, field, value, message):
     raw = json.loads(json.dumps(FIXTURES[name].raw))
     spec = raw["derivation"]
@@ -225,6 +239,91 @@ def test_mistyped_fixture_field_is_a_usage_error(tmp_path, capsys, name, field, 
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.rstrip("\n")]
     assert captured.err.startswith("error: fixture " + message)
+
+
+def test_duplicate_fixture_names_are_refused_at_load(tmp_path, capsys):
+    directory = edited_fixtures(tmp_path, "chsh", lambda raw: None)
+    (directory / "chsh-copy.json").write_bytes((directory / "chsh.json").read_bytes())
+    message = "fixture chsh.json: name 'chsh' is taken by chsh-copy.json"
+    with pytest.raises(catalog.CatalogError, match="^" + re.escape(message) + "$"):
+        catalog.load_catalog(directory)
+    for argv in (["audit"], ["qvalue", "--fixture", "chsh"]):
+        assert cli.main([*argv, "--fixtures", str(directory)]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+REPORT_VALUES = ("lhv", "separable", "hybrid", "quantum_value", "quantum_max", "algebraic")
+
+
+@pytest.mark.parametrize("claim_tol", [0.0, 0.5, 1e9])
+def test_claim_tolerance_moves_only_tolerance_and_claim_matches(claim_tol):
+    base = catalog.audit_all(CATALOG).to_json()
+    got = catalog.audit_all(CATALOG, claim_tol=claim_tol).to_json()
+    assert got["tolerance"] == claim_tol and base["tolerance"] == catalog.TOL.claim
+    for want, report in zip(base["reports"], got["reports"], strict=True):
+        moved = ("claim_match", "verdict")
+        assert {k: v for k, v in report.items() if k not in moved} == \
+            {k: v for k, v in want.items() if k not in moved}
+        for key, ok in report["claim_match"].items():
+            claimed = report["paper_claim"].get(key)
+            if key in REPORT_VALUES:
+                assert ok == (report[key] is not None and abs(report[key] - claimed) <= claim_tol)
+            elif isinstance(claimed, bool) or key == "derivation":
+                assert ok == want["claim_match"][key]
+        if all(report["claim_match"].values()):
+            assert report["verdict"] != "audit-mismatch"
+        else:
+            assert report["verdict"] == "audit-mismatch"
+
+
+def at_margin(bound, above):
+    """A value exactly ``TOL.violation`` above ``bound``, or the next float past it."""
+    value = bound + catalog.TOL.violation
+    return float(np.nextafter(value, np.inf)) if above else value
+
+
+def audit_verdict(monkeypatch, above, verdict):
+    lhv, separable = (2.0, 100.0) if verdict == "nonlocality" else (100.0, 3.0)
+    monkeypatch.setattr(catalog, "lhv_bound", lambda ast: lhv)
+    monkeypatch.setattr(catalog, "separable_bound", lambda terms: SimpleNamespace(value=separable))
+    monkeypatch.setattr(bounds, "quantum_value",
+                        lambda ast, assignment, state: at_margin(min(lhv, separable), above))
+    raw = {"inequality": "X1*X2 - Y1*Y2 <= 2", "state": {"kind": "ghz", "n": 2},
+           "claims": {"separable": {"value": separable}}}
+    report = catalog.audit_fixture(catalog.Fixture("margin", "linear", raw), CATALOG)
+    assert report.claim_match == {"separable": True}
+    return report.verdict == verdict
+
+
+def search_accepted(monkeypatch, above):
+    def values(coeffs, universe, squares, assignment, state):
+        maxima = bounds._row_maxima(coeffs.reshape(len(coeffs), -1), universe)[0]
+        return np.array([at_margin(float(b), above) for b in maxima])
+
+    monkeypatch.setattr(descend, "_quantum_values", values)
+    bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
+    rows = enumerate_descendants(parse("X1*X2 - Y1*Y2 <= 2"), 2, catalog.LogicalEncoding.ghz(2),
+                                 {"X2": "X", "Y2": "Y"}, seed_state=bell)
+    (accepted,) = {r.accepted for r in rows}
+    return accepted
+
+
+def lift_accepted(monkeypatch, above):
+    monkeypatch.setattr(bounds, "quantum_value",
+                        lambda ast, assignment, state: at_margin(bounds.lhv_bound(ast), above))
+    return lift_coherence_witness(0.5, "X", catalog.LogicalEncoding.ghz(3)).accepted
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-margin", "past-margin"])
+@pytest.mark.parametrize("verdict", [
+    lambda mp, above: audit_verdict(mp, above, "nonlocality"),
+    lambda mp, above: audit_verdict(mp, above, "entanglement-only"),
+    search_accepted,
+    lift_accepted,
+], ids=["audit-nonlocality", "audit-entanglement-only", "search-accepted", "lift-accepted"])
+def test_every_verdict_site_violates_only_past_the_margin(monkeypatch, verdict, above):
+    # a value exactly TOL.violation above its bound does not violate; the next float does
+    assert verdict(monkeypatch, above) is above
 
 
 def test_audit_starts_no_thread(monkeypatch, capsys):

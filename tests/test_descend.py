@@ -124,6 +124,22 @@ class TestSubstitute:
         with pytest.raises(SubstitutionError):
             PlanEntry("X", 1, ("occ", 0, 0))
 
+    @pytest.mark.parametrize("sign,selection", [
+        (True, ("all",)), (-1.0, ("all",)), (1, ("subset",)), (1, ("subset", 0, 0)),
+        (1, ("subset", -1)), (1, ("subset", True)), (1, ("occ", 0.0, 1)), (1, ("pick", 0)),
+    ], ids=["bool-sign", "float-sign", "empty-subset", "repeated-subset", "negative-index",
+            "bool-index", "float-occ-index", "unknown-mode"])
+    def test_plan_entry_refuses_other_signs_and_selections(self, sign, selection):
+        with pytest.raises(SubstitutionError):
+            PlanEntry("X", sign, selection)
+
+    @pytest.mark.parametrize("sign,selection", [
+        (1, ("all",)), (-1, ("all",)), (1, ("subset", 0)), (-1, ("subset", 3, 0)),
+        (1, ("occ", 1, 0)), (1, ("occ", 0)), (1, ("occ",)),
+    ])
+    def test_plan_entry_keeps_every_valid_form(self, sign, selection):
+        assert PlanEntry("X", sign, selection).selection == selection
+
     @pytest.mark.parametrize("letter", ["XY", "YZ", ""])
     def test_rejects_letter_other_than_x_y_z(self, letter):
         with pytest.raises(SubstitutionError, match="logical letter must be X/Y/Z"):
@@ -253,6 +269,28 @@ class TestWitnessLift:
     def test_y_letter(self):
         res = lift_coherence_witness(0.5, "Y", BELL)
         assert res.quantum_value == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("letter", ["X", "Y"])
+    @pytest.mark.parametrize("enc", [
+        *(LogicalEncoding.ghz(n) for n in range(1, 7)),
+        LogicalEncoding.cluster_pair(),
+        LogicalEncoding.from_basis_pair("0101", "1010"),
+    ], ids=[*(f"ghz{n}" for n in range(1, 7)), "cluster", "basis-0101-1010"])
+    def test_lifted_state_is_the_amplitude_sum(self, monkeypatch, enc, letter):
+        states = []
+        value = bounds.quantum_value
+
+        def recording(ast, assignment, state):
+            states.append(state)
+            return value(ast, assignment, state)
+
+        monkeypatch.setattr(bounds, "quantum_value", recording)
+        lift_coherence_witness(0.5, letter, enc)
+        amp, phase = 1 / np.sqrt(2), (1.0 if letter == "X" else 1.0j)
+        want = amp * enc.zero_l.amplitudes + amp * phase * enc.one_l.amplitudes
+        (state,) = states
+        assert state.width == enc.width
+        assert state.amplitudes.tobytes() == want.astype(complex).tobytes()
 
     def test_threshold_range(self):
         with pytest.raises(SubstitutionError):
