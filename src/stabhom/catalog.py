@@ -1,23 +1,14 @@
 """Machine-readable fixture catalogue and the bound audit built on it.
 
-Each fixture is one JSON file (``schema: 1``) holding an inequality, an
-optional observable assignment and state, the catalogued claims (value +
-verbatim quote), and optionally the derivation chain that produces the
-inequality from a seed.  ``audit_all`` re-derives every claimed number
-from scratch and reports matches/mismatches; fixtures may flag claims as
-*expected* mismatches so known-unreproducible catalogue values do not
-fail the audit run.
-
-The fixtures directory is ``--fixtures`` when given, else the bundled
-``fixtures/`` directory, whose JSON files are the source; nothing
-generates them.  Code specs are read by ``LogicalEncoding.from_json``
-and state specs by ``state_from_spec``.  To add a fixture, write its
-JSON file and give any derivation an ``expect`` text (the canonical
-derived expression without its bound): the audit then replays the
-derivation and reports whether it reproduces that text.  A symbolic
-derivation has no ``expect``; the audit replays it only to refuse a
-malformed spec, so it adds no field to the audit JSON, and the test
-suite compares it with the fixture's own inequality.
+A fixture is one JSON file; ``read_fixture``'s docstring is its schema.
+``audit_all`` re-derives every claimed number from scratch and reports
+matches and mismatches; a claim listed in ``expected_mismatch`` does not
+fail the run.  The fixtures directory is ``--fixtures`` when given, else
+the bundled ``fixtures/``, whose JSON files are the source; nothing
+generates them.  The audit replays each derivation: one with an
+``expect`` text reports whether it reproduces that text, and a symbolic
+one, which has none, is replayed only to refuse a malformed spec (the
+test suite compares it with the fixture's own inequality).
 """
 from __future__ import annotations
 
@@ -25,7 +16,6 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -33,32 +23,17 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    algebraic_bound,
-    discord_condition_check,
-    hybrid_bound,
-    lhv_bound,
-    lhv_bound_nonlinear,
-    quantum_max,
-    separable_bound,
-    separable_terms,
-    violates,
-)
+from .bounds import (BoundReport, algebraic_bound, discord_condition_check, hybrid_bound,
+                     lhv_bound, lhv_bound_nonlinear, quantum_max, separable_bound,
+                     separable_terms, violates)
 from . import bounds as _bounds
 from .codespace import LogicalEncoding
 from .config import LIMITS, TOL
 from .descend import (DescendantResult, PlanEntry, SubstitutionError, SubstitutionPlan,
                       lift_coherence_witness, substitute, substitute_symbolic)
 from .dsl import Inequality, Setting, parse, parse_setting, pretty_print
-from .states import (
-    DensityOperator,
-    StateVector,
-    ghz_state,
-    make_cq_state,
-    make_pair_superposition,
-    standard_normals,
-)
+from .states import (DensityOperator, StateVector, ghz_state, make_cq_state,
+                     make_pair_superposition, standard_normals)
 
 
 class CatalogError(ValueError):
@@ -120,16 +95,21 @@ def state_from_spec(spec: dict) -> StateVector:
     raise CatalogError(f"unknown state kind {kind!r}")
 
 
-_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string",
-               (int, float): "number or boolean"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string", bool: "boolean",
+               (int, float): "number", (bool, int, float): "number or boolean"}
+_REQUIRED = object()
 
 
-def _field(spec: dict, key: str, where: str, kind: type = object):
-    """``spec[key]``, refused with ``CatalogError`` when missing or not a ``kind``."""
+def _field(spec: dict, key: str, where: str, kind: type = object, default=_REQUIRED):
+    """``spec[key]``, or ``default`` when given and ``key`` is absent; refused with
+    ``CatalogError`` when missing or not of an exact JSON type in ``kind`` (so
+    ``true`` is no integer)."""
     if not isinstance(spec, dict) or key not in spec:
-        raise CatalogError(f"{where} has no {key!r}")
+        if default is _REQUIRED or not isinstance(spec, dict):
+            raise CatalogError(f"{where} has no {key!r}")
+        return default
     value = spec[key]
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+    if kind is not object and type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
         raise CatalogError(f"{where} {key!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
@@ -168,58 +148,91 @@ def plan_from_spec(site: int, encoding: LogicalEncoding, spec: dict) -> Substitu
 # ---------------------------------------------------------------------------
 # fixtures
 
-@dataclass
+@dataclass(frozen=True)
 class Fixture:
+    """One fixture file's fields, each checked once by ``read_fixture``."""
+
     name: str
-    kind: str  # linear | nonlinear | derivation | discord | coherence
-    raw: dict
+    kind: str
+    inequality: Optional[Inequality]
+    assignment: dict
+    state: Optional[StateVector]
+    hybrid: bool
+    derivation: dict
+    expect: Optional[str]
+    claims: dict  # claim name -> claimed value
+    expected_mismatch: list
+    rng_seed: int
+    samples: int
+    epsilon: float
 
-    @cached_property
-    def inequality(self) -> Optional[Inequality]:
-        text = self.raw.get("inequality")
-        if text is None:
-            return None
-        return parse(text, name=self.name, provenance=self.raw.get("provenance", ""))
 
-    @property
-    def assignment(self) -> dict:
-        return self.raw.get("assignment", {})
+_KINDS = ("linear", "nonlinear", "derivation", "discord", "coherence")
 
-    @property
-    def state(self) -> Optional[StateVector]:
-        spec = self.raw.get("state")
-        return state_from_spec(spec) if spec else None
 
-    @property
-    def claims(self) -> dict:
-        return self.raw["claims"]
+def read_fixture(raw: dict) -> Fixture:
+    """The one reader of a fixture object: each field is checked once, into a ``Fixture``.
 
-    @property
-    def expected_mismatch(self) -> list:
-        return list(self.raw.get("expected_mismatch", []))
+    The schema, as field (JSON type, default when absent):
+
+    - ``schema`` (the integer 1), ``name`` (string) and ``kind`` (``linear``,
+      ``nonlinear``, ``derivation``, ``discord`` or ``coherence``).
+    - ``inequality`` (string, parsed here), required unless the kind is
+      ``discord``, and its ``provenance`` (string, ``""``).
+    - ``assignment`` (object from setting text to observable, ``{}``).
+    - ``state`` (object read by ``state_from_spec``, built here; none).
+    - ``hybrid`` (boolean, false): the classical bound is ``hybrid_bound``.
+    - ``derivation`` (object, ``{}``), read by ``replay_derivation``, and its
+      ``expect`` (string, none), parsed by the audit.
+    - ``claims`` (object from claim name to an object whose ``value`` is a
+      number or a boolean) and ``expected_mismatch`` (array of names, ``[]``).
+    - Read by the ``discord`` kind: ``rng_seed`` (integer, 0), ``samples``
+      (positive integer, 200) and ``epsilon`` (number, 0.5).
+
+    A refusal is a ``CatalogError``; ``load_catalog`` adds the file name.
+    """
+    def top(key, kind, default=_REQUIRED):
+        return _field(raw, key, "top level", kind, default)
+
+    if top("schema", int) != 1:
+        raise CatalogError("unsupported schema version")
+    name, kind = top("name", str), top("kind", str)
+    if kind not in _KINDS:
+        raise CatalogError(f"unknown kind {kind!r}, expected one of {', '.join(_KINDS)}")
+    text = top("inequality", str, None if kind == "discord" else _REQUIRED)
+    state, derivation = top("state", dict, None), top("derivation", dict, {})
+    claims, provenance = top("claims", dict), top("provenance", str, "")
+    names, samples = top("expected_mismatch", list, []), top("samples", int, 200)
+    if not all(isinstance(k, str) for k in names):
+        raise CatalogError(f"top level 'expected_mismatch' must be a JSON array of claim names, "
+                           f"got {names!r}")
+    if samples < 1:
+        raise CatalogError(f"top level 'samples' must be a positive integer, got {samples!r}")
+    return Fixture(
+        name=name, kind=kind,
+        inequality=None if text is None else parse(text, name=name, provenance=provenance),
+        assignment=top("assignment", dict, {}),
+        state=None if state is None else state_from_spec(state),
+        hybrid=top("hybrid", bool, False),
+        derivation=derivation, expect=_field(derivation, "expect", "derivation", str, None),
+        claims={key: _field(_field(claims, key, "claims", dict), "value", f"claim {key!r}",
+                            (bool, int, float)) for key in claims},
+        expected_mismatch=names, rng_seed=top("rng_seed", int, 0), samples=samples,
+        epsilon=top("epsilon", (int, float), 0.5),
+    )
 
 
 def load_catalog(directory: Optional[os.PathLike] = None) -> list[Fixture]:
+    """``read_fixture`` of each ``*.json`` file in ``directory`` (default: the bundled ones)."""
     base = Path(directory or str(resources.files("stabhom") / "fixtures"))
     if not base.is_dir():
         raise CatalogError(f"fixtures directory not found: {base}")
     fixtures, files = [], {}
     for path in sorted(base.glob("*.json")):
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            if raw.get("schema") != 1:
-                raise CatalogError("unsupported schema version")
-            fx = Fixture(raw["name"], raw["kind"], raw)
+            fx = read_fixture(json.loads(path.read_text(encoding="utf-8")))
             if fx.name in files:
                 raise CatalogError(f"name {fx.name!r} is taken by {files[fx.name]}")
-            fx.inequality  # parse now, so a corrupt expression fails at load time
-            claims = _field(raw, "claims", "top level", dict)
-            for key in claims:
-                _field(_field(claims, key, "claims", dict), "value", f"claim {key!r}", (int, float))
-            names = raw.get("expected_mismatch", [])
-            if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
-                raise CatalogError(f"'expected_mismatch' must be a JSON array of claim names, "
-                                   f"got {names!r}")
         except CatalogError as exc:
             raise CatalogError(f"fixture {path.name}: {exc}") from None
         except Exception as exc:
@@ -241,14 +254,14 @@ def replay_derivation(fx: Fixture, catalog: list[Fixture]) -> Optional[str]:
     any other derivation reads its ``chain``, a chain step that substitutes
     its ``encoding`` and ``plan``, and a ``lift`` seed spec its
     ``encoding``, ``threshold`` and ``letter``.  A missing or mistyped field,
-    a bad plan or a refused substitution raises ``CatalogError`` naming the fixture.
+    a bad plan, a refused code, expression or substitution raises ``CatalogError``
+    naming the fixture.
     """
-    spec = fx.raw.get("derivation")
-    if not spec:
+    if not fx.derivation:
         return None
     try:
-        return _replay(spec, catalog)
-    except (CatalogError, SubstitutionError) as exc:
+        return _replay(fx.derivation, catalog)
+    except ValueError as exc:  # every module error is a ValueError
         raise CatalogError(f"fixture {fx.name}: {exc}") from None
 
 
@@ -306,11 +319,9 @@ def _lift(lift: dict) -> DescendantResult:
 
 
 def _threshold_lift(fx: Fixture) -> dict:
-    """The lift spec a ``threshold_bound`` claim reads: the first chain step's seed.
-
-    The audit replays the derivation first, so a chain is a list of objects.
-    """
-    spec = fx.raw.get("derivation") or {}
+    """The first chain step's lift seed, which a ``threshold_bound`` claim reads (the
+    audit has replayed the derivation, so a chain is a list of objects)."""
+    spec = fx.derivation
     seed = spec["chain"][0].get("seed") if "chain" in spec and "symbolic" not in spec else None
     if not isinstance(seed, dict) or "lift" not in seed:
         raise CatalogError(f"fixture {fx.name}: a threshold_bound claim needs a lift seed "
@@ -330,20 +341,14 @@ def _match(computed, claimed, tol: float) -> bool:
 
 
 def audit_fixture(fx: Fixture, catalog: list[Fixture], claim_tol: float = TOL.claim) -> BoundReport:
-    report = BoundReport(name=fx.name, expected_mismatch=fx.expected_mismatch)
-    claims = fx.claims
-    report.paper_claim = {k: v.get("value") for k, v in claims.items()}
-
-    ineq = fx.inequality
-    state = fx.state
-    assignment = fx.assignment
-
+    report = BoundReport(name=fx.name, paper_claim=dict(fx.claims),
+                         expected_mismatch=list(fx.expected_mismatch))
     if fx.kind == "discord":
         return _audit_discord(fx, report)
 
-    ast = ineq.ast
+    ast = fx.inequality.ast
     # classical bounds
-    if fx.raw.get("hybrid"):
+    if fx.hybrid:
         report.hybrid = hybrid_bound(ast)
         report.lhv = report.hybrid
     elif ast.is_linear:
@@ -353,21 +358,23 @@ def audit_fixture(fx: Fixture, catalog: list[Fixture], claim_tol: float = TOL.cl
     report.algebraic = algebraic_bound(ast)
 
     # separable bound over 1 | rest product states when claimed
-    if "separable" in claims:
-        report.separable = separable_bound(separable_terms(ast, assignment)).value
+    if "separable" in fx.claims:
+        report.separable = separable_bound(separable_terms(ast, fx.assignment)).value
 
     # quantum value on the fixture state
-    if state is not None:
-        report.quantum_value = _bounds.quantum_value(ast, assignment, state)
+    if fx.state is not None:
+        report.quantum_value = _bounds.quantum_value(ast, fx.assignment, fx.state)
 
-    report.quantum_max = quantum_max(ast, assignment)
+    report.quantum_max = quantum_max(ast, fx.assignment)
 
     # derivation replay; one without ``expect`` is replayed for its errors alone
-    derivation = fx.raw.get("derivation")
     got = replay_derivation(fx, catalog)
-    if derivation and "expect" in derivation:
-        expect_parsed = pretty_print(parse(derivation["expect"] + " <= 0").ast)
-        report.claim_match["derivation"] = got == expect_parsed
+    if fx.expect is not None:
+        try:
+            expect = parse(fx.expect + " <= 0").ast
+        except ValueError as exc:
+            raise CatalogError(f"fixture {fx.name}: {exc}") from None
+        report.claim_match["derivation"] = got == pretty_print(expect)
 
     computed = {
         "lhv": report.lhv,
@@ -381,10 +388,10 @@ def audit_fixture(fx: Fixture, catalog: list[Fixture], claim_tol: float = TOL.cl
     }
     if report.quantum_value is not None and report.lhv is not None:
         computed["violated"] = violates(report.quantum_value, report.lhv)
-    for key, claim in claims.items():
+    for key, claimed in fx.claims.items():
         if key == "threshold_bound":
             computed["threshold_bound"] = _lift(_threshold_lift(fx)).derived_bound
-        report.claim_match[key] = _match(computed.get(key), claim["value"], claim_tol)
+        report.claim_match[key] = _match(computed.get(key), claimed, claim_tol)
 
     # verdict
     if any(not ok for ok in report.claim_match.values()):
@@ -402,58 +409,45 @@ def audit_fixture(fx: Fixture, catalog: list[Fixture], claim_tol: float = TOL.cl
 def _audit_discord(fx: Fixture, report: BoundReport) -> BoundReport:
     """Check the discord condition on sampled classical-quantum states and a Bell state.
 
-    The fixture's ``rng_seed`` (an integer, 0 when absent) seeds the stdlib
-    generator ``random.Random`` that ``_random_cq_states`` draws its
-    ``samples`` states from (a positive integer, 200 when absent), so the
-    audit's samples do not depend on any CLI option.  ``epsilon`` (a
-    number, 0.5 when absent) is the check's threshold.  A field of another
-    type raises ``CatalogError``.
+    The fixture's ``rng_seed`` seeds the stdlib generator ``random.Random``
+    that ``_random_cq_states`` takes its ``samples`` states from, so the
+    audit's samples do not depend on any CLI option.  ``epsilon`` is the
+    check's threshold.
     """
-    seed = fx.raw.get("rng_seed", 0)
-    samples = fx.raw.get("samples", 200)
-    epsilon = fx.raw.get("epsilon", 0.5)
-    if type(seed) is not int:
-        raise CatalogError(f"fixture {fx.name}: 'rng_seed' {seed!r} is not an integer")
-    if type(samples) is not int or samples < 1:
-        raise CatalogError(f"fixture {fx.name}: 'samples' {samples!r} is not a positive integer")
-    if type(epsilon) not in (int, float):  # before discord_condition_check's range check
-        raise CatalogError(f"fixture {fx.name}: 'epsilon' {epsilon!r} is not a number")
-    cq = discord_condition_check(_random_cq_states(Random(seed), samples), epsilon)
+    cq = discord_condition_check(_random_cq_states(Random(fx.rng_seed), fx.samples), fx.epsilon)
     cq_max = float(np.abs([cq.x_correlator, cq.y_correlator]).max(initial=0.0))
     bell = make_pair_superposition("00", "11", 2**-0.5, 2**-0.5)
     bell_rho = DensityOperator(2, np.outer(bell.amplitudes, bell.amplitudes.conj()))
     computed = {
         "cq_correlators_vanish": cq_max < 1e-9,
-        "bell_fails": not discord_condition_check(bell_rho, epsilon).passed,
+        "bell_fails": not discord_condition_check(bell_rho, fx.epsilon).passed,
     }
     for key in (k for k in computed if k in fx.claims):
-        report.claim_match[key] = computed[key] == fx.claims[key]["value"]
-    report.verdict = (
-        "no-violation" if all(report.claim_match.values()) else "audit-mismatch"
-    )
+        report.claim_match[key] = computed[key] == fx.claims[key]
+    report.verdict = "no-violation" if all(report.claim_match.values()) else "audit-mismatch"
     return report
 
 
-def _random_cq_states(draws: Random, samples: int) -> DensityOperator:
+def _random_cq_states(rng: Random, samples: int) -> DensityOperator:
     """Stack of random classical-quantum two-qubit states for the adapted-basis check.
 
-    ``draws`` is a stdlib ``random.Random`` (the audit seeds it with the
+    ``rng`` is a stdlib ``random.Random`` (the audit seeds it with the
     fixture's ``rng_seed``); on numpy 2 no path loads ``numpy.random``.
-    Draws one state at a time (first-qubit basis, Dirichlet(2, 2)
+    Samples one state at a time (first-qubit basis, Dirichlet(2, 2)
     probabilities as ``betavariate(2, 2)`` and its complement, two
     second-qubit states), so the first n states of a seed do not depend
-    on ``samples``; everything after the draws runs on the whole stack.
-    The basis is e_0, the basis draw's normalised first column, and
+    on ``samples``; everything after the sampling runs on the whole stack.
+    The basis is e_0, the basis sample's normalised first column, and
     e_1 = (-conj(e_0[1]), conj(e_0[0])): QR's projectors, without a QR.
     """
-    v = np.empty((samples, 2, 2))  # real, imaginary part of each basis draw's first column
+    v = np.empty((samples, 2, 2))  # real, imaginary part of each basis sample's first column
     p = np.empty((samples, 2))
-    a = np.empty((samples, 2, 2, 2, 2))  # two second-qubit draws, each real, imaginary
+    a = np.empty((samples, 2, 2, 2, 2))  # two second-qubit samples, each real, imaginary
     for i in range(samples):
-        v[i] = standard_normals(draws, (2, 2, 2))[..., 0]
-        w = draws.betavariate(2.0, 2.0)
+        v[i] = standard_normals(rng, (2, 2, 2))[..., 0]
+        w = rng.betavariate(2.0, 2.0)
         p[i] = w, 1.0 - w
-        a[i] = standard_normals(draws, (2, 2, 2, 2))
+        a[i] = standard_normals(rng, (2, 2, 2, 2))
     e0 = v[:, 0] + 1j * v[:, 1]
     e0 /= np.linalg.norm(e0, axis=-1, keepdims=True)
     kets = np.stack([e0, (e0[:, ::-1] * [-1, 1]).conj()], axis=1)

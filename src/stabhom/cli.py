@@ -46,6 +46,16 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 # shared option handling
 
+def _json_option(option: str, text, default=None):
+    """The JSON value of an option's text, or ``default`` when the option is not given."""
+    if text is None:
+        return default
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{option}: not JSON: {exc}") from None
+
+
 def _encoding_from_args(args) -> LogicalEncoding:
     chosen = [args.ghz is not None, bool(args.cluster), bool(args.encoding)]
     if sum(chosen) != 1:
@@ -54,7 +64,8 @@ def _encoding_from_args(args) -> LogicalEncoding:
         return LogicalEncoding.ghz(args.ghz)
     if args.cluster:
         return LogicalEncoding.cluster_pair()
-    return LogicalEncoding.from_json(json.loads(Path(args.encoding).read_text(encoding="utf-8")))
+    return LogicalEncoding.from_json(
+        _json_option("--encoding", Path(args.encoding).read_text(encoding="utf-8")))
 
 
 def _state_from_arg(text: str) -> StateVector:
@@ -66,7 +77,7 @@ def _state_from_arg(text: str) -> StateVector:
         return ghz_state(int(text.split(":", 1)[1]))
     if text.endswith(".json"):
         text = Path(text).read_text(encoding="utf-8")
-    return state_from_spec(json.loads(text))
+    return state_from_spec(_json_option("--state", text))
 
 
 def _add_encoding_options(p: argparse.ArgumentParser):
@@ -122,14 +133,14 @@ def _write_json_rows(results) -> None:
 def cmd_descend(args) -> int:
     seed = load_ineq(args.seed)
     enc = _encoding_from_args(args)
-    letter_map = json.loads(args.map) if args.map else {}
+    letter_map = _json_option("--map", args.map, {})
     if letter_map == {}:
         # default: fixed-Pauli settings on the target site keep their letter
         for s in seed.ast.settings:
             if s.site == args.site and s.is_fixed_pauli:
                 letter_map[s.text()] = s.base
     state = _state_from_arg(args.state) if args.state else None
-    assignment = json.loads(args.assignment) if args.assignment else None
+    assignment = _json_option("--assignment", args.assignment)
     results = enumerate_descendants(
         seed, args.site, enc, letter_map,
         seed_state=state, seed_assignment=assignment,
@@ -141,9 +152,8 @@ def cmd_descend(args) -> int:
         _write_json_rows(results)
     else:
         for r in results:
-            qv = fmt9(r.quantum_value) if r.quantum_value is not None else "-"
             mark = "*" if r.accepted else " "
-            print(f"{mark} lhv={fmt9(r.lhv_bound)} qv={qv}  {r.expression}")
+            print(f"{mark} lhv={fmt9(r.lhv_bound)} qv={fmt9(r.quantum_value)}  {r.expression}")
     return 0
 
 
@@ -158,15 +168,12 @@ def cmd_bound(args) -> int:
     elif args.kind == "hybrid":
         value = hybrid_bound(ineq)
     elif args.kind == "separable":
-        assignment = json.loads(args.assignment) if args.assignment else None
-        res = separable_bound(separable_terms(ineq, assignment))
+        res = separable_bound(separable_terms(ineq, _json_option("--assignment", args.assignment)))
         value = res.value
-        certificate = {
-            "left_state": [[v.real, v.imag] for v in res.left_state],
-            "right_state": [[v.real, v.imag] for v in res.right_state],
-        }
+        certificate = {side: [[v.real, v.imag] for v in getattr(res, side)]
+                       for side in ("left_state", "right_state")}
     elif args.kind == "quantum":
-        value = quantum_max(ineq.ast, json.loads(args.assignment) if args.assignment else None)
+        value = quantum_max(ineq.ast, _json_option("--assignment", args.assignment))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown kind {args.kind}")
     if args.json:
@@ -180,21 +187,18 @@ def cmd_bound(args) -> int:
 def cmd_qvalue(args) -> int:
     if args.fixture:
         catalog = load_catalog(args.fixtures)
-        matches = [f for f in catalog if f.name == args.fixture]
-        if not matches:
+        fx = next((f for f in catalog if f.name == args.fixture), None)
+        if fx is None:
             raise CliError(f"unknown fixture {args.fixture!r}")
-        fx = matches[0]
-        state = fx.state
-        if state is None:
+        if fx.state is None:
             raise CliError(f"fixture {fx.name} carries no state")
-        value = _bounds.quantum_value(fx.inequality, fx.assignment, state)
+        value = _bounds.quantum_value(fx.inequality, fx.assignment, fx.state)
     else:
         if not (args.file and args.state):
             raise CliError("qvalue needs --fixture NAME or --file F --state S")
         ineq = load_ineq(args.file)
         state = _state_from_arg(args.state)
-        assignment = json.loads(args.assignment) if args.assignment else None
-        value = _bounds.quantum_value(ineq, assignment, state)
+        value = _bounds.quantum_value(ineq, _json_option("--assignment", args.assignment), state)
     if args.json:
         print(json.dumps({"value": float(fmt9(value))}, indent=2))
     else:
@@ -211,14 +215,9 @@ def cmd_audit(args) -> int:
         print(json.dumps(result.to_json(), indent=2))
     else:
         for rep in result.reports:
-            cols = [
-                f"lhv={fmt9(rep.lhv)}" if rep.lhv is not None else None,
-                f"hybrid={fmt9(rep.hybrid)}" if rep.hybrid is not None else None,
-                f"separable={fmt9(rep.separable)}" if rep.separable is not None else None,
-                f"qv={fmt9(rep.quantum_value)}" if rep.quantum_value is not None else None,
-                f"qmax={fmt9(rep.quantum_max)}" if rep.quantum_max is not None else None,
-            ]
-            detail = " ".join(c for c in cols if c)
+            cols = {"lhv": rep.lhv, "hybrid": rep.hybrid, "separable": rep.separable,
+                    "qv": rep.quantum_value, "qmax": rep.quantum_max}
+            detail = " ".join(f"{k}={fmt9(v)}" for k, v in cols.items() if v is not None)
             flag = (" [UNEXPECTED-MISMATCH]" if rep.unexpected_mismatch
                     else " [expected-mismatch]" if rep.known_mismatch else "")
             print(f"{rep.name:24s} {rep.verdict:18s} {detail}{flag}")

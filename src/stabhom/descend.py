@@ -71,7 +71,7 @@ class SubstitutionError(ValueError):
 class PlanEntry:
     """How one target-site setting maps into the code space, and the one check of it:
     a letter X, Y or Z, an ``int`` sign 1 or -1, and distinct ``int`` indices >= 0
-    for ``occ`` and a non-empty ``subset``."""
+    for ``occ`` and a non-empty ``subset``, and none for ``all``."""
 
     letter: str                      # logical letter X, Y or Z
     sign: int = 1                    # observable identified with +-letter
@@ -82,9 +82,9 @@ class PlanEntry:
             raise SubstitutionError(f"logical letter must be X/Y/Z, got {self.letter!r}")
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise SubstitutionError(f"sign must be 1 or -1, got {self.sign!r}")
-        mode, *indices = self.selection
-        if mode not in ("all", "subset", "occ"):
-            raise SubstitutionError(f"unknown selection mode {mode!r}")
+        mode, *indices = self.selection or (None,)
+        if mode not in ("all", "subset", "occ") or mode == "all" and indices:
+            raise SubstitutionError(f"unknown selection {self.selection!r}")
         if mode == "subset" and not indices:
             raise SubstitutionError("empty image selection")
         if mode != "all" and not (all(type(i) is int and i >= 0 for i in indices)

@@ -1,8 +1,12 @@
 """Statevector, density-operator and block-operator engine.
 
-Two checks hold the width cap ``LIMITS.max_width`` (12) where 2^N arrays
-are made: ``StateVector`` before it computes 2**width, and ``x_cosets``
-before it allocates the 2^N index space.
+Seven checks hold the width cap ``LIMITS.max_width`` (12).  Five guard a
+2^N allocation: ``make_pair_superposition``, ``ghz_state`` and
+``catalog.state_from_spec`` (an ``amplitudes`` spec) before the amplitude
+array, ``x_cosets`` before the index space and ``codespace.lift_state``
+before the lifted amplitudes.  Two allocate nothing: ``StateVector``
+checks amplitudes its caller already holds before it computes 2**width,
+and ``LogicalEncoding.ghz`` refuses a code size with its own message.
 
 Basis convention: site 1 is the most significant bit of the basis index,
 so |011> on three qubits is amplitude index 0b011 = 3.  All heavy loops

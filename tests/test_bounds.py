@@ -675,7 +675,7 @@ class TestInvariantChain:
             ineq = fx.inequality
             if ineq is None or not ineq.ast.is_linear:
                 continue
-            lhv = hybrid_bound(ineq) if fx.raw.get("hybrid") else lhv_bound(ineq)
+            lhv = hybrid_bound(ineq) if fx.hybrid else lhv_bound(ineq)
             opex = assign_paulis(ineq.ast, fx.assignment)
             qmax = max_eigenvalue(assemble_operator(opex.linear, opex.width))
             alg = algebraic_bound(ineq)

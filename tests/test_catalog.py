@@ -18,17 +18,23 @@ from stabhom.dsl import load_ineq, parse, pretty_print
 from stabhom.states import DensityOperator, make_pair_superposition
 
 CATALOG = catalog.load_catalog()
-DERIVED = [fx for fx in CATALOG if "derivation" in fx.raw]
+DERIVED = [fx for fx in CATALOG if fx.derivation]
+RAW = {raw["name"]: raw for raw in (json.loads(path.read_text(encoding="utf-8")) for path in
+                                    (Path(catalog.__file__).parent / "fixtures").glob("*.json"))}
+
+
+def raw_copy(name: str) -> dict:
+    """A deep copy of bundled fixture ``name``'s JSON object."""
+    return json.loads(json.dumps(RAW[name]))
 
 
 @pytest.mark.parametrize("fx", DERIVED, ids=[fx.name for fx in DERIVED])
 def test_derivation_replays_to_its_texts(fx):
     # the audit checks only derivations with an ``expect``; this also covers the symbolic one
     got = catalog.replay_derivation(fx, CATALOG)
-    expect = fx.raw["derivation"].get("expect")
-    if expect is not None:
-        assert got == pretty_print(parse(expect + " <= 0").ast)
-    if expect is None or all(s.is_fixed_pauli for s in fx.inequality.ast.settings):
+    if fx.expect is not None:
+        assert got == pretty_print(parse(fx.expect + " <= 0").ast)
+    if fx.expect is None or all(s.is_fixed_pauli for s in fx.inequality.ast.settings):
         assert got == pretty_print(fx.inequality.ast.with_bound(Fraction(0)))
 
 
@@ -43,7 +49,7 @@ def test_audit_reuses_each_fixture_parse(monkeypatch):
 
     monkeypatch.setattr(catalog, "parse", recording)
     catalog.audit_all(fixtures)
-    loaded = {fx.raw["inequality"] for fx in fixtures if "inequality" in fx.raw}
+    loaded = {raw["inequality"] for raw in RAW.values() if "inequality" in raw}
     assert texts, "derivation expect and expression-seed strings still parse"
     assert not loaded & set(texts)
 
@@ -93,9 +99,6 @@ def test_plan_setting_text_parses_like_the_grammar():
             catalog.plan_from_spec(2, enc, {bad: {"letter": "X"}})
 
 
-CHSH_TO_MERMIN = next(fx for fx in CATALOG if fx.name == "chsh-to-mermin")
-
-
 @pytest.mark.parametrize("plan,message", [
     ([1], "plan must be a JSON object, got [1]"),
     ({"X2": 5}, 'plan entry X2: 5 is not an object whose select is "all" or an array'),
@@ -118,16 +121,25 @@ CHSH_TO_MERMIN = next(fx for fx in CATALOG if fx.name == "chsh-to-mermin")
         "bool-sign", "text-select", "float-index", "negative-index", "repeated-index"])
 def test_plan_reader_names_fixture_and_setting(plan, message):
     # the JSON shape is checked by the reader, the values by PlanEntry alone
-    raw = json.loads(json.dumps(CHSH_TO_MERMIN.raw))
+    raw = raw_copy("chsh-to-mermin")
     raw["derivation"]["chain"][0]["plan"] = plan
-    fx = catalog.Fixture(CHSH_TO_MERMIN.name, CHSH_TO_MERMIN.kind, raw)
     with pytest.raises(catalog.CatalogError) as err:
-        catalog.replay_derivation(fx, CATALOG)
+        catalog.replay_derivation(catalog.read_fixture(raw), CATALOG)
     assert str(err.value) == f"fixture chsh-to-mermin: {message}"
 
 
-FIXTURES = {fx.name: fx for fx in CATALOG}
 MISSING = object()  # delete the field rather than set it
+
+
+def edit(raw: dict, path: tuple, field: str, value) -> None:
+    """Set ``field`` of the object at ``path`` in ``raw`` to ``value``; delete it for MISSING."""
+    spec = raw
+    for key in path:
+        spec = spec[key]
+    if value is MISSING:
+        del spec[field]
+    else:
+        spec[field] = value
 
 
 @pytest.mark.parametrize("name,path,field,value,message", [
@@ -164,40 +176,32 @@ MISSING = object()  # delete the field rather than set it
         "text-step-site", "step-seed-without-inequality", "symbolic-seed-without-inequality",
         "site-zero-map-key", "index-out-of-range", "empty-select"])
 def test_derivation_reader_names_fixture_and_field(name, path, field, value, message):
-    raw = json.loads(json.dumps(FIXTURES[name].raw))
-    spec = raw["derivation"]
-    for key in path:
-        spec = spec[key]
-    if value is MISSING:
-        del spec[field]
-    else:
-        spec[field] = value
-    fx = catalog.Fixture(name, FIXTURES[name].kind, raw)
+    raw = raw_copy(name)
+    edit(raw, ("derivation", *path), field, value)
     with pytest.raises(catalog.CatalogError, match="^fixture " + re.escape(f"{name}: {message}")):
-        catalog.replay_derivation(fx, CATALOG)
+        catalog.replay_derivation(catalog.read_fixture(raw), CATALOG)
 
 
 @pytest.mark.parametrize("derivation", [
-    None,
+    MISSING,
     {"chain": [{"seed": {"expression": "X1*X2 - Y1*Y2 <= 1"}}], "expect": "X1*X2 - Y1*Y2"},
 ], ids=["no-derivation", "expression-seed"])
 def test_threshold_claim_needs_a_lift_seed(derivation):
-    raw = json.loads(json.dumps(FIXTURES["ent-witness-I"].raw))
-    raw["derivation"] = derivation
-    fx = catalog.Fixture("ent-witness-I", "linear", raw)
+    raw = raw_copy("ent-witness-I")
+    edit(raw, (), "derivation", derivation)
     with pytest.raises(catalog.CatalogError, match="^fixture ent-witness-I: a threshold_bound"):
-        catalog.audit_fixture(fx, CATALOG)
+        catalog.audit_fixture(catalog.read_fixture(raw), CATALOG)
 
 
-def edited_fixtures(tmp_path, name, edit) -> Path:
-    """A copy of the bundled fixtures with ``edit`` applied to fixture ``name``'s JSON."""
+def edited_fixtures(tmp_path, name, change) -> Path:
+    """A copy of the bundled fixtures with ``change`` applied to fixture ``name``'s JSON."""
     directory = tmp_path / "fixtures"
     directory.mkdir()
-    for fx in CATALOG:
-        raw = json.loads(json.dumps(fx.raw))
-        if fx.name == name:
-            edit(raw)
-        (directory / f"{fx.name}.json").write_text(json.dumps(raw), encoding="utf-8")
+    for key in RAW:
+        raw = raw_copy(key)
+        if key == name:
+            change(raw)
+        (directory / f"{key}.json").write_text(json.dumps(raw), encoding="utf-8")
     return directory
 
 
@@ -220,20 +224,49 @@ def test_malformed_claim_is_refused_at_load(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err.startswith("error: fixture chsh.json: ")
 
 
-@pytest.mark.parametrize("name,field,value,message", [
-    ("chsh", "expected_mismatch", 5, "chsh.json: 'expected_mismatch' must be a JSON array"),
-    ("chsh", "expected_mismatch", "lhv", "chsh.json: 'expected_mismatch' must be a JSON array"),
-    ("chsh", "expected_mismatch", [1], "chsh.json: 'expected_mismatch' must be a JSON array"),
-    ("discord-condition", "epsilon", None, "discord-condition: 'epsilon' None is not a number"),
-    ("discord-condition", "epsilon", "0.5", "discord-condition: 'epsilon' '0.5' is not a number"),
-    ("discord-condition", "epsilon", True, "discord-condition: 'epsilon' True is not a number"),
-    ("discord-condition", "rng_seed", [1], "discord-condition: 'rng_seed' [1] is not an integer"),
-    ("discord-condition", "rng_seed", True, "discord-condition: 'rng_seed' True is not an integer"),
-    ("discord-condition", "rng_seed", 1.5, "discord-condition: 'rng_seed' 1.5 is not an integer"),
+@pytest.mark.parametrize("name,path,field,value,message", [
+    ("chsh", (), "expected_mismatch", 5,
+     "chsh.json: top level 'expected_mismatch' must be a JSON array"),
+    ("chsh", (), "expected_mismatch", "lhv",
+     "chsh.json: top level 'expected_mismatch' must be a JSON array"),
+    ("chsh", (), "expected_mismatch", [1],
+     "chsh.json: top level 'expected_mismatch' must be a JSON array"),
+    ("discord-condition", (), "epsilon", None,
+     "discord-condition.json: top level 'epsilon' must be a JSON number, got None"),
+    ("discord-condition", (), "epsilon", "0.5",
+     "discord-condition.json: top level 'epsilon' must be a JSON number, got '0.5'"),
+    ("discord-condition", (), "epsilon", True,
+     "discord-condition.json: top level 'epsilon' must be a JSON number, got True"),
+    ("discord-condition", (), "rng_seed", [1],
+     "discord-condition.json: top level 'rng_seed' must be a JSON integer, got [1]"),
+    ("discord-condition", (), "rng_seed", True,
+     "discord-condition.json: top level 'rng_seed' must be a JSON integer, got True"),
+    ("discord-condition", (), "rng_seed", 1.5,
+     "discord-condition.json: top level 'rng_seed' must be a JSON integer, got 1.5"),
+    ("chsh-to-mermin", ("derivation",), "expect", 5,
+     "chsh-to-mermin.json: derivation 'expect' must be a JSON string, got 5"),
+    ("chsh", (), "inequality", MISSING, "chsh.json: top level has no 'inequality'"),
+    ("discord-condition", (), "kind", "discrod", "discord-condition.json: unknown kind 'discrod'"),
+    ("chsh", (), "state", [], "chsh.json: top level 'state' must be a JSON object, got []"),
+    ("chsh", (), "state", 0, "chsh.json: top level 'state' must be a JSON object, got 0"),
+    ("svetlichny3", (), "hybrid", "no",
+     "svetlichny3.json: top level 'hybrid' must be a JSON boolean, got 'no'"),
+    ("chsh-to-mermin", ("derivation",), "expect", "X1*",
+     "chsh-to-mermin: expected a term (at position 4)"),
+    ("chsh-to-mermin", ("derivation", "chain", 0), "encoding", {"ghz": 0},
+     "chsh-to-mermin: GHZ code size 0 outside 1..12"),
+    ("cluster4", ("derivation", "chain", 0), "seed", {"expression": "X1*"},
+     "cluster4: expected a term (at position 3)"),
 ], ids=["int-mismatch", "text-mismatch", "int-list-mismatch", "null-epsilon", "text-epsilon",
-        "bool-epsilon", "list-seed", "bool-seed", "float-seed"])
-def test_mistyped_fixture_field_is_a_usage_error(tmp_path, capsys, name, field, value, message):
-    directory = edited_fixtures(tmp_path, name, lambda raw: raw.update({field: value}))
+        "bool-epsilon", "list-seed", "bool-seed", "float-seed", "int-expect", "no-inequality",
+        "unknown-kind", "list-state", "int-state", "text-hybrid", "bad-expect",
+        "ghz0-step-encoding", "bad-expression-seed"])
+def test_mistyped_fixture_field_is_a_usage_error(tmp_path, capsys, name, path, field, value,
+                                                 message):
+    # refused at load (naming the file) or at audit (naming the fixture), never a traceback
+    directory = edited_fixtures(tmp_path, name, lambda raw: edit(raw, path, field, value))
+    with pytest.raises(catalog.CatalogError, match="^fixture " + re.escape(message)):
+        catalog.audit_all(catalog.load_catalog(directory))
     assert cli.main(["audit", "--fixtures", str(directory)]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -288,9 +321,9 @@ def audit_verdict(monkeypatch, above, verdict):
     monkeypatch.setattr(catalog, "separable_bound", lambda terms: SimpleNamespace(value=separable))
     monkeypatch.setattr(bounds, "quantum_value",
                         lambda ast, assignment, state: at_margin(min(lhv, separable), above))
-    raw = {"inequality": "X1*X2 - Y1*Y2 <= 2", "state": {"kind": "ghz", "n": 2},
-           "claims": {"separable": {"value": separable}}}
-    report = catalog.audit_fixture(catalog.Fixture("margin", "linear", raw), CATALOG)
+    raw = {"schema": 1, "name": "margin", "kind": "linear", "inequality": "X1*X2 - Y1*Y2 <= 2",
+           "state": {"kind": "ghz", "n": 2}, "claims": {"separable": {"value": separable}}}
+    report = catalog.audit_fixture(catalog.read_fixture(raw), CATALOG)
     assert report.claim_match == {"separable": True}
     return report.verdict == verdict
 
@@ -339,12 +372,11 @@ def test_audit_starts_no_thread(monkeypatch, capsys):
 @pytest.mark.parametrize("samples", [0, -3, 2.7, True, "200", None],
                          ids=["zero", "negative", "float", "bool", "text", "null"])
 def test_discord_samples_must_be_a_positive_integer(samples):
-    raw = json.loads(json.dumps(FIXTURES["discord-condition"].raw))
+    raw = raw_copy("discord-condition")
     raw["samples"] = samples
-    fx = catalog.Fixture("discord-condition", "discord", raw)
-    message = f"fixture discord-condition: 'samples' {samples!r} is not a positive integer"
-    with pytest.raises(catalog.CatalogError, match="^" + re.escape(message)):
-        catalog.audit_fixture(fx, CATALOG)
+    message = f"top level 'samples' must be a (JSON|positive) integer, got {re.escape(repr(samples))}$"
+    with pytest.raises(catalog.CatalogError, match="^" + message):
+        catalog.read_fixture(raw)
 
 
 def amplitudes_spec(n, nonzero):

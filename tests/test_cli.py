@@ -343,6 +343,27 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, code_spec):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--map", "{X2: X}"], "--map"),
+    (["descend", CHSH, "--site", "2", "--ghz", "2", "--assignment", "{1"], "--assignment"),
+    (["bound", SYMBOLIC, "--kind", "separable", "--assignment", "{1"], "--assignment"),
+    (["bound", SYMBOLIC, "--kind", "quantum", "--assignment", "{1"], "--assignment"),
+    (["qvalue", "--file", SYMBOLIC, "--state", "bell", "--assignment", "{1"], "--assignment"),
+    (["qvalue", "--file", CHSH, "--state", "{kind: ghz}"], "--state"),
+    (["images", "--encoding"], "--encoding"),
+], ids=["map", "descend-assignment", "separable-assignment", "quantum-assignment",
+        "qvalue-assignment", "state", "encoding"])
+def test_option_that_is_not_json_is_named(tmp_path, capsys, argv, option):
+    if argv[-1] == "--encoding":
+        (tmp_path / "code.json").write_text("{ghz: 3}", encoding="utf-8")
+        argv = [*argv, str(tmp_path / "code.json")]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: not JSON: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 R = 2**-0.5
 CODE_SPECS = {
     "basis-pair": ({"n": 3, "zero": "001", "one": "110"},

@@ -127,8 +127,10 @@ class TestSubstitute:
     @pytest.mark.parametrize("sign,selection", [
         (True, ("all",)), (-1.0, ("all",)), (1, ("subset",)), (1, ("subset", 0, 0)),
         (1, ("subset", -1)), (1, ("subset", True)), (1, ("occ", 0.0, 1)), (1, ("pick", 0)),
+        (1, ("all", 0)), (1, ("all", 7)), (1, ()),
     ], ids=["bool-sign", "float-sign", "empty-subset", "repeated-subset", "negative-index",
-            "bool-index", "float-occ-index", "unknown-mode"])
+            "bool-index", "float-occ-index", "unknown-mode", "all-with-index",
+            "all-with-far-index", "no-mode"])
     def test_plan_entry_refuses_other_signs_and_selections(self, sign, selection):
         with pytest.raises(SubstitutionError):
             PlanEntry("X", sign, selection)
